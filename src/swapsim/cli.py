@@ -4,8 +4,9 @@
   swapsim check [--draws N] [--seed N] [--jobs N]
   swapsim recipes
 
-Exit codes: 0 success, 2 usage/configuration error, 3 I/O error,
-4 invariant violation detected during the oracle check.
+Exit codes: 0 success, 2 usage/configuration error (including inputs
+whose heralding probability vanishes), 3 I/O error, 4 invariant violation
+detected during the oracle check.
 """
 
 from __future__ import annotations
@@ -108,6 +109,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_ERROR
+    except ValueError as exc:
+        # valid config, degenerate physics (e.g. an outcome of probability ~0)
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     raise AssertionError("unreachable")
 
 

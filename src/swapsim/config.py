@@ -11,11 +11,13 @@ b). Unknown keys are rejected and every violation is reported at once.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
+
+from .metrics import TWO_PI
+from .recipes import RECIPES
 
 __all__ = [
     "ConfigError",
@@ -26,38 +28,19 @@ __all__ = [
     "to_text",
 ]
 
-EXPERIMENTS = (
-    "concurrence-surface",
-    "concurrence-slices",
-    "theta-fringes",
-    "scaling-balanced",
-    "imbalance-restore",
-    "oracle-check",
-)
+EXPERIMENTS = tuple(RECIPES)
 
 GRID_KEYS = ("t1", "t2", "t", "theta", "epsilon", "xi", "ratio")
-_TWO_PI = 2.0 * math.pi
 
 # inclusive bounds unless noted; epsilon excludes its lower bound
 _DOMAINS = {
     "t1": (0.0, 1.0),
     "t2": (0.0, 1.0),
     "t": (0.0, 1.0),
-    "theta": (0.0, _TWO_PI),  # upper bound exclusive
+    "theta": (0.0, TWO_PI),  # upper bound exclusive
     "epsilon": (0.0, 0.5),
     "xi": (-0.5, 0.5),
     "ratio": (0.0, 1.0),
-}
-
-# grid keys each experiment consumes; anything else set in the document
-# is reported as unused
-_USED_KEYS = {
-    "concurrence-surface": {"t1", "t2"},
-    "concurrence-slices": {"t1", "t2"},
-    "theta-fringes": {"t1", "t2", "theta", "xi", "ratio", "counts"},
-    "scaling-balanced": {"t", "xi"},
-    "imbalance-restore": {"t1", "t2", "xi", "epsilon"},
-    "oracle-check": {"draws"},
 }
 
 
@@ -144,35 +127,23 @@ def _check_domain(key: str, grid: tuple[float, ...], errors: list[str]):
 
 
 def _check_recipe(cfg: SweepConfig, errors: list[str]):
-    used = _USED_KEYS[cfg.experiment]
-    for key in GRID_KEYS:
-        grid = getattr(cfg, key)
-        if grid is not None and key not in used:
-            errors.append(
-                f"key {key!r} is not used by experiment {cfg.experiment!r}"
-            )
-    if cfg.experiment in ("concurrence-surface", "concurrence-slices"):
-        if cfg.t1 is not None and any(x <= 0.0 for x in cfg.t1):
-            errors.append("key 't1': this experiment needs t1 > 0")
-    if cfg.experiment == "scaling-balanced":
-        if cfg.t is not None and any(x <= 0.0 for x in cfg.t):
-            errors.append("key 't': this experiment needs t > 0")
-    if cfg.experiment == "imbalance-restore":
-        for key in ("t1", "t2"):
-            grid = getattr(cfg, key)
-            if grid is not None and any(x <= 0.0 for x in grid):
-                errors.append(f"key {key!r}: this experiment needs {key} > 0")
-        for key in ("xi", "epsilon"):
-            grid = getattr(cfg, key)
-            if grid is not None and len(grid) != 1:
-                errors.append(f"key {key!r}: this experiment takes a single value")
-    if cfg.experiment == "theta-fringes":
-        for key in ("t1", "t2", "xi", "ratio"):
-            grid = getattr(cfg, key)
-            if grid is not None and len(grid) != 1:
-                errors.append(f"key {key!r}: this experiment takes a single value")
-        if cfg.xi is not None and abs(cfg.xi[0]) <= 0.0:
-            errors.append("key 'xi': this experiment needs xi != 0")
+    """Apply the experiment's record: used keys, single values, domain rules."""
+    recipe = RECIPES[cfg.experiment]
+    for key in GRID_KEYS + ("counts",):
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        if key in GRID_KEYS and key not in recipe.grids:
+            errors.append(f"key {key!r} is not used by experiment {cfg.experiment!r}")
+            continue
+        values = value if isinstance(value, tuple) else (value,)
+        if key in recipe.single and len(values) != 1:
+            errors.append(f"key {key!r}: this experiment takes a single value")
+        errors.extend(
+            f"key {key!r}: this experiment needs {text}"
+            for rule_key, holds, text in recipe.rules
+            if rule_key == key and not all(holds(x) for x in values)
+        )
 
 
 def validate_config(raw: str) -> SweepConfig:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import VisibilityReport, fringe_scan
-from .protocol import BsmSetting, InputPair, success_probability, swap
+from .metrics import TWO_PI, FringeScan, VisibilityReport, _require_full_period, fringe_scan
+from .protocol import WEIGHT_EPS, BsmSetting, InputPair, success_probability, swap
 
 __all__ = [
     "SpdcSource",
@@ -29,9 +29,6 @@ __all__ = [
     "estimate_visibility",
     "normalized_success",
 ]
-
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class SpdcSource:
@@ -90,12 +87,16 @@ def pump_split(ratio: float, xi_total: complex) -> tuple[SpdcSource, SpdcSource]
 
 @dataclass(frozen=True)
 class SynthCounts:
-    """Synthesized coincidence counts for one middle-station setting."""
+    """Synthesized coincidence counts for one middle-station setting.
+
+    ``scan`` is the noiseless fringe scan whose probabilities set the means.
+    """
 
     setting: BsmSetting
     thetas: np.ndarray
     counts_plus: np.ndarray
     counts_minus: np.ndarray
+    scan: FringeScan
 
     def write_csv(self, path):
         """Rows of (theta_rad, outcome_sign, counts), both outcomes per phase."""
@@ -120,14 +121,14 @@ def synth_counts(
     Expected counts are ``mean_total_counts * p_pm(theta)`` from the
     fringe scan of the swap output; realized counts are Poisson draws
     from a generator seeded with ``model.seed``, so identical inputs give
-    bit-identical counts.
+    bit-identical counts. The scan is returned with the counts.
     """
     outcome = swap(pair, t1, t2, setting)
     scan = fringe_scan(outcome.rho_ab, thetas, setting=setting)
     rng = np.random.default_rng(model.seed)
     counts_plus = rng.poisson(model.mean_total_counts * scan.p_plus)
     counts_minus = rng.poisson(model.mean_total_counts * scan.p_minus)
-    return SynthCounts(setting, scan.thetas, counts_plus, counts_minus)
+    return SynthCounts(setting, scan.thetas, counts_plus, counts_minus, scan)
 
 
 def estimate_visibility(thetas, counts) -> VisibilityReport:
@@ -146,11 +147,8 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
         raise ValueError(f"need at least 8 phase points, got {thetas.size}")
     order = np.argsort(thetas)
     thetas, counts = thetas[order], counts[order]
+    _require_full_period(thetas)
     n = thetas.size
-    span = float(thetas[-1] - thetas[0])
-    if span < 0.9 * _TWO_PI * (n - 1) / n:
-        raise ValueError("phase points must span a full period")
-
     design = np.column_stack([np.ones(n), np.cos(thetas), np.sin(thetas)])
     sigma2 = np.maximum(counts, 1.0)  # Poisson variance, floored for empty bins
     sqrt_w = 1.0 / np.sqrt(sigma2)
@@ -166,15 +164,15 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
     else:
         grad = np.array([0.0, 1.0 / a, 0.0])
     sigma = float(math.sqrt(grad @ cov @ grad))
-    theta_max = math.atan2(v, u) % _TWO_PI if b > 0.0 else 0.0
+    theta_max = math.atan2(v, u) % TWO_PI if b > 0.0 else 0.0
     return VisibilityReport(
-        vis, theta_max, (theta_max + math.pi) % _TWO_PI, "fit", sigma=sigma
+        vis, theta_max, (theta_max + math.pi) % TWO_PI, "fit", sigma=sigma
     )
 
 
 def normalized_success(pair: InputPair, t1: float, t2: float) -> float:
     """Heralding probability relative to the same inputs on lossless channels."""
     baseline = success_probability(pair, 1.0, 1.0)
-    if baseline < 1e-15:
+    if baseline < WEIGHT_EPS:
         raise ValueError("degenerate inputs: lossless baseline probability is zero")
     return success_probability(pair, t1, t2) / baseline

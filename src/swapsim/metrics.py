@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import MAX_ENTANGLED_PAIR, BsmSetting, InputPair, success_probability
+from .protocol import MAX_ENTANGLED_PAIR, WEIGHT_EPS, BsmSetting, InputPair, success_probability
 from .states import ATOL, DensityMatrix
 
 __all__ = [
@@ -34,7 +34,8 @@ __all__ = [
     "visibility_analytic",
 ]
 
-_TWO_PI = 2.0 * math.pi
+TWO_PI = 2.0 * math.pi
+SIGNAL_EPS = 1e-15  # below this, the one-photon populations count as no signal
 
 # sigma_y (x) sigma_y, real in the computational basis
 _YY = np.array(
@@ -88,7 +89,7 @@ def concurrence_closed_form(pair: InputPair, t1, t2):
     t1, t2 (broadcast), which the argmax grid search relies on.
     """
     norm = success_probability(pair, t1, t2)
-    if np.any(np.asarray(norm) < 1e-15):
+    if np.any(np.asarray(norm) < WEIGHT_EPS):
         raise ValueError("degenerate inputs: heralding probability is zero")
     num = 2.0 * abs(pair.alpha * pair.beta * pair.gamma * pair.delta) * t1 * t2
     c = num / norm
@@ -181,7 +182,7 @@ class FringeScan:
             raise ValueError("phase grid must be a nonempty 1-d array")
         if np.any(np.diff(thetas) <= 0.0):
             raise ValueError("phase grid must be strictly increasing")
-        if thetas[0] < 0.0 or thetas[-1] >= _TWO_PI:
+        if thetas[0] < 0.0 or thetas[-1] >= TWO_PI:
             raise ValueError("phase grid must lie in [0, 2*pi)")
         if p_plus.shape != thetas.shape or p_minus.shape != thetas.shape:
             raise ValueError("probability arrays must match the phase grid")
@@ -224,7 +225,7 @@ def fringe_scan(rho, thetas, setting: BsmSetting | None = None) -> FringeScan:
 def _require_full_period(thetas: np.ndarray):
     n = thetas.size
     span = float(thetas[-1] - thetas[0])
-    if n < 3 or span < 0.9 * _TWO_PI * (n - 1) / n:
+    if n < 3 or span < 0.9 * TWO_PI * (n - 1) / n:
         raise ValueError("phase grid must cover a full period")
 
 
@@ -237,7 +238,7 @@ def visibility(scan: FringeScan, method: str = "analytic") -> VisibilityReport:
     scans whose grid contains the extremal phases the two agree to 1e-9.
     """
     denom = float(np.mean(scan.p_plus + scan.p_minus))
-    if denom < 1e-15:
+    if denom < SIGNAL_EPS:
         raise ValueError("no signal: the one-photon populations vanish")
     _require_full_period(scan.thetas)
     if method == "analytic":
@@ -247,9 +248,9 @@ def visibility(scan: FringeScan, method: str = "analytic") -> VisibilityReport:
         (_, u, v), *_ = np.linalg.lstsq(design, scan.p_plus, rcond=None)
         rho23 = u - 1j * v
         vis = 2.0 * abs(rho23) / denom
-        theta_max = float(-np.angle(rho23)) % _TWO_PI if abs(rho23) > 0 else 0.0
+        theta_max = float(-np.angle(rho23)) % TWO_PI if abs(rho23) > 0 else 0.0
         return VisibilityReport(
-            float(vis), theta_max, (theta_max + math.pi) % _TWO_PI, "analytic"
+            float(vis), theta_max, (theta_max + math.pi) % TWO_PI, "analytic"
         )
     if method == "fit":
         hi = int(np.argmax(scan.p_plus))
@@ -268,13 +269,13 @@ def visibility_analytic(rho) -> VisibilityReport:
     """Visibility straight from the state: V = 2|rho23| / (rho22 + rho33)."""
     m = _two_qubit_matrix(rho)
     denom = m[1, 1].real + m[2, 2].real
-    if denom < 1e-15:
+    if denom < SIGNAL_EPS:
         raise ValueError("no signal: the one-photon populations vanish")
     r23 = m[1, 2]
-    theta_max = float(-np.angle(r23)) % _TWO_PI if abs(r23) > 0 else 0.0
+    theta_max = float(-np.angle(r23)) % TWO_PI if abs(r23) > 0 else 0.0
     return VisibilityReport(
         float(2.0 * abs(r23) / denom),
         theta_max,
-        (theta_max + math.pi) % _TWO_PI,
+        (theta_max + math.pi) % TWO_PI,
         "analytic",
     )

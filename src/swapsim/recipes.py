@@ -37,11 +37,11 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from . import __version__
-from .config import SweepConfig
 from .experiment import (
     CountModel,
     estimate_visibility,
@@ -52,10 +52,10 @@ from .experiment import (
     SpdcSource,
 )
 from .metrics import (
+    TWO_PI,
     bell_fidelity,
     concurrence_closed_form,
     concurrence_wootters,
-    fringe_scan,
     visibility_analytic,
 )
 from .protocol import (
@@ -67,71 +67,52 @@ from .protocol import (
     success_probability,
     swap,
 )
+from .states import DensityMatrix
 
-__all__ = ["RunReport", "RECIPES", "run", "run_oracle_draws", "describe_recipes"]
+if TYPE_CHECKING:
+    from .config import SweepConfig
 
-_TWO_PI = 2.0 * math.pi
+__all__ = ["Recipe", "RecipeResult", "RunReport", "RECIPES", "run", "run_oracle_draws",
+           "describe_recipes"]
 
 # oracle-check tolerances
 DEV_RHO_TOL = 1e-12
 DEV_NORM_TOL = 1e-12
 DEV_CONCURRENCE_TOL = 1e-10
 
-DEFAULT_GRIDS = {
-    "concurrence-surface": {
-        "t1": tuple(np.linspace(0.05, 1.0, 20)),
-        "t2": tuple(np.linspace(0.05, 1.0, 20)),
-    },
-    "concurrence-slices": {
-        "t1": (0.3, 0.6, 0.8, 1.0),
-        "t2": tuple(np.linspace(0.0, 1.0, 101)),
-    },
-    "theta-fringes": {
-        "t1": (1.0,),
-        "t2": (1.0,),
-        "theta": tuple(np.linspace(0.0, _TWO_PI, 16, endpoint=False)),
-        "xi": (0.1,),
-        "ratio": (0.5,),
-    },
-    "scaling-balanced": {
-        "t": tuple(np.geomspace(1e-3, 1.0, 25)),
-        "xi": (0.05,),
-    },
-    "imbalance-restore": {
-        "t1": (1.0,),
-        "t2": tuple(np.linspace(0.1, 1.0, 10)),
-        "xi": (0.05,),
-        "epsilon": (0.01,),
-    },
-    "oracle-check": {},
-}
 
-DESCRIPTIONS = {
-    "concurrence-surface": (
-        "concurrence of the heralded state over a (t1, t2) grid with "
-        "maximally entangled inputs"
-    ),
-    "concurrence-slices": (
-        "concurrence, visibility and heralding probability vs t2 for "
-        "selected t1 values, maximally entangled inputs"
-    ),
-    "theta-fringes": (
-        "verification-phase fringes for every middle-station setting, "
-        "with synthetic Poisson coincidence counts"
-    ),
-    "scaling-balanced": (
-        "heralding probability vs total transmission t for balanced "
-        "channels t1 = t2 = sqrt(t); summary reports the log-log slope"
-    ),
-    "imbalance-restore": (
-        "visibility/fidelity degradation from unbalanced losses and its "
-        "restoration by loss-matched input amplitudes"
-    ),
-    "oracle-check": (
-        "randomized cross-validation of the closed-form heralded state "
-        "against the brute-force dilation pipeline"
-    ),
-}
+@dataclass(frozen=True)
+class RecipeResult:
+    """One recipe's output: CSV header and rows, summary, and extra files.
+
+    ``rep_state`` builds the representative heralded state for
+    ``--dump-state`` only when asked; ``extra`` pairs each extra file name
+    with the SynthCounts written there.
+    """
+
+    header: list
+    rows: list
+    summary: dict
+    rep_state: Callable[[], DensityMatrix]
+    ok: bool = True
+    extra: tuple = ()
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """One named experiment: its runner, defaults and config rules.
+
+    ``grids`` holds the default of every grid key the recipe reads; a
+    config that sets any other grid key is rejected. The keys in ``single``
+    take one value, and each ``(key, holds, text)`` rule must hold for
+    every value of ``key`` ("this experiment needs <text>").
+    """
+
+    description: str
+    runner: Callable[[SweepConfig, int], RecipeResult]
+    grids: dict
+    single: frozenset = frozenset()
+    rules: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -147,7 +128,7 @@ class RunReport:
 def _grid(cfg: SweepConfig, key: str) -> tuple[float, ...]:
     value = getattr(cfg, key)
     if value is None:
-        value = DEFAULT_GRIDS[cfg.experiment][key]
+        value = RECIPES[cfg.experiment].grids[key]
     return value
 
 
@@ -157,6 +138,11 @@ def _pmap(fn, tasks, jobs: int):
     chunk = max(1, len(tasks) // (4 * jobs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, tasks, chunksize=chunk))
+
+
+def _rep_state(pair, t1, t2):
+    """Deferred X+ heralded state at one grid point, for ``--dump-state``."""
+    return lambda: swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab
 
 
 # ---------------------------------------------------------------- recipes
@@ -170,16 +156,12 @@ def _run_surface(cfg: SweepConfig, jobs: int):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
     tasks = [(a, b) for a in g1 for b in g2]
     rows = _pmap(_surface_point, tasks, jobs)
-    header = ["t1", "t2", "concurrence"]
     summary = {
         "points": len(rows),
         "max_concurrence": max(r[2] for r in rows),
     }
-
-    def rep_state():
-        return swap(MAX_ENTANGLED_PAIR, g1[0], g2[0], BsmSetting.x(+1)).rho_ab
-
-    return header, rows, summary, rep_state, True
+    return RecipeResult(["t1", "t2", "concurrence"], rows, summary,
+                        _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 def _slices_point(task):
@@ -196,11 +178,8 @@ def _run_slices(cfg: SweepConfig, jobs: int):
     rows = _pmap(_slices_point, tasks, jobs)
     header = ["t1", "t2", "concurrence", "visibility", "p_success"]
     summary = {"points": len(rows), "t1_values": list(g1)}
-
-    def rep_state():
-        return swap(MAX_ENTANGLED_PAIR, g1[0], g2[0], BsmSetting.x(+1)).rho_ab
-
-    return header, rows, summary, rep_state, True
+    return RecipeResult(header, rows, summary,
+                        _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 _FRINGE_SETTINGS = (
@@ -216,9 +195,8 @@ _FRINGE_SETTINGS = (
 def _fringe_block(task):
     pair, t1, t2, thetas, mean, child_seed, tag = task
     setting = dict(_FRINGE_SETTINGS)[tag]
-    outcome = swap(pair, t1, t2, setting)
-    scan = fringe_scan(outcome.rho_ab, thetas, setting=setting)
     counts = synth_counts(pair, t1, t2, setting, thetas, CountModel(mean, child_seed))
+    scan = counts.scan
     rows = []
     for i, theta in enumerate(scan.thetas):
         rows.append((tag, theta, "+", scan.p_plus[i], mean * scan.p_plus[i],
@@ -246,13 +224,9 @@ def _run_fringes(cfg: SweepConfig, jobs: int):
     header = ["setting", "theta_rad", "outcome_sign", "probability",
               "expected_counts", "counts"]
     summary = {"fitted_visibility": {tag: fit for _, (tag, _), fit in results}}
-    extra = [(f"counts_{tag}_seed{cfg.seed}.csv", counts)
-             for _, (tag, counts), _ in results]
-
-    def rep_state():
-        return swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab
-
-    return header, rows, summary, rep_state, True, extra
+    extra = tuple((f"counts_{tag}_seed{cfg.seed}.csv", counts)
+                  for _, (tag, counts), _ in results)
+    return RecipeResult(header, rows, summary, _rep_state(pair, t1, t2), extra=extra)
 
 
 def _scaling_point(task):
@@ -271,19 +245,19 @@ def _run_scaling(cfg: SweepConfig, jobs: int):
     tasks = [(pair, t, cfg.normalize) for t in grid]
     rows = _pmap(_scaling_point, tasks, jobs)
     header = ["t", "t1", "p_success"] + (["p_normalized"] if cfg.normalize else [])
+    p = np.array([r[2] for r in rows])
+    if not np.all(p > 0.0):
+        raise ValueError("degenerate inputs: heralding probability is zero")
     logs_t = np.log(np.array([r[0] for r in rows]))
-    logs_p = np.log(np.array([r[2] for r in rows]))
-    slope = float(np.polyfit(logs_t, logs_p, 1)[0])
+    logs_p = np.log(p)
+    # a slope needs two distinct transmissions; one point has none
+    slope = float(np.polyfit(logs_t, logs_p, 1)[0]) if np.ptp(logs_t) > 0.0 else None
     summary = {
         "slope_loglog": slope,
         "reference_slopes": {"swap": 1.0, "direct_transmission": 2.0},
     }
-
-    def rep_state():
-        root = math.sqrt(grid[0])
-        return swap(pair, root, root, BsmSetting.x(+1)).rho_ab
-
-    return header, rows, summary, rep_state, True
+    root = math.sqrt(grid[0])
+    return RecipeResult(header, rows, summary, _rep_state(pair, root, root))
 
 
 def _imbalance_point(task):
@@ -322,12 +296,8 @@ def _run_imbalance(cfg: SweepConfig, jobs: int):
         "equal_visibility_shape": "2*t1*t2/(t1^2+t2^2)",
         "optimal_success_shape": "2*t1^2*t2^2/(t1^2+t2^2)",
     }
-
-    def rep_state():
-        pair = optimal_inputs(t1, g2[0], epsilon)
-        return swap(pair, t1, g2[0], BsmSetting.x(+1)).rho_ab
-
-    return header, rows, summary, rep_state, True
+    pair = optimal_inputs(t1, g2[0], epsilon)
+    return RecipeResult(header, rows, summary, _rep_state(pair, t1, g2[0]))
 
 
 def _oracle_point(task):
@@ -385,36 +355,77 @@ def _run_oracle(cfg: SweepConfig, jobs: int):
     rows, summary, ok = run_oracle_draws(cfg.draws, cfg.seed, jobs)
     header = ["draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm",
               "dev_concurrence"]
+    # the first draw's inputs, drawn as run_oracle_draws draws them
+    rng = np.random.default_rng(cfg.seed)
+    pair = random_input_pair(rng)
+    t1, t2 = rng.uniform(0.05, 1.0, size=2)
+    return RecipeResult(header, rows, summary, _rep_state(pair, float(t1), float(t2)), ok)
 
-    def rep_state():
-        rng = np.random.default_rng(cfg.seed)
-        pair = random_input_pair(rng)
-        t1, t2 = rng.uniform(0.05, 1.0, size=2)
-        return swap(pair, float(t1), float(t2), BsmSetting.x(+1)).rho_ab
 
-    return header, rows, summary, rep_state, ok
+def _positive(key: str):
+    return (key, lambda x: x > 0.0, f"{key} > 0")
 
+
+_NONZERO_XI = ("xi", lambda x: x != 0.0, "xi != 0")
 
 RECIPES = {
-    "concurrence-surface": _run_surface,
-    "concurrence-slices": _run_slices,
-    "theta-fringes": _run_fringes,
-    "scaling-balanced": _run_scaling,
-    "imbalance-restore": _run_imbalance,
-    "oracle-check": _run_oracle,
+    "concurrence-surface": Recipe(
+        "concurrence of the heralded state over a (t1, t2) grid with "
+        "maximally entangled inputs",
+        _run_surface,
+        dict.fromkeys(("t1", "t2"), tuple(np.linspace(0.05, 1.0, 20))),
+        rules=(_positive("t1"),),
+    ),
+    "concurrence-slices": Recipe(
+        "concurrence, visibility and heralding probability vs t2 for "
+        "selected t1 values, maximally entangled inputs",
+        _run_slices,
+        {"t1": (0.3, 0.6, 0.8, 1.0), "t2": tuple(np.linspace(0.0, 1.0, 101))},
+        rules=(_positive("t1"),),
+    ),
+    "theta-fringes": Recipe(
+        "verification-phase fringes for every middle-station setting, "
+        "with synthetic Poisson coincidence counts",
+        _run_fringes,
+        {"t1": (1.0,), "t2": (1.0,),
+         "theta": tuple(np.linspace(0.0, TWO_PI, 16, endpoint=False)),
+         "xi": (0.1,), "ratio": (0.5,)},
+        single=frozenset({"t1", "t2", "xi", "ratio"}),
+        rules=(_positive("t1"), _positive("t2"), _NONZERO_XI,
+               ("ratio", lambda x: 0.0 < x < 1.0, "0 < ratio < 1"), _positive("counts")),
+    ),
+    "scaling-balanced": Recipe(
+        "heralding probability vs total transmission t for balanced "
+        "channels t1 = t2 = sqrt(t); summary reports the log-log slope",
+        _run_scaling,
+        {"t": tuple(np.geomspace(1e-3, 1.0, 25)), "xi": (0.05,)},
+        rules=(_positive("t"), _NONZERO_XI),
+    ),
+    "imbalance-restore": Recipe(
+        "visibility/fidelity degradation from unbalanced losses and its "
+        "restoration by loss-matched input amplitudes",
+        _run_imbalance,
+        {"t1": (1.0,), "t2": tuple(np.linspace(0.1, 1.0, 10)),
+         "xi": (0.05,), "epsilon": (0.01,)},
+        single=frozenset({"xi", "epsilon"}),
+        rules=(_positive("t1"), _positive("t2"), _NONZERO_XI),
+    ),
+    "oracle-check": Recipe(
+        "randomized cross-validation of the closed-form heralded state "
+        "against the brute-force dilation pipeline",
+        _run_oracle,
+        {},
+    ),
 }
 
 
 def describe_recipes() -> str:
     lines = []
-    for name in RECIPES:
-        lines.append(f"{name}")
-        lines.append(f"  {DESCRIPTIONS[name]}")
-        defaults = DEFAULT_GRIDS[name]
-        if defaults:
-            keys = ", ".join(
-                f"{k}[{len(v)}]" for k, v in defaults.items()
-            )
+    for name, recipe in RECIPES.items():
+        lines.append(name)
+        lines.append(f"  {recipe.description}")
+        if recipe.grids:
+            keys = ", ".join(f"{k}[{len(v)}]" for k, v in recipe.grids.items())
             lines.append(f"  grid keys (defaults): {keys}")
         lines.append("")
     return "\n".join(lines)
@@ -443,25 +454,22 @@ def run(
     out = Path(out_dir) if out_dir is not None else Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    result = RECIPES[cfg.experiment](cfg, jobs)
-    header, rows, summary, rep_state, ok = result[:5]
-    extra_specs = result[5] if len(result) > 5 else []
-
+    result = RECIPES[cfg.experiment].runner(cfg, jobs)
     csv_path = out / f"{cfg.experiment}.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
+        writer.writerow(result.header)
+        for row in result.rows:
             writer.writerow([_fmt(x) for x in row])
 
     extra_files = []
-    for filename, counts in extra_specs:
+    for filename, counts in result.extra:
         path = out / filename
         counts.write_csv(path)
         extra_files.append(path)
 
     if dump_state is not None:
-        state = rep_state()
+        state = result.rep_state()
         with open(dump_state, "w", encoding="utf-8") as fh:
             json.dump(state.to_json_dict(), fh, indent=1)
             fh.write("\n")
@@ -472,8 +480,8 @@ def run(
         "config": dataclasses.asdict(cfg),
         "library_version": __version__,
         "wall_time_s": time.monotonic() - started,
-        "rows": len(rows),
-        "summary": summary,
+        "rows": len(result.rows),
+        "summary": result.summary,
         "files": [csv_path.name] + [p.name for p in extra_files],
     }
     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -481,4 +489,4 @@ def run(
         fh.write("\n")
 
     return RunReport(cfg.experiment, csv_path, meta_path, tuple(extra_files),
-                     summary, ok)
+                     result.summary, result.ok)

@@ -111,3 +111,53 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "oracle-check.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "experiment = theta-fringes\nratio = 0\n",
+        "experiment = theta-fringes\nratio = 1\n",
+        "experiment = theta-fringes\nt1 = 0\n",
+        "experiment = theta-fringes\nt2 = 0\n",
+        "experiment = theta-fringes\ncounts = 0\n",
+        "experiment = scaling-balanced\nxi = 0\n",
+        "experiment = scaling-balanced\nxi = 0\nnormalize = false\n",
+        "experiment = imbalance-restore\nxi = 0\n",
+    ],
+)
+def test_domain_rule_breaks_exit_2(doc, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:\n")
+    assert "this experiment needs" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        "experiment = theta-fringes\ncounts = 0.001\n",
+        "experiment = theta-fringes\nxi = 1e-200\n",
+        "experiment = scaling-balanced\nxi = 1e-200\nnormalize = false\n",
+        "experiment = imbalance-restore\nxi = 1e-200\n",
+        "experiment = concurrence-slices\nt1 = 1e-300\nt2 = 1e-300\n",
+    ],
+)
+def test_vanishing_signal_exits_2_with_one_line(doc, tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(doc)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
+def test_single_t_scaling_has_no_slope(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment = scaling-balanced\nt = 1.0\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "scaling-balanced.meta.json").read_text())
+    assert meta["summary"]["slope_loglog"] is None

@@ -4,7 +4,9 @@ import json
 import pytest
 
 from swapsim import DensityMatrix, validate, validate_config
-from swapsim.recipes import DEFAULT_GRIDS, RECIPES, run, run_oracle_draws
+from swapsim.recipes import RECIPES, run, run_oracle_draws
+
+DEFAULT_GRIDS = {name: recipe.grids for name, recipe in RECIPES.items()}
 
 
 def read_rows(path):
