@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every bundled sweep configuration and print the summaries.
 
-Usage: python scripts/run_all_recipes.py [--out DIR] [--jobs N]
+Usage: python scripts/run_all_recipes.py [--out DIR]
 """
 
 import argparse
@@ -17,13 +17,12 @@ CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
     args = parser.parse_args()
 
     failures = 0
     for cfg_path in sorted(CONFIG_DIR.glob("*.cfg")):
         cfg = validate_config(cfg_path.read_text())
-        report = run(cfg, out_dir=args.out, jobs=args.jobs)
+        report = run(cfg, out_dir=args.out)
         print(f"{cfg.experiment}: {report.csv_path}")
         for key, value in report.summary.items():
             print(f"  {key}: {value}")

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-  swapsim run <config-file> [--out DIR] [--seed N] [--jobs N] [--dump-state PATH]
-  swapsim check [--draws N] [--seed N] [--jobs N]
+  swapsim run <config-file> [--out DIR] [--seed N] [--dump-state PATH]
+  swapsim check [--draws N] [--seed N]
   swapsim recipes
 
 Exit codes: 0 success, 2 usage/configuration error (including inputs
@@ -41,7 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="plain-text key = value configuration file")
     run_p.add_argument("--out", help="output directory (default: config 'out' or cwd)")
     run_p.add_argument("--seed", type=int, help="override the config seed")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     run_p.add_argument(
         "--dump-state",
         metavar="PATH",
@@ -51,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run the closed-form vs brute-force oracle")
     check_p.add_argument("--draws", type=int, default=1000)
     check_p.add_argument("--seed", type=int, default=0)
-    check_p.add_argument("--jobs", type=int, default=1)
 
     sub.add_parser("recipes", help="list the named experiments")
     return parser
@@ -65,7 +63,7 @@ def _cmd_run(args) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    report = run(cfg, out_dir=args.out, jobs=args.jobs, dump_state=args.dump_state)
+    report = run(cfg, out_dir=args.out, dump_state=args.dump_state)
     print(f"{report.experiment}: wrote {report.csv_path}")
     for key, value in report.summary.items():
         print(f"  {key}: {value}")
@@ -78,7 +76,7 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     if args.draws < 1 or args.seed < 0:
         raise ConfigError("check needs --draws >= 1 and --seed >= 0")
-    _, summary, ok = run_oracle_draws(args.draws, args.seed, jobs=args.jobs)
+    _, summary, ok = run_oracle_draws(args.draws, args.seed)
     tols = summary["tolerances"]
     checks = [
         ("state entries vs closed form", summary["max_dev_rho"], tols["rho"]),

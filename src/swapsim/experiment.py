@@ -170,8 +170,11 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
     )
 
 
-def normalized_success(pair: InputPair, t1: float, t2: float) -> float:
-    """Heralding probability relative to the same inputs on lossless channels."""
+def normalized_success(pair: InputPair, t1, t2):
+    """Heralding probability relative to the same inputs on lossless channels.
+
+    Accepts scalar or array t1, t2, as ``success_probability`` does.
+    """
     baseline = success_probability(pair, 1.0, 1.0)
     if baseline < WEIGHT_EPS:
         raise ValueError("degenerate inputs: lossless baseline probability is zero")

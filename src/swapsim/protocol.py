@@ -270,10 +270,11 @@ def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
         raise ValueError(f"need 0 < t1, t2 <= 1, got t1 = {t1}, t2 = {t2}")
     if not 0.0 < epsilon <= 0.5:
         raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
-    k = t2 / t1
     s = epsilon ** 2 * 2.0 * t1 * t2 / (t1 ** 2 + t2 ** 2)  # = beta * delta
+    # checked before forming t2 / t1: every ratio that would overflow lands here
     if s * s == 0.0:
         raise ValueError("degenerate inputs: photon-pair scale underflows to zero")
+    k = t2 / t1
     # delta^2 solves  k^2 x^2 + s^2 (1 - k^2) x - s^2 = 0  (stable branch)
     aa = k * k
     bb = s * s * (1.0 - k * k)

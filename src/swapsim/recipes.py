@@ -2,10 +2,9 @@
 
 Each recipe evaluates a parameter grid with the pure library functions
 and emits one CSV (documented column contract below) plus a JSON sidecar
-with the full configuration, library version, and wall time. Grid points
-are independent tasks, so a worker pool may fan them out; rows are
-always emitted in grid order, making the CSV byte-identical for a given
-configuration regardless of the job count.
+with the full configuration, library version, and wall time. Rows are
+emitted in grid order, so a given configuration always writes a
+byte-identical CSV.
 
 Column contracts:
 
@@ -29,11 +28,9 @@ lossless channels. All transmittivities are AMPLITUDE transmittivities
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import dataclasses
 import json
-import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,7 +106,7 @@ class Recipe:
     """
 
     description: str
-    runner: Callable[[SweepConfig, int], RecipeResult]
+    runner: Callable[[SweepConfig], RecipeResult]
     grids: dict
     single: frozenset = frozenset()
     rules: tuple = ()
@@ -132,14 +129,6 @@ def _grid(cfg: SweepConfig, key: str) -> tuple[float, ...]:
     return value
 
 
-def _pmap(fn, tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    chunk = max(1, len(tasks) // (4 * jobs))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, tasks, chunksize=chunk))
-
-
 def _rep_state(pair, t1, t2):
     """Deferred X+ heralded state at one grid point, for ``--dump-state``."""
     return lambda: swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab
@@ -147,35 +136,23 @@ def _rep_state(pair, t1, t2):
 
 # ---------------------------------------------------------------- recipes
 
-def _surface_point(task):
-    t1, t2 = task
-    return (t1, t2, float(concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)))
-
-
-def _run_surface(cfg: SweepConfig, jobs: int):
+def _run_surface(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
-    tasks = [(a, b) for a in g1 for b in g2]
-    rows = _pmap(_surface_point, tasks, jobs)
-    summary = {
-        "points": len(rows),
-        "max_concurrence": max(r[2] for r in rows),
-    }
+    conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, np.array(g1)[:, None], np.array(g2))
+    rows = [(a, b, c) for a, row in zip(g1, conc.tolist()) for b, c in zip(g2, row)]
+    summary = {"points": len(rows), "max_concurrence": float(conc.max())}
     return RecipeResult(["t1", "t2", "concurrence"], rows, summary,
                         _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
-def _slices_point(task):
-    t1, t2 = task
-    c = float(concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2))
-    rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
-    vis = visibility_analytic(rho).v
-    return (t1, t2, c, vis, norm)
-
-
-def _run_slices(cfg: SweepConfig, jobs: int):
+def _run_slices(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
-    tasks = [(a, b) for a in g1 for b in g2]
-    rows = _pmap(_slices_point, tasks, jobs)
+    rows = []
+    for t1 in g1:
+        for t2 in g2:
+            c = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)
+            rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
+            rows.append((t1, t2, c, visibility_analytic(rho).v, norm))
     header = ["t1", "t2", "concurrence", "visibility", "p_success"]
     summary = {"points": len(rows), "t1_values": list(g1)}
     return RecipeResult(header, rows, summary,
@@ -192,63 +169,48 @@ _FRINGE_SETTINGS = (
 )
 
 
-def _fringe_block(task):
-    pair, t1, t2, thetas, mean, child_seed, tag = task
-    setting = dict(_FRINGE_SETTINGS)[tag]
-    counts = synth_counts(pair, t1, t2, setting, thetas, CountModel(mean, child_seed))
-    scan = counts.scan
-    rows = []
-    for i, theta in enumerate(scan.thetas):
-        rows.append((tag, theta, "+", scan.p_plus[i], mean * scan.p_plus[i],
-                     int(counts.counts_plus[i])))
-        rows.append((tag, theta, "-", scan.p_minus[i], mean * scan.p_minus[i],
-                     int(counts.counts_minus[i])))
-    fit = estimate_visibility(thetas, counts.counts_plus)
-    return rows, (tag, counts), {"v": fit.v, "sigma": fit.sigma}
-
-
-def _run_fringes(cfg: SweepConfig, jobs: int):
+def _run_fringes(cfg: SweepConfig):
     t1, t2 = _grid(cfg, "t1")[0], _grid(cfg, "t2")[0]
     thetas = _grid(cfg, "theta")
     xi = _grid(cfg, "xi")[0]
     ratio = _grid(cfg, "ratio")[0]
+    mean = cfg.counts
     # xi is the total pump amplitude scale; the split divides it between sources
     pair = spdc_input(*pump_split(ratio, xi))
     children = np.random.SeedSequence(cfg.seed).spawn(len(_FRINGE_SETTINGS))
-    tasks = [
-        (pair, t1, t2, thetas, cfg.counts, int(child.generate_state(1, np.uint64)[0]), tag)
-        for (tag, _), child in zip(_FRINGE_SETTINGS, children)
-    ]
-    results = _pmap(_fringe_block, tasks, jobs)
-    rows = [row for block, _, _ in results for row in block]
+    rows, fits, extra = [], {}, []
+    for (tag, setting), child in zip(_FRINGE_SETTINGS, children):
+        model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
+        counts = synth_counts(pair, t1, t2, setting, thetas, model)
+        scan = counts.scan
+        for i, theta in enumerate(scan.thetas):
+            rows.append((tag, theta, "+", scan.p_plus[i], mean * scan.p_plus[i],
+                         int(counts.counts_plus[i])))
+            rows.append((tag, theta, "-", scan.p_minus[i], mean * scan.p_minus[i],
+                         int(counts.counts_minus[i])))
+        fit = estimate_visibility(thetas, counts.counts_plus)
+        fits[tag] = {"v": fit.v, "sigma": fit.sigma}
+        extra.append((f"counts_{tag}_seed{cfg.seed}.csv", counts))
     header = ["setting", "theta_rad", "outcome_sign", "probability",
               "expected_counts", "counts"]
-    summary = {"fitted_visibility": {tag: fit for _, (tag, _), fit in results}}
-    extra = tuple((f"counts_{tag}_seed{cfg.seed}.csv", counts)
-                  for _, (tag, counts), _ in results)
-    return RecipeResult(header, rows, summary, _rep_state(pair, t1, t2), extra=extra)
+    return RecipeResult(header, rows, {"fitted_visibility": fits},
+                        _rep_state(pair, t1, t2), extra=tuple(extra))
 
 
-def _scaling_point(task):
-    pair, t, normalize = task
-    root = math.sqrt(t)
-    p = success_probability(pair, root, root)
-    if normalize:
-        return (t, root, p, normalized_success(pair, root, root))
-    return (t, root, p)
-
-
-def _run_scaling(cfg: SweepConfig, jobs: int):
+def _run_scaling(cfg: SweepConfig):
     grid = _grid(cfg, "t")
     xi = _grid(cfg, "xi")[0]
     pair = spdc_input(SpdcSource(xi), SpdcSource(xi))
-    tasks = [(pair, t, cfg.normalize) for t in grid]
-    rows = _pmap(_scaling_point, tasks, jobs)
+    roots = np.sqrt(grid)
+    p = success_probability(pair, roots, roots)
+    columns = [grid, roots.tolist(), p.tolist()]
+    if cfg.normalize:
+        columns.append(normalized_success(pair, roots, roots).tolist())
+    rows = list(zip(*columns))
     header = ["t", "t1", "p_success"] + (["p_normalized"] if cfg.normalize else [])
-    p = np.array([r[2] for r in rows])
     if not np.all(p > 0.0):
         raise ValueError("degenerate inputs: heralding probability is zero")
-    logs_t = np.log(np.array([r[0] for r in rows]))
+    logs_t = np.log(grid)
     logs_p = np.log(p)
     # a slope needs two distinct transmissions; one point has none
     slope = float(np.polyfit(logs_t, logs_p, 1)[0]) if np.ptp(logs_t) > 0.0 else None
@@ -256,37 +218,26 @@ def _run_scaling(cfg: SweepConfig, jobs: int):
         "slope_loglog": slope,
         "reference_slopes": {"swap": 1.0, "direct_transmission": 2.0},
     }
-    root = math.sqrt(grid[0])
+    root = float(roots[0])
     return RecipeResult(header, rows, summary, _rep_state(pair, root, root))
 
 
-def _imbalance_point(task):
-    t1, t2, strategy, xi, epsilon, normalize = task
-    if strategy == "equal":
-        pair = spdc_input(SpdcSource(xi), SpdcSource(xi))
-    else:
-        pair = optimal_inputs(t1, t2, epsilon)
-    rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
-    vis = visibility_analytic(rho).v
-    conc = concurrence_wootters(rho)
-    fid = bell_fidelity(rho, sign=+1, phase=0.0)
-    row = [t1, t2, strategy, vis, conc, fid, norm]
-    if normalize:
-        row.append(normalized_success(pair, t1, t2))
-    return tuple(row)
-
-
-def _run_imbalance(cfg: SweepConfig, jobs: int):
+def _run_imbalance(cfg: SweepConfig):
     t1 = _grid(cfg, "t1")[0]
     g2 = _grid(cfg, "t2")
     xi = _grid(cfg, "xi")[0]
     epsilon = _grid(cfg, "epsilon")[0]
-    tasks = [
-        (t1, t2, strategy, xi, epsilon, cfg.normalize)
-        for t2 in g2
-        for strategy in ("equal", "optimal")
-    ]
-    rows = _pmap(_imbalance_point, tasks, jobs)
+    equal = spdc_input(SpdcSource(xi), SpdcSource(xi))
+    rows = []
+    for t2 in g2:
+        for strategy in ("equal", "optimal"):
+            pair = equal if strategy == "equal" else optimal_inputs(t1, t2, epsilon)
+            rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
+            row = (t1, t2, strategy, visibility_analytic(rho).v, concurrence_wootters(rho),
+                   bell_fidelity(rho, sign=+1, phase=0.0), norm)
+            if cfg.normalize:
+                row += (normalized_success(pair, t1, t2),)
+            rows.append(row)
     header = ["t1", "t2", "strategy", "visibility", "concurrence",
               "bell_fidelity", "p_success"]
     if cfg.normalize:
@@ -300,20 +251,7 @@ def _run_imbalance(cfg: SweepConfig, jobs: int):
     return RecipeResult(header, rows, summary, _rep_state(pair, t1, g2[0]))
 
 
-def _oracle_point(task):
-    draw, pair, t1, t2, sign = task
-    brute = swap(pair, t1, t2, BsmSetting.x(sign))
-    other = swap(pair, t1, t2, BsmSetting.x(-sign))
-    rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
-    dev_rho = float(np.max(np.abs(brute.rho_ab.entries - rho_cf)))
-    dev_norm = abs(brute.p_success + other.p_success - norm)
-    dev_conc = abs(
-        concurrence_wootters(brute.rho_ab) - concurrence_closed_form(pair, t1, t2)
-    )
-    return (draw, t1, t2, sign, dev_rho, dev_norm, dev_conc)
-
-
-def run_oracle_draws(draws: int, seed: int, jobs: int = 1):
+def run_oracle_draws(draws: int, seed: int):
     """Randomized closed-form vs brute-force cross-check.
 
     Returns (rows, summary, ok); ok is False as soon as any draw exceeds
@@ -321,13 +259,20 @@ def run_oracle_draws(draws: int, seed: int, jobs: int = 1):
     1e-10 on concurrence).
     """
     rng = np.random.default_rng(seed)
-    tasks = []
+    rows = []
     for i in range(draws):
         pair = random_input_pair(rng)
-        t1, t2 = rng.uniform(0.05, 1.0, size=2)
+        t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
         sign = +1 if rng.integers(0, 2) == 0 else -1
-        tasks.append((i, pair, float(t1), float(t2), sign))
-    rows = _pmap(_oracle_point, tasks, jobs)
+        brute = swap(pair, t1, t2, BsmSetting.x(sign))
+        other = swap(pair, t1, t2, BsmSetting.x(-sign))
+        rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
+        dev_rho = float(np.max(np.abs(brute.rho_ab.entries - rho_cf)))
+        dev_norm = abs(brute.p_success + other.p_success - norm)
+        dev_conc = abs(
+            concurrence_wootters(brute.rho_ab) - concurrence_closed_form(pair, t1, t2)
+        )
+        rows.append((i, t1, t2, sign, dev_rho, dev_norm, dev_conc))
     max_rho = max(r[4] for r in rows)
     max_norm = max(r[5] for r in rows)
     max_conc = max(r[6] for r in rows)
@@ -351,8 +296,8 @@ def run_oracle_draws(draws: int, seed: int, jobs: int = 1):
     return rows, summary, ok
 
 
-def _run_oracle(cfg: SweepConfig, jobs: int):
-    rows, summary, ok = run_oracle_draws(cfg.draws, cfg.seed, jobs)
+def _run_oracle(cfg: SweepConfig):
+    rows, summary, ok = run_oracle_draws(cfg.draws, cfg.seed)
     header = ["draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm",
               "dev_concurrence"]
     # the first draw's inputs, drawn as run_oracle_draws draws them
@@ -399,6 +344,7 @@ RECIPES = {
         "channels t1 = t2 = sqrt(t); summary reports the log-log slope",
         _run_scaling,
         {"t": tuple(np.geomspace(1e-3, 1.0, 25)), "xi": (0.05,)},
+        single=frozenset({"xi"}),
         rules=(_positive("t"), _NONZERO_XI),
     ),
     "imbalance-restore": Recipe(
@@ -407,7 +353,7 @@ RECIPES = {
         _run_imbalance,
         {"t1": (1.0,), "t2": tuple(np.linspace(0.1, 1.0, 10)),
          "xi": (0.05,), "epsilon": (0.01,)},
-        single=frozenset({"xi", "epsilon"}),
+        single=frozenset({"t1", "xi", "epsilon"}),
         rules=(_positive("t1"), _positive("t2"), _NONZERO_XI),
     ),
     "oracle-check": Recipe(
@@ -439,22 +385,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def run(
-    cfg: SweepConfig,
-    out_dir=None,
-    jobs: int = 1,
-    dump_state=None,
-) -> RunReport:
+def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     """Execute one recipe: write its CSV, sidecar, and any extra files.
 
     Output is deterministic for a given configuration: identical configs
-    produce byte-identical CSVs, independent of ``jobs``.
+    produce byte-identical CSVs.
     """
     started = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
 
-    result = RECIPES[cfg.experiment].runner(cfg, jobs)
+    result = RECIPES[cfg.experiment].runner(cfg)
     csv_path = out / f"{cfg.experiment}.csv"
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")

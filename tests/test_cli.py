@@ -37,11 +37,6 @@ class TestRun:
         rho = DensityMatrix.from_json_dict(json.loads(dump.read_text()))
         assert rho.labels == ("A", "B")
 
-    def test_jobs_flag_accepted(self, oracle_cfg, tmp_path):
-        code = main(["run", str(oracle_cfg), "--out", str(tmp_path / "out"),
-                     "--jobs", "2"])
-        assert code == 0
-
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("experiment = concurrence-slices\nt1 = 1.2\n")
@@ -161,3 +156,17 @@ def test_single_t_scaling_has_no_slope(tmp_path, capsys):
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
     meta = json.loads((tmp_path / "out" / "scaling-balanced.meta.json").read_text())
     assert meta["summary"]["slope_loglog"] is None
+
+
+def test_overflowing_ratio_exits_2_without_a_warning(tmp_path):
+    # t2 / t1 overflows for t1 = 5e-324; the pair scale underflows first.
+    # A subprocess, because pytest would record a warning, not print it.
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment = imbalance-restore\nt1 = 5e-324\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapsim", "run", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: degenerate inputs: photon-pair scale underflows to zero\n"

@@ -120,6 +120,14 @@ class TestViolations:
         with pytest.raises(ConfigError, match="single value"):
             validate_config("experiment = theta-fringes\nxi = 0.1, 0.2\n")
 
+    def test_imbalance_takes_a_single_t1(self):
+        with pytest.raises(ConfigError, match="'t1': this experiment takes a single value"):
+            validate_config("experiment = imbalance-restore\nt1 = 1.0, 0.2\n")
+
+    def test_scaling_takes_a_single_xi(self):
+        with pytest.raises(ConfigError, match="'xi': this experiment takes a single value"):
+            validate_config("experiment = scaling-balanced\nxi = 0.05, 0.4\n")
+
     def test_fringes_reject_vacuum(self):
         with pytest.raises(ConfigError, match="xi != 0"):
             validate_config("experiment = theta-fringes\nxi = 0\n")

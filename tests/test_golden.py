@@ -1,8 +1,10 @@
-"""Byte-for-byte guard on what the bundled configs write.
+"""Byte-for-byte guard on what the recipes write.
 
 Each ``scripts/configs/*.cfg`` runs through the CLI with a fixed seed and
-``--dump-state``. The sha256 of every CSV, counts file and state dump, and
-of the ``swapsim recipes`` listing, must equal the digests committed in
+``--dump-state``, and so does each recipe's default grid (a config holding
+only ``experiment`` and ``normalize``, once with ``normalize`` true and once
+false). The sha256 of every CSV, counts file and state dump, and of the
+``swapsim recipes`` listing, must equal the digests committed in
 ``golden_digests.json``. The ``meta.json`` sidecars are left out: they
 carry the wall time.
 
@@ -20,6 +22,7 @@ import tempfile
 from pathlib import Path
 
 from swapsim.cli import main
+from swapsim.recipes import RECIPES
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "scripts" / "configs").glob("*.cfg"))
@@ -31,6 +34,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _configs(work: Path) -> list:
+    """The bundled configs, then one default-grid config per recipe and flag."""
+    configs = list(CONFIGS)
+    for name in RECIPES:
+        for normalize in ("true", "false"):
+            cfg = work / f"default_{name}_normalize_{normalize}.cfg"
+            cfg.write_text(f"experiment = {name}\nnormalize = {normalize}\n")
+            configs.append(cfg)
+    return configs
+
+
 def output_digests(work: Path) -> dict:
     """Digest of every output file, keyed by ``<config stem>/<file name>``."""
     digests = {}
@@ -38,7 +52,7 @@ def output_digests(work: Path) -> dict:
     with contextlib.redirect_stdout(listing):
         assert main(["recipes"]) == 0
     with contextlib.redirect_stdout(io.StringIO()):
-        for cfg in CONFIGS:
+        for cfg in _configs(work):
             out = work / cfg.stem
             dump = work / f"{cfg.stem}.state.json"
             code = main(["run", str(cfg), "--out", str(out), "--seed", SEED,
