@@ -51,7 +51,6 @@ from .metrics import (
     concurrence_wootters,
     fringe_scan,
     optimal_t2,
-    visibility,
     visibility_analytic,
 )
 from .experiment import (
@@ -82,7 +81,7 @@ __all__ = [
     # metrics
     "FringeScan", "VisibilityReport", "bell_fidelity",
     "concurrence_closed_form", "concurrence_wootters", "fringe_scan",
-    "optimal_t2", "visibility", "visibility_analytic",
+    "optimal_t2", "visibility_analytic",
     # experiment
     "CountModel", "SpdcSource", "SynthCounts", "estimate_visibility",
     "normalized_success", "pump_split", "spdc_input", "synth_counts",

@@ -76,7 +76,8 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     if args.draws < 1 or args.seed < 0:
         raise ConfigError("check needs --draws >= 1 and --seed >= 0")
-    _, summary, ok = run_oracle_draws(args.draws, args.seed)
+    result = run_oracle_draws(args.draws, args.seed)
+    summary = result.summary
     tols = summary["tolerances"]
     checks = [
         ("state entries vs closed form", summary["max_dev_rho"], tols["rho"]),
@@ -87,7 +88,7 @@ def _cmd_check(args) -> int:
         status = "PASS" if value <= tol else "FAIL"
         print(f"{status} {name}: max deviation {value:.3e} (tolerance {tol:.0e})")
     print(f"{summary['draws']} random draws, seed {args.seed}")
-    return 0 if ok else INVARIANT_ERROR
+    return 0 if result.ok else INVARIANT_ERROR
 
 
 def main(argv=None) -> int:

@@ -30,9 +30,8 @@ __all__ = [
 
 EXPERIMENTS = tuple(RECIPES)
 
-GRID_KEYS = ("t1", "t2", "t", "theta", "epsilon", "xi", "ratio")
-
-# inclusive bounds unless noted; epsilon excludes its lower bound
+# the grid keys in document order; inclusive bounds unless noted, epsilon
+# excludes its lower bound
 _DOMAINS = {
     "t1": (0.0, 1.0),
     "t2": (0.0, 1.0),
@@ -42,6 +41,7 @@ _DOMAINS = {
     "xi": (-0.5, 0.5),
     "ratio": (0.0, 1.0),
 }
+GRID_KEYS = tuple(_DOMAINS)
 
 
 class ConfigError(ValueError):

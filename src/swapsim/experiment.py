@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import TWO_PI, FringeScan, VisibilityReport, _require_full_period, fringe_scan
+from .metrics import TWO_PI, FringeScan, VisibilityReport, fringe_scan
 from .protocol import WEIGHT_EPS, BsmSetting, InputPair, success_probability, swap
 
 __all__ = [
@@ -92,8 +92,6 @@ class SynthCounts:
     ``scan`` is the noiseless fringe scan whose probabilities set the means.
     """
 
-    setting: BsmSetting
-    thetas: np.ndarray
     counts_plus: np.ndarray
     counts_minus: np.ndarray
     scan: FringeScan
@@ -103,7 +101,7 @@ class SynthCounts:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta_rad", "outcome_sign", "counts"])
-            for theta, cp, cm in zip(self.thetas, self.counts_plus, self.counts_minus):
+            for theta, cp, cm in zip(self.scan.thetas, self.counts_plus, self.counts_minus):
                 writer.writerow([repr(float(theta)), "+", int(cp)])
                 writer.writerow([repr(float(theta)), "-", int(cm)])
 
@@ -124,11 +122,11 @@ def synth_counts(
     bit-identical counts. The scan is returned with the counts.
     """
     outcome = swap(pair, t1, t2, setting)
-    scan = fringe_scan(outcome.rho_ab, thetas, setting=setting)
+    scan = fringe_scan(outcome.rho_ab, thetas)
     rng = np.random.default_rng(model.seed)
     counts_plus = rng.poisson(model.mean_total_counts * scan.p_plus)
     counts_minus = rng.poisson(model.mean_total_counts * scan.p_minus)
-    return SynthCounts(setting, scan.thetas, counts_plus, counts_minus, scan)
+    return SynthCounts(counts_plus, counts_minus, scan)
 
 
 def estimate_visibility(thetas, counts) -> VisibilityReport:
@@ -147,8 +145,9 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
         raise ValueError(f"need at least 8 phase points, got {thetas.size}")
     order = np.argsort(thetas)
     thetas, counts = thetas[order], counts[order]
-    _require_full_period(thetas)
     n = thetas.size
+    if thetas[-1] - thetas[0] < 0.9 * TWO_PI * (n - 1) / n:
+        raise ValueError("phase grid must cover a full period")
     design = np.column_stack([np.ones(n), np.cos(thetas), np.sin(thetas)])
     sigma2 = np.maximum(counts, 1.0)  # Poisson variance, floored for empty bins
     sqrt_w = 1.0 / np.sqrt(sigma2)
@@ -165,9 +164,7 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
         grad = np.array([0.0, 1.0 / a, 0.0])
     sigma = float(math.sqrt(grad @ cov @ grad))
     theta_max = math.atan2(v, u) % TWO_PI if b > 0.0 else 0.0
-    return VisibilityReport(
-        vis, theta_max, (theta_max + math.pi) % TWO_PI, "fit", sigma=sigma
-    )
+    return VisibilityReport(vis, theta_max, (theta_max + math.pi) % TWO_PI, sigma=sigma)
 
 
 def normalized_success(pair: InputPair, t1, t2):
@@ -176,6 +173,6 @@ def normalized_success(pair: InputPair, t1, t2):
     Accepts scalar or array t1, t2, as ``success_probability`` does.
     """
     baseline = success_probability(pair, 1.0, 1.0)
-    if baseline < WEIGHT_EPS:
+    if baseline < 2.0 * WEIGHT_EPS:
         raise ValueError("degenerate inputs: lossless baseline probability is zero")
     return success_probability(pair, t1, t2) / baseline

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import MAX_ENTANGLED_PAIR, WEIGHT_EPS, BsmSetting, InputPair, success_probability
+from .protocol import WEIGHT_EPS, InputPair, success_probability
 from .states import ATOL, DensityMatrix
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "optimal_t2",
     "bell_fidelity",
     "fringe_scan",
-    "visibility",
     "visibility_analytic",
 ]
 
@@ -86,37 +85,17 @@ def concurrence_closed_form(pair: InputPair, t1, t2):
     """Concurrence of the heralded state, directly from the input amplitudes.
 
     C = 2 |alpha beta gamma delta| t1 t2 / norm. Accepts scalar or array
-    t1, t2 (broadcast), which the argmax grid search relies on.
+    t1, t2 (broadcast).
     """
     norm = success_probability(pair, t1, t2)
-    if np.any(np.asarray(norm) < WEIGHT_EPS):
+    if np.any(np.asarray(norm) < 2.0 * WEIGHT_EPS):
         raise ValueError("degenerate inputs: heralding probability is zero")
     num = 2.0 * abs(pair.alpha * pair.beta * pair.gamma * pair.delta) * t1 * t2
     c = num / norm
     return float(c) if np.isscalar(c) else c
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_argmax(f, lo: float, hi: float, tol: float) -> float:
-    a, b = lo, hi
-    c = b - (b - a) * _INVPHI
-    d = a + (b - a) * _INVPHI
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + (b - a) * _INVPHI
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - (b - a) * _INVPHI
-            fc = f(c)
-    return 0.5 * (a + b)
-
-
-def optimal_t2(t1: float, tol: float = 1e-8) -> float:
+def optimal_t2(t1: float) -> float:
     """Transmittivity t2 maximizing concurrence for maximally entangled inputs.
 
     For t1 < 1/sqrt(2) the maximum sits at t1 / sqrt(1 - t1^2), strictly
@@ -133,18 +112,7 @@ def optimal_t2(t1: float, tol: float = 1e-8) -> float:
             stacklevel=2,
         )
         return 1.0
-
-    def f(x):
-        return concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, x)
-
-    best = _golden_argmax(f, 1e-6, 1.0, tol)
-    # safety net in case the objective were not unimodal: coarse grid scan
-    grid = np.linspace(1e-4, 1.0, 10001)
-    on_grid = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, grid)
-    g = float(grid[int(np.argmax(on_grid))])
-    if f(g) > f(best) + 1e-12:
-        best = _golden_argmax(f, max(g - 1e-4, 1e-6), min(g + 1e-4, 1.0), tol)
-    return float(best)
+    return t1 / math.sqrt(1.0 - t1 * t1)
 
 
 def _bell_ket(sign: int, phase: float) -> np.ndarray:
@@ -169,7 +137,6 @@ class FringeScan:
     independent because the projectors partition the one-photon subspace.
     """
 
-    setting: BsmSetting | None
     thetas: np.ndarray
     p_plus: np.ndarray
     p_minus: np.ndarray
@@ -199,16 +166,15 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class VisibilityReport:
-    """Fringe contrast, the extremal phases, and how they were obtained."""
+    """Fringe contrast, the extremal phases and, for a fit, its uncertainty."""
 
     v: float
     theta_max: float
     theta_min: float
-    method: str
     sigma: float | None = None
 
 
-def fringe_scan(rho, thetas, setting: BsmSetting | None = None) -> FringeScan:
+def fringe_scan(rho, thetas) -> FringeScan:
     """Scan <Psi(theta)|rho|Psi(theta)> for both verification signs.
 
     p_pm(theta) = (rho22 + rho33)/2 +/- Re(e^{i theta} rho23).
@@ -219,50 +185,7 @@ def fringe_scan(rho, thetas, setting: BsmSetting | None = None) -> FringeScan:
         raise ValueError("phase grid must be nonempty")
     base = 0.5 * (m[1, 1].real + m[2, 2].real)
     osc = np.real(np.exp(1j * thetas) * m[1, 2])
-    return FringeScan(setting, thetas, base + osc, base - osc)
-
-
-def _require_full_period(thetas: np.ndarray):
-    n = thetas.size
-    span = float(thetas[-1] - thetas[0])
-    if n < 3 or span < 0.9 * TWO_PI * (n - 1) / n:
-        raise ValueError("phase grid must cover a full period")
-
-
-def visibility(scan: FringeScan, method: str = "analytic") -> VisibilityReport:
-    """Fringe visibility of a noiseless scan.
-
-    ``analytic`` recovers the single-harmonic form p = c + Re(e^{i theta}
-    rho23) exactly from the samples and returns 2|rho23| / (2c);
-    ``fit`` reports the sample contrast (max - min) / (max + min). On
-    scans whose grid contains the extremal phases the two agree to 1e-9.
-    """
-    denom = float(np.mean(scan.p_plus + scan.p_minus))
-    if denom < SIGNAL_EPS:
-        raise ValueError("no signal: the one-photon populations vanish")
-    _require_full_period(scan.thetas)
-    if method == "analytic":
-        design = np.column_stack(
-            [np.ones_like(scan.thetas), np.cos(scan.thetas), np.sin(scan.thetas)]
-        )
-        (_, u, v), *_ = np.linalg.lstsq(design, scan.p_plus, rcond=None)
-        rho23 = u - 1j * v
-        vis = 2.0 * abs(rho23) / denom
-        theta_max = float(-np.angle(rho23)) % TWO_PI if abs(rho23) > 0 else 0.0
-        return VisibilityReport(
-            float(vis), theta_max, (theta_max + math.pi) % TWO_PI, "analytic"
-        )
-    if method == "fit":
-        hi = int(np.argmax(scan.p_plus))
-        lo = int(np.argmin(scan.p_plus))
-        pmax, pmin = float(scan.p_plus[hi]), float(scan.p_plus[lo])
-        return VisibilityReport(
-            (pmax - pmin) / (pmax + pmin),
-            float(scan.thetas[hi]),
-            float(scan.thetas[lo]),
-            "fit",
-        )
-    raise ValueError(f"unknown method {method!r}")
+    return FringeScan(thetas, base + osc, base - osc)
 
 
 def visibility_analytic(rho) -> VisibilityReport:
@@ -277,5 +200,4 @@ def visibility_analytic(rho) -> VisibilityReport:
         float(2.0 * abs(r23) / denom),
         theta_max,
         (theta_max + math.pi) % TWO_PI,
-        "analytic",
     )

@@ -53,7 +53,9 @@ A, B = "A", "B"
 C1, C2 = "C1", "C2"
 E1, E2 = "E1", "E2"
 
-WEIGHT_EPS = 1e-15  # below this, a heralding outcome is treated as impossible
+# below this, one heralding outcome is treated as impossible; each sign
+# has probability norm / 2, so closed forms reject norm < 2 * WEIGHT_EPS
+WEIGHT_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,6 @@ class SwapOutcome:
 
     rho_ab: DensityMatrix
     p_success: float
-    setting: BsmSetting
 
 
 def build_inputs(pair: InputPair) -> PureState:
@@ -196,7 +197,7 @@ def bsm(rho_abc: DensityMatrix, setting: BsmSetting) -> SwapOutcome:
             f"impossible outcome: heralding probability {out.weight:.3e} for "
             f"setting {setting.name}"
         )
-    return SwapOutcome(out.normalized(), out.weight, setting)
+    return SwapOutcome(out.normalized(), out.weight)
 
 
 def swap(pair: InputPair, ch1, ch2, setting: BsmSetting) -> SwapOutcome:
@@ -206,9 +207,10 @@ def swap(pair: InputPair, ch1, ch2, setting: BsmSetting) -> SwapOutcome:
 
 def _rho_entries(pair: InputPair, t1, t2):
     a, b, g, d = pair.alpha, pair.beta, pair.gamma, pair.delta
-    r22 = abs(a * d) ** 2 * t2 ** 2
-    r33 = abs(b * g) ** 2 * t1 ** 2
-    r44 = abs(b * d) ** 2 * (t1 ** 2 * (1.0 - t2 ** 2) + t2 ** 2 * (1.0 - t1 ** 2))
+    # t * t, not t ** 2: on a Python float ** calls libm pow, one ulp off at times
+    r22 = abs(a * d) ** 2 * (t2 * t2)
+    r33 = abs(b * g) ** 2 * (t1 * t1)
+    r44 = abs(b * d) ** 2 * (t1 * t1 * (1.0 - t2 * t2) + t2 * t2 * (1.0 - t1 * t1))
     r23 = a * np.conj(b) * np.conj(g) * d * t1 * t2
     return r22, r33, r44, r23
 
@@ -231,7 +233,7 @@ def closed_form_rho(
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     r22, r33, r44, r23 = _rho_entries(pair, t1, t2)
     norm = r22 + r33 + r44
-    if norm < WEIGHT_EPS:
+    if norm < 2.0 * WEIGHT_EPS:
         raise ValueError("degenerate inputs: heralding probability is zero")
     rho = np.zeros((4, 4), dtype=complex)
     rho[1, 1] = r22

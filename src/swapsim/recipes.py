@@ -57,6 +57,7 @@ from .metrics import (
 )
 from .protocol import (
     MAX_ENTANGLED_PAIR,
+    WEIGHT_EPS,
     BsmSetting,
     closed_form_rho,
     optimal_inputs,
@@ -208,12 +209,14 @@ def _run_scaling(cfg: SweepConfig):
         columns.append(normalized_success(pair, roots, roots).tolist())
     rows = list(zip(*columns))
     header = ["t", "t1", "p_success"] + (["p_normalized"] if cfg.normalize else [])
-    if not np.all(p > 0.0):
+    if np.any(p < 2.0 * WEIGHT_EPS):
         raise ValueError("degenerate inputs: heralding probability is zero")
     logs_t = np.log(grid)
-    logs_p = np.log(p)
-    # a slope needs two distinct transmissions; one point has none
-    slope = float(np.polyfit(logs_t, logs_p, 1)[0]) if np.ptp(logs_t) > 0.0 else None
+    # a slope needs two transmissions that polyfit can tell apart
+    slope = None
+    if np.ptp(logs_t) > 0.0:
+        coef, _, rank, _, _ = np.polyfit(logs_t, np.log(p), 1, full=True)
+        slope = float(coef[0]) if rank == 2 else None
     summary = {
         "slope_loglog": slope,
         "reference_slopes": {"swap": 1.0, "direct_transmission": 2.0},
@@ -251,12 +254,12 @@ def _run_imbalance(cfg: SweepConfig):
     return RecipeResult(header, rows, summary, _rep_state(pair, t1, g2[0]))
 
 
-def run_oracle_draws(draws: int, seed: int):
+def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
-    Returns (rows, summary, ok); ok is False as soon as any draw exceeds
-    the fixed tolerances (1e-12 on entries and heralding probability,
-    1e-10 on concurrence).
+    ``ok`` is False as soon as any draw exceeds the fixed tolerances
+    (1e-12 on entries and heralding probability, 1e-10 on concurrence);
+    ``rep_state`` is the first draw's X+ state.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -273,6 +276,8 @@ def run_oracle_draws(draws: int, seed: int):
             concurrence_wootters(brute.rho_ab) - concurrence_closed_form(pair, t1, t2)
         )
         rows.append((i, t1, t2, sign, dev_rho, dev_norm, dev_conc))
+        if i == 0:
+            rep_state = _rep_state(pair, t1, t2)
     max_rho = max(r[4] for r in rows)
     max_norm = max(r[5] for r in rows)
     max_conc = max(r[6] for r in rows)
@@ -293,18 +298,13 @@ def run_oracle_draws(draws: int, seed: int):
         },
         "passed": ok,
     }
-    return rows, summary, ok
+    header = ["draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm",
+              "dev_concurrence"]
+    return RecipeResult(header, rows, summary, rep_state, ok)
 
 
 def _run_oracle(cfg: SweepConfig):
-    rows, summary, ok = run_oracle_draws(cfg.draws, cfg.seed)
-    header = ["draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm",
-              "dev_concurrence"]
-    # the first draw's inputs, drawn as run_oracle_draws draws them
-    rng = np.random.default_rng(cfg.seed)
-    pair = random_input_pair(rng)
-    t1, t2 = rng.uniform(0.05, 1.0, size=2)
-    return RecipeResult(header, rows, summary, _rep_state(pair, float(t1), float(t2)), ok)
+    return run_oracle_draws(cfg.draws, cfg.seed)
 
 
 def _positive(key: str):

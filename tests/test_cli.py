@@ -170,3 +170,36 @@ def test_overflowing_ratio_exits_2_without_a_warning(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr == "error: degenerate inputs: photon-pair scale underflows to zero\n"
+
+
+def test_unresolvable_scaling_slope_is_null_without_a_warning(tmp_path):
+    # the two t are one ulp apart: polyfit cannot resolve a slope from them
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment = scaling-balanced\nt = 0.5, 0.5000000000000001\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapsim", "run", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    meta = json.loads((tmp_path / "out" / "scaling-balanced.meta.json").read_text())
+    assert meta["summary"]["slope_loglog"] is None
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # each sign has probability 7.6e-16, both together 1.5e-15
+        "experiment = concurrence-slices\nt1 = 3.9e-8\nt2 = 3.9e-8\n",
+        "experiment = concurrence-surface\nt1 = 5e-8\nt2 = 0\n",
+        "experiment = scaling-balanced\nt = 1e-13, 0.5\n",
+    ],
+)
+def test_dump_state_does_not_change_the_exit_code(doc, tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(doc)
+    plain = main(["run", str(cfg), "--out", str(tmp_path / "plain")])
+    dumped = main(["run", str(cfg), "--out", str(tmp_path / "dumped"),
+                   "--dump-state", str(tmp_path / "state.json")])
+    assert plain == dumped

@@ -133,7 +133,6 @@ class TestEstimateVisibility:
         expected = 1e5 * 0.5 * (1.0 + np.cos(GRID16))
         rep = estimate_visibility(GRID16, expected)
         assert rep.v == pytest.approx(1.0, abs=1e-6)
-        assert rep.method == "fit"
         # the peak phase is 0 up to wrap-around at 2*pi
         assert np.cos(rep.theta_max) == pytest.approx(1.0, abs=1e-9)
 

@@ -12,11 +12,11 @@ from swapsim import (
     closed_form_rho,
     concurrence_closed_form,
     concurrence_wootters,
+    estimate_visibility,
     fringe_scan,
     optimal_t2,
     random_input_pair,
     swap,
-    visibility,
     visibility_analytic,
 )
 from swapsim.metrics import FringeScan
@@ -235,31 +235,20 @@ class TestFringeScan:
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            FringeScan(None, [1.0, 0.5], [0.5, 0.5], [0.5, 0.5])
+            FringeScan([1.0, 0.5], [0.5, 0.5], [0.5, 0.5])
 
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ValueError, match="2\\*pi"):
-            FringeScan(None, [0.0, 7.0], [0.5, 0.5], [0.5, 0.5])
+            FringeScan([0.0, 7.0], [0.5, 0.5], [0.5, 0.5])
 
 
 class TestVisibility:
     def test_bell_state_is_one(self):
         scan = fringe_scan(bell_psi().to_density(), GRID16)
-        assert visibility(scan).v == pytest.approx(1.0, abs=1e-12)
+        assert estimate_visibility(GRID16, scan.p_plus).v == pytest.approx(1.0, abs=1e-12)
         assert visibility_analytic(bell_psi().to_density()).v == pytest.approx(
             1.0, abs=1e-12
         )
-
-    def test_analytic_and_fit_agree_when_grid_hits_extrema(self):
-        # real coherence: extrema at 0 and pi, both on the grid
-        for t2 in (0.3, 0.6, 1.0):
-            m = heralded_matrix(MAX_ENTANGLED_PAIR, 0.8, t2)
-            scan = fringe_scan(m, GRID16)
-            v_analytic = visibility(scan, method="analytic")
-            v_fit = visibility(scan, method="fit")
-            assert v_analytic.v == pytest.approx(v_fit.v, abs=1e-9)
-            assert v_analytic.method == "analytic"
-            assert v_fit.method == "fit"
 
     def test_matches_state_visibility(self):
         rng = np.random.default_rng(17)
@@ -267,7 +256,7 @@ class TestVisibility:
             pair = random_input_pair(rng)
             m = heralded_matrix(pair, *rng.uniform(0.2, 1.0, size=2))
             scan = fringe_scan(m, GRID16)
-            assert visibility(scan).v == pytest.approx(
+            assert estimate_visibility(GRID16, scan.p_plus).v == pytest.approx(
                 visibility_analytic(m).v, abs=1e-12
             )
 
@@ -291,22 +280,6 @@ class TestVisibility:
         rho = DensityMatrix(("a", "b"), np.diag([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="no signal"):
             visibility_analytic(rho)
-        scan = FringeScan(None, GRID16, np.zeros(16), np.zeros(16))
-        with pytest.raises(ValueError, match="no signal"):
-            visibility(scan)
-
-    def test_partial_period_rejected(self):
-        half = np.linspace(0.0, np.pi, 9)
-        m = heralded_matrix(MAX_ENTANGLED_PAIR, 1.0, 0.5)
-        scan = fringe_scan(m, half)
-        for method in ("analytic", "fit"):
-            with pytest.raises(ValueError, match="full period"):
-                visibility(scan, method=method)
-
-    def test_unknown_method_rejected(self):
-        scan = fringe_scan(bell_psi().to_density(), GRID16)
-        with pytest.raises(ValueError, match="method"):
-            visibility(scan, method="bogus")
 
     def test_visibility_bounds_concurrence(self):
         """V = 2|rho23|/(rho22+rho33) >= C = 2|rho23|/norm on heralded states."""

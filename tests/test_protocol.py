@@ -8,15 +8,19 @@ from swapsim import (
     BsmSetting,
     InputPair,
     LossChannel,
+    SpdcSource,
     apply_loss,
     asymptotic_state,
     bell_fidelity,
     bsm,
     build_inputs,
     closed_form_rho,
+    concurrence_closed_form,
+    concurrence_wootters,
     optimal_inputs,
     propagate,
     random_input_pair,
+    spdc_input,
     success_probability,
     swap,
     validate,
@@ -262,6 +266,12 @@ class TestSuccessProbability:
                 MAX_ENTANGLED_PAIR, tau, tau
             ) == pytest.approx(expected, abs=1e-12)
 
+    def test_scalar_equals_array_element(self):
+        # here libm pow's t ** 2 is one ulp off, while t * t is exact
+        t = 0.8709635899560796
+        array = success_probability(MAX_ENTANGLED_PAIR, np.array([t]), np.array([t]))
+        assert success_probability(MAX_ENTANGLED_PAIR, t, t) == array[0]
+
     def test_log_slope_tends_to_one(self):
         # balanced channels t1 = t2 = sqrt(t): success ~ t for small t
         ts = np.array([1e-5, 1e-4])
@@ -403,3 +413,53 @@ def test_closed_form_equals_brute_force_property(pair, t1, t2):
     np.testing.assert_allclose(out.rho_ab.entries, rho_cf, atol=1e-12)
     total = out.p_success + swap(pair, t1, t2, BsmSetting.x(-1)).p_success
     assert abs(total - norm) < 1e-12
+
+
+def _small_amplitude_pair(rng):
+    """Random pair whose |beta| or |delta| is log-uniform in [1e-7, 1e-2]."""
+    base = random_input_pair(rng)
+    small = 10.0 ** rng.uniform(-7.0, -2.0) * np.exp(2j * np.pi * rng.uniform())
+    large = np.sqrt(1.0 - abs(small) ** 2) * np.exp(2j * np.pi * rng.uniform())
+    if rng.integers(2):
+        return InputPair(large, small, base.gamma, base.delta)
+    return InputPair(base.alpha, base.beta, large, small)
+
+
+def _weak_pair(rng):
+    """Two weak sources, each |xi| log-uniform in [1e-4, 1e-1], either sign."""
+    xi_a, xi_b = rng.choice([-1.0, 1.0], size=2) * 10.0 ** rng.uniform(-4.0, -1.0, size=2)
+    return spdc_input(SpdcSource(xi_a), SpdcSource(xi_b))
+
+
+def _heralded(route):
+    """The route's result, or None when it rejects the outcome as impossible."""
+    try:
+        return route()
+    except ValueError as exc:
+        assert "impossible outcome" in str(exc) or "degenerate" in str(exc), exc
+        return None
+
+
+@pytest.mark.parametrize("make_pair", [random_input_pair, _small_amplitude_pair, _weak_pair])
+def test_routes_agree_in_the_hard_regimes(make_pair):
+    """Log-uniform t1, t2 in [1e-6, 1]: same tolerances, same rejected draws."""
+    rng = np.random.default_rng(4242)
+    worst_rho = worst_norm = worst_conc = 0.0
+    for _ in range(500):
+        pair = make_pair(rng)
+        t1, t2 = (10.0 ** rng.uniform(-6.0, 0.0, size=2)).tolist()
+        sign = +1 if rng.integers(2) else -1
+        brute = _heralded(lambda: swap(pair, t1, t2, BsmSetting.x(sign)))
+        other = _heralded(lambda: swap(pair, t1, t2, BsmSetting.x(-sign)))
+        closed = _heralded(lambda: closed_form_rho(pair, t1, t2, sign))
+        assert (brute is None) == (other is None) == (closed is None), (pair, t1, t2)
+        if closed is None:
+            continue
+        rho_cf, norm = closed
+        worst_rho = max(worst_rho, float(np.max(np.abs(brute.rho_ab.entries - rho_cf))))
+        worst_norm = max(worst_norm, abs(brute.p_success + other.p_success - norm))
+        worst_conc = max(worst_conc, abs(concurrence_wootters(brute.rho_ab)
+                                         - concurrence_closed_form(pair, t1, t2)))
+    assert worst_rho <= 1e-12
+    assert worst_norm <= 1e-12
+    assert worst_conc <= 1e-10

@@ -21,16 +21,16 @@ def read_rows(path):
 
 class TestOracleDraws:
     def test_draws_pass_tolerances(self):
-        rows, summary, ok = run_oracle_draws(100, seed=5)
-        assert ok
-        assert len(rows) == 100
-        assert summary["max_dev_rho"] < 1e-12
-        assert summary["max_dev_norm"] < 1e-12
-        assert summary["max_dev_concurrence"] < 1e-10
+        result = run_oracle_draws(100, seed=5)
+        assert result.ok
+        assert len(result.rows) == 100
+        assert result.summary["max_dev_rho"] < 1e-12
+        assert result.summary["max_dev_norm"] < 1e-12
+        assert result.summary["max_dev_concurrence"] < 1e-10
 
     def test_deterministic_given_seed(self):
-        a, _, _ = run_oracle_draws(20, seed=9)
-        b, _, _ = run_oracle_draws(20, seed=9)
+        a = run_oracle_draws(20, seed=9).rows
+        b = run_oracle_draws(20, seed=9).rows
         assert a == b
 
 
