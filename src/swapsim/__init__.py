@@ -15,7 +15,6 @@ from .states import (
     LabelError,
     PureState,
     ValidationReport,
-    basis_state,
     partial_trace,
     project,
     tensor,
@@ -69,8 +68,7 @@ __all__ = [
     "__version__",
     # states
     "ATOL", "PSD_MIN_EIG", "DensityMatrix", "LabelError", "PureState",
-    "ValidationReport", "basis_state", "partial_trace", "project", "tensor",
-    "validate",
+    "ValidationReport", "partial_trace", "project", "tensor", "validate",
     # loss
     "LossChannel", "apply_loss", "dilate", "kraus_ops",
     # protocol

@@ -44,6 +44,17 @@ _DOMAINS = {
 GRID_KEYS = tuple(_DOMAINS)
 
 
+# scalar key -> (parse, holds, need): parse raises ValueError or returns
+# None on malformed text, and the value must satisfy ``holds``
+_SCALARS = {
+    "seed": (int, lambda x: x >= 0, "a nonnegative integer"),
+    "draws": (int, lambda x: x >= 1, "a positive integer"),
+    "counts": (float, lambda x: np.isfinite(x) and x >= 0.0, "a nonnegative number"),
+    "normalize": (lambda v: {"true": True, "false": False}.get(v.lower()),
+                  lambda x: True, "true or false"),
+}
+
+
 class ConfigError(ValueError):
     """Invalid sweep configuration; maps to CLI exit code 2."""
 
@@ -176,35 +187,16 @@ def validate_config(raw: str) -> SweepConfig:
                 )
             else:
                 values["experiment"] = val
-        elif key == "seed":
+        elif key in _SCALARS:
+            parse, holds, need = _SCALARS[key]
             try:
-                seed = int(val)
-                if seed < 0:
-                    raise ValueError
-                values["seed"] = seed
+                value = parse(val)
             except ValueError:
-                errors.append(f"key 'seed': need a nonnegative integer, got {val!r}")
-        elif key == "draws":
-            try:
-                draws = int(val)
-                if draws < 1:
-                    raise ValueError
-                values["draws"] = draws
-            except ValueError:
-                errors.append(f"key 'draws': need a positive integer, got {val!r}")
-        elif key == "counts":
-            try:
-                counts = float(val)
-                if not (np.isfinite(counts) and counts >= 0.0):
-                    raise ValueError
-                values["counts"] = counts
-            except ValueError:
-                errors.append(f"key 'counts': need a nonnegative number, got {val!r}")
-        elif key == "normalize":
-            if val.lower() in ("true", "false"):
-                values["normalize"] = val.lower() == "true"
+                value = None
+            if value is not None and holds(value):
+                values[key] = value
             else:
-                errors.append(f"key 'normalize': need true or false, got {val!r}")
+                errors.append(f"key {key!r}: need {need}, got {val!r}")
         elif key == "out":
             values["out"] = val
         elif key in GRID_KEYS:

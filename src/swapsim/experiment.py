@@ -10,7 +10,6 @@ statistics, driven by an explicit seed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -96,15 +95,6 @@ class SynthCounts:
     counts_minus: np.ndarray
     scan: FringeScan
 
-    def write_csv(self, path):
-        """Rows of (theta_rad, outcome_sign, counts), both outcomes per phase."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["theta_rad", "outcome_sign", "counts"])
-            for theta, cp, cm in zip(self.scan.thetas, self.counts_plus, self.counts_minus):
-                writer.writerow([repr(float(theta)), "+", int(cp)])
-                writer.writerow([repr(float(theta)), "-", int(cm)])
-
 
 def synth_counts(
     pair: InputPair,
@@ -162,9 +152,7 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
         grad = np.array([-b / a ** 2, u / (a * b), v / (a * b)])
     else:
         grad = np.array([0.0, 1.0 / a, 0.0])
-    sigma = float(math.sqrt(grad @ cov @ grad))
-    theta_max = math.atan2(v, u) % TWO_PI if b > 0.0 else 0.0
-    return VisibilityReport(vis, theta_max, (theta_max + math.pi) % TWO_PI, sigma=sigma)
+    return VisibilityReport(vis, sigma=float(math.sqrt(grad @ cov @ grad)))
 
 
 def normalized_success(pair: InputPair, t1, t2):

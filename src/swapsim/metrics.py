@@ -166,11 +166,9 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class VisibilityReport:
-    """Fringe contrast, the extremal phases and, for a fit, its uncertainty."""
+    """Fringe contrast and, for a fit, its uncertainty."""
 
     v: float
-    theta_max: float
-    theta_min: float
     sigma: float | None = None
 
 
@@ -194,10 +192,4 @@ def visibility_analytic(rho) -> VisibilityReport:
     denom = m[1, 1].real + m[2, 2].real
     if denom < SIGNAL_EPS:
         raise ValueError("no signal: the one-photon populations vanish")
-    r23 = m[1, 2]
-    theta_max = float(-np.angle(r23)) % TWO_PI if abs(r23) > 0 else 0.0
-    return VisibilityReport(
-        float(2.0 * abs(r23) / denom),
-        theta_max,
-        (theta_max + math.pi) % TWO_PI,
-    )
+    return VisibilityReport(float(2.0 * abs(m[1, 2]) / denom))

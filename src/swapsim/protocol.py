@@ -126,10 +126,6 @@ class BsmSetting:
     def z(cls, which: str = "01") -> "BsmSetting":
         return cls("separable", which=which)
 
-    @classmethod
-    def entangling(cls, phase: float, sign: int = +1) -> "BsmSetting":
-        return cls("entangling", phase=phase, sign=sign)
-
     @property
     def name(self) -> str:
         if self.kind == "separable":

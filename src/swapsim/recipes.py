@@ -84,8 +84,8 @@ class RecipeResult:
     """One recipe's output: CSV header and rows, summary, and extra files.
 
     ``rep_state`` builds the representative heralded state for
-    ``--dump-state`` only when asked; ``extra`` pairs each extra file name
-    with the SynthCounts written there.
+    ``--dump-state`` only when asked; ``extra`` holds one
+    ``(filename, header, rows)`` triple per extra CSV file.
     """
 
     header: list
@@ -184,14 +184,16 @@ def _run_fringes(cfg: SweepConfig):
         model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
         counts = synth_counts(pair, t1, t2, setting, thetas, model)
         scan = counts.scan
+        count_rows = []
         for i, theta in enumerate(scan.thetas):
-            rows.append((tag, theta, "+", scan.p_plus[i], mean * scan.p_plus[i],
-                         int(counts.counts_plus[i])))
-            rows.append((tag, theta, "-", scan.p_minus[i], mean * scan.p_minus[i],
-                         int(counts.counts_minus[i])))
+            for sign, prob, n in (("+", scan.p_plus[i], counts.counts_plus[i]),
+                                  ("-", scan.p_minus[i], counts.counts_minus[i])):
+                rows.append((tag, theta, sign, prob, mean * prob, int(n)))
+                count_rows.append((theta, sign, int(n)))
         fit = estimate_visibility(thetas, counts.counts_plus)
         fits[tag] = {"v": fit.v, "sigma": fit.sigma}
-        extra.append((f"counts_{tag}_seed{cfg.seed}.csv", counts))
+        extra.append((f"counts_{tag}_seed{cfg.seed}.csv",
+                      ["theta_rad", "outcome_sign", "counts"], count_rows))
     header = ["setting", "theta_rad", "outcome_sign", "probability",
               "expected_counts", "counts"]
     return RecipeResult(header, rows, {"fitted_visibility": fits},
@@ -204,13 +206,13 @@ def _run_scaling(cfg: SweepConfig):
     pair = spdc_input(SpdcSource(xi), SpdcSource(xi))
     roots = np.sqrt(grid)
     p = success_probability(pair, roots, roots)
+    if np.any(p < 2.0 * WEIGHT_EPS):
+        raise ValueError("degenerate inputs: heralding probability is zero")
     columns = [grid, roots.tolist(), p.tolist()]
     if cfg.normalize:
         columns.append(normalized_success(pair, roots, roots).tolist())
     rows = list(zip(*columns))
     header = ["t", "t1", "p_success"] + (["p_normalized"] if cfg.normalize else [])
-    if np.any(p < 2.0 * WEIGHT_EPS):
-        raise ValueError("degenerate inputs: heralding probability is zero")
     logs_t = np.log(grid)
     # a slope needs two transmissions that polyfit can tell apart
     slope = None
@@ -385,6 +387,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+
+
 def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     """Execute one recipe: write its CSV, sidecar, and any extra files.
 
@@ -397,16 +407,11 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
 
     result = RECIPES[cfg.experiment].runner(cfg)
     csv_path = out / f"{cfg.experiment}.csv"
-    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(result.header)
-        for row in result.rows:
-            writer.writerow([_fmt(x) for x in row])
-
+    _write_csv(csv_path, result.header, result.rows)
     extra_files = []
-    for filename, counts in result.extra:
+    for filename, header, rows in result.extra:
         path = out / filename
-        counts.write_csv(path)
+        _write_csv(path, header, rows)
         extra_files.append(path)
 
     if dump_state is not None:

@@ -29,7 +29,6 @@ __all__ = [
     "PureState",
     "DensityMatrix",
     "ValidationReport",
-    "basis_state",
     "tensor",
     "partial_trace",
     "project",
@@ -104,18 +103,6 @@ class PureState:
             self.labels, np.outer(self.amps, self.amps.conj()), weight=self.norm2
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "pure_state",
-            "labels": list(self.labels),
-            "amps": [[z.real, z.imag] for z in self.amps],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PureState":
-        amps = np.array([complex(re, im) for re, im in data["amps"]])
-        return cls(tuple(data["labels"]), amps)
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -154,25 +141,10 @@ class DensityMatrix:
     def num_modes(self) -> int:
         return len(self.labels)
 
-    @property
-    def dim(self) -> int:
-        return 2 ** len(self.labels)
-
     def normalized(self) -> "DensityMatrix":
         if self.weight <= 0.0:
             raise ValueError("cannot normalize a zero-weight state")
         return DensityMatrix(self.labels, self.entries / self.weight, weight=1.0)
-
-    def reorder(self, labels: Iterable[Label]) -> "DensityMatrix":
-        """Permute the register so it reads ``labels``."""
-        labels = _as_labels(labels)
-        if set(labels) != set(self.labels):
-            raise LabelError(f"cannot reorder {self.labels!r} into {labels!r}")
-        n = self.num_modes
-        perm = [self.labels.index(lab) for lab in labels]
-        t = self.entries.reshape((2,) * (2 * n))
-        t = t.transpose(perm + [n + p for p in perm])
-        return DensityMatrix(labels, t.reshape(self.dim, self.dim), weight=self.weight)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,34 +162,9 @@ class DensityMatrix:
         return cls(tuple(data["labels"]), entries, weight=data.get("weight"))
 
 
-def basis_state(labels: Iterable[Label], bits: Iterable[int]) -> PureState:
-    """Computational-basis ket |b0 b1 ...> on the given register."""
-    labels = _as_labels(labels)
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != len(labels) or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"need one bit in {{0,1}} per mode, got {bits!r}")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    amps = np.zeros(2 ** len(labels), dtype=complex)
-    amps[idx] = 1.0
-    return PureState(labels, amps)
-
-
-State = Union[PureState, DensityMatrix]
-
-
-def tensor(a: State, b: State) -> State:
-    """Tensor product of two registers; labels concatenate, weights multiply."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        return PureState(a.labels + b.labels, np.kron(a.amps, b.amps))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            a.labels + b.labels,
-            np.kron(a.entries, b.entries),
-            weight=a.weight * b.weight,
-        )
-    raise TypeError("tensor requires two states of the same kind")
+def tensor(a: PureState, b: PureState) -> PureState:
+    """Tensor product of two kets; labels concatenate."""
+    return PureState(a.labels + b.labels, np.kron(a.amps, b.amps))
 
 
 def partial_trace(
@@ -235,9 +182,6 @@ def partial_trace(
     n = rho.num_modes
     keep = [i for i, lab in enumerate(rho.labels) if lab not in discard_set]
     kept_labels = tuple(rho.labels[i] for i in keep)
-    if not keep:
-        tr = np.array([[np.trace(rho.entries)]])
-        return DensityMatrix((), tr, weight=rho.weight)
     keep_set = set(keep)
     t = rho.entries.reshape((2,) * (2 * n))
     row_sub = list(range(n))
@@ -287,14 +231,6 @@ class ValidationReport:
     min_eigenvalue: float
     trace_dev: float
     passed: bool
-
-    def __str__(self) -> str:
-        status = "ok" if self.passed else "FAILED"
-        return (
-            f"validation {status}: |rho - rho^dag|_max = {self.hermiticity_dev:.3e}, "
-            f"min eigenvalue = {self.min_eigenvalue:.3e}, "
-            f"|trace - weight| = {self.trace_dev:.3e}"
-        )
 
 
 def validate(

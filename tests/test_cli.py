@@ -150,6 +150,16 @@ def test_vanishing_signal_exits_2_with_one_line(doc, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_tiny_xi_scaling_fails_alike_with_and_without_normalize(tmp_path, capsys):
+    errors = []
+    for normalize in ("true", "false"):
+        cfg = tmp_path / f"sweep_{normalize}.cfg"
+        cfg.write_text(f"experiment = scaling-balanced\nxi = 2.5e-8\nnormalize = {normalize}\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == "error: degenerate inputs: heralding probability is zero\n"
+
+
 def test_single_t_scaling_has_no_slope(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("experiment = scaling-balanced\nt = 1.0\n")

@@ -114,27 +114,12 @@ class TestSynthCounts:
         b = synth_counts(model=CountModel(1e4, seed=8), **kwargs)
         assert np.any(a.counts_plus != b.counts_plus)
 
-    def test_csv_export_format(self, tmp_path):
-        counts = synth_counts(
-            MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting.x(+1), GRID16,
-            CountModel(1e3, seed=3),
-        )
-        path = tmp_path / "counts.csv"
-        counts.write_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "theta_rad,outcome_sign,counts"
-        assert len(lines) == 1 + 2 * len(GRID16)
-        theta, sign, n = lines[1].split(",")
-        assert float(theta) == 0.0 and sign == "+" and int(n) >= 0
-
 
 class TestEstimateVisibility:
     def test_noiseless_bell_fringe_is_unity(self):
         expected = 1e5 * 0.5 * (1.0 + np.cos(GRID16))
         rep = estimate_visibility(GRID16, expected)
         assert rep.v == pytest.approx(1.0, abs=1e-6)
-        # the peak phase is 0 up to wrap-around at 2*pi
-        assert np.cos(rep.theta_max) == pytest.approx(1.0, abs=1e-9)
 
     def test_recovers_known_visibility_within_3_sigma(self):
         # t1 = 1, t2 = 0.5 heralds a state with V = 0.8 exactly

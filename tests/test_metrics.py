@@ -270,12 +270,6 @@ class TestVisibility:
             m = heralded_matrix(MAX_ENTANGLED_PAIR, tau, tau)
             assert visibility_analytic(m).v == pytest.approx(1.0, abs=1e-12)
 
-    def test_extremal_phases_reported(self):
-        m = heralded_matrix(MAX_ENTANGLED_PAIR, 1.0, 0.5)
-        rep = visibility_analytic(m)
-        assert rep.theta_max == pytest.approx(0.0, abs=1e-12)
-        assert rep.theta_min == pytest.approx(np.pi, abs=1e-12)
-
     def test_no_signal_rejected(self):
         rho = DensityMatrix(("a", "b"), np.diag([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(ValueError, match="no signal"):

@@ -52,7 +52,7 @@ class TestBsmSetting:
         np.testing.assert_allclose(ket.amps, [0, 1, -1j, 0] / np.sqrt(2), atol=1e-15)
 
     def test_phase_wraps_into_period(self):
-        assert BsmSetting.entangling(2 * np.pi + 0.5).phase == pytest.approx(0.5)
+        assert BsmSetting("entangling", phase=2 * np.pi + 0.5).phase == pytest.approx(0.5)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
@@ -67,7 +67,7 @@ class TestBsmSetting:
             BsmSetting("separable", which="11")
 
     def test_generic_phase_name(self):
-        assert BsmSetting.entangling(1.25, -1).name == "E(1.25)-"
+        assert BsmSetting("entangling", phase=1.25, sign=-1).name == "E(1.25)-"
 
     def test_separable_kets(self):
         np.testing.assert_allclose(BsmSetting.z("01").projector_ket().amps,
@@ -369,8 +369,10 @@ class TestSymmetries:
             mirrored = InputPair(pair.gamma, pair.delta, pair.alpha, pair.beta)
             out = swap(pair, t1, t2, BsmSetting.x(+1))
             out_mirrored = swap(mirrored, t2, t1, BsmSetting.x(+1))
+            # exchange the two qubits on both the row and the column side
+            swapped = out_mirrored.rho_ab.entries.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2)
             np.testing.assert_allclose(
-                out_mirrored.rho_ab.reorder(("B", "A")).entries,
+                swapped.reshape(4, 4),
                 out.rho_ab.entries,
                 atol=1e-12,
             )
@@ -384,7 +386,7 @@ class TestSymmetries:
             phi = rng.uniform(0.0, 2 * np.pi)
             base = swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab.entries
             rotated = swap(
-                pair, t1, t2, BsmSetting.entangling(phi, +1)
+                pair, t1, t2, BsmSetting("entangling", phase=phi, sign=+1)
             ).rho_ab.entries
             np.testing.assert_allclose(
                 np.diag(rotated), np.diag(base), atol=1e-12
@@ -463,3 +465,31 @@ def test_routes_agree_in_the_hard_regimes(make_pair):
     assert worst_rho <= 1e-12
     assert worst_norm <= 1e-12
     assert worst_conc <= 1e-10
+
+
+def test_weak_pairs_approach_the_asymptotic_state():
+    """Brute force vs the asymptotic ket on weak pairs, log-uniform t1, t2.
+
+    The heralded state is the rank-one block |k><k| of the asymptotic ket k
+    plus r44 |11><11|, so with K = |k|^2 and N the two-sign weight,
+    N - K = r44 <= |beta delta|^2 (t1^2 + t2^2) and the fidelity is K / N.
+    """
+    rng = np.random.default_rng(4242)
+    compared = 0
+    for _ in range(500):
+        pair = _weak_pair(rng)
+        t1, t2 = (10.0 ** rng.uniform(-6.0, 0.0, size=2)).tolist()
+        sign = +1 if rng.integers(2) else -1
+        brute = _heralded(lambda: swap(pair, t1, t2, BsmSetting.x(sign)))
+        if brute is None:
+            continue
+        other = swap(pair, t1, t2, BsmSetting.x(-sign))
+        ket = asymptotic_state(pair, t1, t2, sign)
+        k2, n2 = ket.norm2, brute.p_success + other.p_success
+        bound = abs(pair.beta * pair.delta) ** 2 * (t1 * t1 + t2 * t2)
+        amps = ket.normalized().amps
+        fidelity = float(np.real(amps.conj() @ brute.rho_ab.entries @ amps))
+        assert -1e-12 <= n2 - k2 <= bound + 1e-12, (pair, t1, t2)
+        assert 1.0 - fidelity <= bound / k2 + 1e-12, (pair, t1, t2)
+        compared += 1
+    assert compared > 400
