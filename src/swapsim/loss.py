@@ -2,10 +2,12 @@
 
 A channel with amplitude transmittivity t (power transmission t^2) acts
 on a photon-number qubit as amplitude damping. Two independent
-implementations live here: Kraus-operator action on density matrices,
-and an explicit beamsplitter-style dilation onto an environment mode
-followed by a partial trace. The two routes must agree entrywise and
-the test suite holds them to 1e-12.
+implementations live here: ``dilate``, a beamsplitter-style unitary that
+moves the lost photon into a fresh environment mode of the ket (the
+brute-force pipeline uses it), and ``apply_loss``, Kraus-operator action
+on a density matrix, kept as the independent loss oracle. Tracing the
+environment out of the dilated ket must give the Kraus result, and the
+test suite holds the two routes to 1e-12 entrywise.
 
 Throughout the package t is the AMPLITUDE transmittivity; the power
 transmission is t^2.

@@ -11,9 +11,13 @@ separable two-mode ket; a successful entangling outcome leaves Alice and
 Bob sharing a two-qubit state.
 
 The module computes that state two independent ways: the brute-force
-pipeline (loss dilation, environment trace-out, projection) and a closed
-form. The two must agree entrywise to 1e-12; the heralding probability
-of the closed form must equal the summed projection weights.
+pipeline and a closed form. The brute force dilates each loss onto an
+environment mode (E1, E2), projects the flying modes of the resulting
+ket, then traces the environments out; projection and trace act on
+disjoint modes, so this order gives the same state as tracing first,
+without forming the density matrix of the whole register. The two
+routes must agree entrywise to 1e-12; the heralding probability of the
+closed form must equal the summed projection weights.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .loss import LossChannel, dilate
-from .states import DensityMatrix, PureState, project, tensor, partial_trace
+from .states import DensityMatrix, PureState, partial_trace, project, tensor
 
 __all__ = [
     "A",
@@ -90,37 +94,35 @@ MAX_ENTANGLED_PAIR = InputPair(
 
 @dataclass(frozen=True)
 class BsmSetting:
-    """Middle-station measurement setting.
+    """Middle-station measurement setting: X+-, Y+- or Z+-.
 
-    ``entangling`` projects the flying modes onto
-    (|01> + sign * e^{i phase} |10>) / sqrt(2); phase 0 is the X setting,
-    phase pi/2 the Y setting. ``separable`` projects onto |01> or |10>
-    (the Z+ / Z- settings), which heralds no entanglement.
+    The X and Y settings (``kind`` "x", "y") project the flying modes onto
+    (|01> + sign * e^{i phase} |10>) / sqrt(2) with phase 0 and pi/2.
+    ``separable`` projects onto |01> or |10> (the Z+ / Z- settings),
+    which heralds no entanglement.
     """
 
     kind: str
-    phase: float = 0.0
     sign: int = +1
     which: str = "01"
 
     def __post_init__(self):
-        if self.kind not in ("entangling", "separable"):
+        if self.kind not in ("x", "y", "separable"):
             raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.kind == "entangling":
+        if self.kind != "separable":
             if self.sign not in (+1, -1):
                 raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-            object.__setattr__(self, "phase", float(self.phase) % (2.0 * math.pi))
         else:
             if self.which not in ("01", "10"):
                 raise ValueError(f"separable outcome must be '01' or '10', got {self.which!r}")
 
     @classmethod
     def x(cls, sign: int = +1) -> "BsmSetting":
-        return cls("entangling", phase=0.0, sign=sign)
+        return cls("x", sign=sign)
 
     @classmethod
     def y(cls, sign: int = +1) -> "BsmSetting":
-        return cls("entangling", phase=math.pi / 2.0, sign=sign)
+        return cls("y", sign=sign)
 
     @classmethod
     def z(cls, which: str = "01") -> "BsmSetting":
@@ -130,18 +132,15 @@ class BsmSetting:
     def name(self) -> str:
         if self.kind == "separable":
             return "Z+" if self.which == "01" else "Z-"
-        tag = "+" if self.sign > 0 else "-"
-        if abs(self.phase) < 1e-12:
-            return f"X{tag}"
-        if abs(self.phase - math.pi / 2.0) < 1e-12:
-            return f"Y{tag}"
-        return f"E({self.phase:.6g}){tag}"
+        return f"{self.kind.upper()}{'+' if self.sign > 0 else '-'}"
 
     def projector_ket(self, labels: tuple[str, str] = (C1, C2)) -> PureState:
         amps = np.zeros(4, dtype=complex)
-        if self.kind == "entangling":
+        if self.kind != "separable":
+            # e^{i pi/2} as numpy rounds it, not 1j: the golden outputs pin it
+            phase = 0.0 if self.kind == "x" else math.pi / 2.0
             amps[1] = 1.0 / math.sqrt(2.0)
-            amps[2] = self.sign * np.exp(1j * self.phase) / math.sqrt(2.0)
+            amps[2] = self.sign * np.exp(1j * phase) / math.sqrt(2.0)
         else:
             amps[1 if self.which == "01" else 2] = 1.0
         return PureState(labels, amps)
@@ -166,28 +165,30 @@ def _as_channel(ch) -> LossChannel:
     return ch if isinstance(ch, LossChannel) else LossChannel(float(ch))
 
 
-def propagate(psi: PureState, ch1, ch2) -> DensityMatrix:
-    """Send C1 through ch1 and C2 through ch2, tracing out the environments.
+def propagate(psi: PureState, ch1, ch2) -> PureState:
+    """Send C1 through ch1 and C2 through ch2 by unitary dilation.
 
-    Implemented via the unitary dilation route; the Kraus route must give
-    the same matrix and serves as the independent cross-check in tests.
+    Returns the ket on (A, C1, C2, B, E1, E2), where E1 and E2 hold the
+    photons the channels lost. Tracing E1, E2 out must give what the
+    Kraus route gives, which the tests hold to 1e-12.
     """
     ch1, ch2 = _as_channel(ch1), _as_channel(ch2)
-    dilated = dilate(dilate(psi, C1, E1, ch1), C2, E2, ch2)
-    return partial_trace(dilated.to_density(), (E1, E2))
+    return dilate(dilate(psi, C1, E1, ch1), C2, E2, ch2)
 
 
-def bsm(rho_abc: DensityMatrix, setting: BsmSetting) -> SwapOutcome:
+def bsm(psi: PureState, setting: BsmSetting) -> SwapOutcome:
     """Project the flying modes onto the setting's ket and herald the outcome.
 
-    Returns the normalized remaining state on (A, B) and the absolute
-    probability of this particular outcome.
+    ``psi`` is the normalized ket from ``propagate``. The projection
+    leaves a ket on (A, B, E1, E2); tracing the environments out gives
+    the normalized state on (A, B) and the absolute probability of this
+    particular outcome.
     """
-    if C1 not in rho_abc.labels or C2 not in rho_abc.labels:
-        raise ValueError(f"state on {rho_abc.labels!r} is missing the flying modes")
-    if abs(rho_abc.weight - 1.0) > 1e-9:
-        raise ValueError(f"input state must have unit trace (weight = {rho_abc.weight})")
-    out = project(rho_abc, setting.projector_ket())
+    if C1 not in psi.labels or C2 not in psi.labels:
+        raise ValueError(f"state on {psi.labels!r} is missing the flying modes")
+    if not psi.is_normalized(atol=1e-9):
+        raise ValueError(f"input state must be normalized (norm^2 = {psi.norm2})")
+    out = partial_trace(project(psi, setting.projector_ket()), (E1, E2))
     if out.weight < WEIGHT_EPS:
         raise ValueError(
             f"impossible outcome: heralding probability {out.weight:.3e} for "

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -387,52 +388,75 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _write_csv(fh, header, rows):
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
 
 
 def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     """Execute one recipe: write its CSV, sidecar, and any extra files.
 
     Output is deterministic for a given configuration: identical configs
-    produce byte-identical CSVs.
+    produce byte-identical CSVs. A run writes all of its files or none:
+    each goes to a temporary name beside its destination and is renamed
+    into place only after every write, the state dump included, has
+    succeeded.
     """
     started = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out or ".")
     out.mkdir(parents=True, exist_ok=True)
+    staged = []  # (temporary path, destination)
+
+    def stage(path):
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            fh = open(tmp, "w", newline="", encoding="utf-8")
+        except OSError as exc:
+            # name the file the caller asked for, not its temporary twin
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+        staged.append((tmp, path))
+        return fh
 
     result = RECIPES[cfg.experiment].runner(cfg)
     csv_path = out / f"{cfg.experiment}.csv"
-    _write_csv(csv_path, result.header, result.rows)
-    extra_files = []
-    for filename, header, rows in result.extra:
-        path = out / filename
-        _write_csv(path, header, rows)
-        extra_files.append(path)
+    try:
+        with stage(csv_path) as fh:
+            _write_csv(fh, result.header, result.rows)
+        extra_files = []
+        for filename, header, rows in result.extra:
+            path = out / filename
+            with stage(path) as fh:
+                _write_csv(fh, header, rows)
+            extra_files.append(path)
 
-    if dump_state is not None:
-        state = result.rep_state()
-        with open(dump_state, "w", encoding="utf-8") as fh:
-            json.dump(state.to_json_dict(), fh, indent=1)
+        if dump_state is not None:
+            state = result.rep_state()
+            with stage(dump_state) as fh:
+                json.dump(state.to_json_dict(), fh, indent=1)
+                fh.write("\n")
+
+        meta_path = out / f"{cfg.experiment}.meta.json"
+        meta = {
+            "experiment": cfg.experiment,
+            "config": dataclasses.asdict(cfg),
+            "library_version": __version__,
+            "wall_time_s": time.monotonic() - started,
+            "rows": len(result.rows),
+            "summary": result.summary,
+            "files": [csv_path.name] + [p.name for p in extra_files],
+        }
+        with stage(meta_path) as fh:
+            json.dump(meta, fh, indent=1, default=str)
             fh.write("\n")
-
-    meta_path = out / f"{cfg.experiment}.meta.json"
-    meta = {
-        "experiment": cfg.experiment,
-        "config": dataclasses.asdict(cfg),
-        "library_version": __version__,
-        "wall_time_s": time.monotonic() - started,
-        "rows": len(result.rows),
-        "summary": result.summary,
-        "files": [csv_path.name] + [p.name for p in extra_files],
-    }
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=1, default=str)
-        fh.write("\n")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+        raise
 
     return RunReport(cfg.experiment, csv_path, meta_path, tuple(extra_files),
                      result.summary, result.ok)

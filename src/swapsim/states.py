@@ -6,9 +6,12 @@ are ordered tuples of string labels and the computational basis is
 big-endian over the label sequence, so for labels (A, B) the amplitude
 of |ab> sits at index 2a + b.
 
-Density matrices may be subnormalized: ``weight`` tracks the trace,
-which after a projection equals the post-selection probability. States
-here are never renormalized behind the caller's back.
+Kets and density matrices may be subnormalized. ``project`` contracts
+part of a ket with a bra and leaves the rest unnormalized, so its
+``norm2`` is the post-selection probability; ``partial_trace`` turns a
+ket into the density matrix of the modes it keeps, with ``weight`` equal
+to the trace. States here are never renormalized behind the caller's
+back.
 
 Everything is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads.
@@ -98,18 +101,13 @@ class PureState:
         amps = self.amps.reshape((2,) * self.num_modes).transpose(perm).reshape(-1)
         return PureState(labels, amps)
 
-    def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(
-            self.labels, np.outer(self.amps, self.amps.conj()), weight=self.norm2
-        )
-
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """Possibly subnormalized density operator on a labeled register.
 
-    ``weight`` is the trace. Operations keep it in sync; projections set
-    it to the post-selection probability instead of renormalizing.
+    ``weight`` is the trace. Traced out of a projected ket, it is the
+    post-selection probability; nothing renormalizes it.
     """
 
     labels: tuple[Label, ...]
@@ -168,59 +166,40 @@ def tensor(a: PureState, b: PureState) -> PureState:
 
 
 def partial_trace(
-    rho: DensityMatrix, discard: Union[Label, Iterable[Label]]
+    psi: PureState, discard: Union[Label, Iterable[Label]]
 ) -> DensityMatrix:
-    """Trace out the ``discard`` modes, preserving the order of the rest.
+    """Density matrix of a ket's remaining modes after tracing out ``discard``.
 
-    Discarding every mode leaves a 0-mode register whose 1x1 matrix holds
-    the trace.
+    The kept modes stay in their order. Discarding nothing gives
+    |psi><psi|; discarding every mode leaves a 0-mode register whose 1x1
+    matrix holds ``psi.norm2``.
     """
-    discard_set = set(_as_labels(discard))
-    unknown = discard_set - set(rho.labels)
+    discard = _as_labels(discard)
+    unknown = set(discard) - set(psi.labels)
     if unknown:
         raise LabelError(f"cannot trace out unknown modes {sorted(unknown)!r}")
-    n = rho.num_modes
-    keep = [i for i, lab in enumerate(rho.labels) if lab not in discard_set]
-    kept_labels = tuple(rho.labels[i] for i in keep)
-    keep_set = set(keep)
-    t = rho.entries.reshape((2,) * (2 * n))
-    row_sub = list(range(n))
-    col_sub = [n + i if i in keep_set else i for i in range(n)]
-    out_sub = keep + [n + i for i in keep]
-    red = np.einsum(t, row_sub + col_sub, out_sub)
-    dim = 2 ** len(keep)
-    return DensityMatrix(kept_labels, red.reshape(dim, dim), weight=rho.weight)
+    keep = tuple(lab for lab in psi.labels if lab not in discard)
+    v = psi.reorder(keep + discard).amps.reshape(2 ** len(keep), -1)
+    return DensityMatrix(keep, v @ v.conj().T)
 
 
-def project(rho: DensityMatrix, projector_ket: PureState) -> DensityMatrix:
-    """Project a sub-register onto a normalized ket and trace it out.
+def project(psi: PureState, projector_ket: PureState) -> PureState:
+    """Contract a sub-register of ``psi`` with a normalized bra <k|.
 
-    Returns <k|rho|k> as an operator on the remaining modes. Its weight
-    is the post-selection probability, never larger than ``rho.weight``.
+    Returns the unnormalized ket on the remaining modes, in their order.
+    Its ``norm2`` is the post-selection probability, never larger than
+    ``psi.norm2``.
     """
     if not projector_ket.is_normalized():
         raise ValueError(
             f"projector ket must be normalized (norm^2 = {projector_ket.norm2})"
         )
-    missing = set(projector_ket.labels) - set(rho.labels)
+    missing = set(projector_ket.labels) - set(psi.labels)
     if missing:
         raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
-    n = rho.num_modes
-    proj_pos = [i for i, lab in enumerate(rho.labels) if lab in set(projector_ket.labels)]
-    keep = [i for i in range(n) if i not in set(proj_pos)]
-    kept_labels = tuple(rho.labels[i] for i in keep)
-    # align the ket's mode order with its modes' order inside rho
-    ket = projector_ket.reorder(tuple(rho.labels[i] for i in proj_pos))
-    k = ket.amps.reshape((2,) * len(proj_pos))
-    t = rho.entries.reshape((2,) * (2 * n))
-    rho_sub = list(range(2 * n))
-    bra_sub = proj_pos
-    ket_sub = [n + p for p in proj_pos]
-    out_sub = keep + [n + i for i in keep]
-    res = np.einsum(k.conj(), bra_sub, t, rho_sub, k, ket_sub, out_sub)
-    dim = 2 ** len(keep)
-    res = res.reshape(dim, dim)
-    return DensityMatrix(kept_labels, res, weight=float(np.trace(res).real))
+    keep = tuple(lab for lab in psi.labels if lab not in projector_ket.labels)
+    v = psi.reorder(projector_ket.labels + keep).amps.reshape(-1, 2 ** len(keep))
+    return PureState(keep, projector_ket.amps.conj() @ v)
 
 
 @dataclass(frozen=True)

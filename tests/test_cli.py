@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +59,18 @@ class TestRun:
         code = main(["run", str(oracle_cfg), "--out", str(tmp_path / "out"),
                      "--dump-state", str(blocker / "state.json")])
         assert code == 3
+
+    def test_failed_run_leaves_the_output_directory_as_it_was(self, tmp_path, capsys):
+        cfg = Path(__file__).resolve().parent.parent / "scripts" / "configs" / "theta_fringes.cfg"
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "theta-fringes.csv").write_text("an earlier run\n")
+        dump = tmp_path / "missing" / "state.json"
+        code = main(["run", str(cfg), "--out", str(out), "--dump-state", str(dump)])
+        assert code == 3
+        assert [p.name for p in out.iterdir()] == ["theta-fringes.csv"]
+        assert (out / "theta-fringes.csv").read_text() == "an earlier run\n"
+        assert str(dump) in capsys.readouterr().err
 
     def test_negative_seed_exits_2(self, oracle_cfg, tmp_path):
         assert main(["run", str(oracle_cfg), "--out", str(tmp_path),

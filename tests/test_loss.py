@@ -56,12 +56,12 @@ class TestKrausOps:
 
 class TestApplyLoss:
     def test_lossless_leaves_state_alone(self):
-        plus = PureState(("m",), np.array([1.0, 1.0]) / np.sqrt(2)).to_density()
+        plus = partial_trace(PureState(("m",), np.array([1.0, 1.0]) / np.sqrt(2)), ())
         out = apply_loss(plus, "m", LossChannel(1.0))
         np.testing.assert_allclose(out.entries, plus.entries, atol=1e-15)
 
     def test_coherence_scales_by_t(self):
-        plus = PureState(("m",), np.array([1.0, 1.0]) / np.sqrt(2)).to_density()
+        plus = partial_trace(PureState(("m",), np.array([1.0, 1.0]) / np.sqrt(2)), ())
         out = apply_loss(plus, "m", LossChannel(0.5))
         assert out.entries[0, 1] == pytest.approx(0.5 * 0.5, abs=1e-14)
 
@@ -143,7 +143,7 @@ def test_dilation_equals_kraus_route_on_1000_draws():
         psi = random_pure(rng, labels)
         mode = labels[int(rng.integers(len(labels)))]
         ch = LossChannel(rng.uniform())
-        via_dilation = partial_trace(dilate(psi, mode, "env", ch).to_density(), "env")
-        via_kraus = apply_loss(psi.to_density(), mode, ch)
+        via_dilation = partial_trace(dilate(psi, mode, "env", ch), "env")
+        via_kraus = apply_loss(partial_trace(psi, ()), mode, ch)
         worst = max(worst, float(np.max(np.abs(via_dilation.entries - via_kraus.entries))))
     assert worst < 1e-12

@@ -15,6 +15,7 @@ from swapsim import (
     estimate_visibility,
     fringe_scan,
     optimal_t2,
+    partial_trace,
     random_input_pair,
     swap,
     visibility_analytic,
@@ -33,7 +34,7 @@ def heralded_matrix(pair, t1, t2, sign=+1):
 
 class TestWoottersConcurrence:
     def test_bell_state_is_one(self):
-        rho = bell_psi().to_density()
+        rho = partial_trace(bell_psi(), ())
         assert concurrence_wootters(rho) == pytest.approx(1.0, abs=1e-12)
 
     def test_maximally_mixed_is_zero(self):
@@ -179,11 +180,11 @@ class TestOptimalT2:
 
 class TestBellFidelity:
     def test_self_overlap_is_one(self):
-        rho = bell_psi(+1, 0.4).to_density()
+        rho = partial_trace(bell_psi(+1, 0.4), ())
         assert bell_fidelity(rho, +1, 0.4) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_sign_is_zero(self):
-        rho = bell_psi(+1).to_density()
+        rho = partial_trace(bell_psi(+1), ())
         assert bell_fidelity(rho, -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_swap_output(self):
@@ -192,12 +193,12 @@ class TestBellFidelity:
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
-            bell_fidelity(bell_psi().to_density(), 0)
+            bell_fidelity(partial_trace(bell_psi(), ()), 0)
 
 
 class TestFringeScan:
     def test_bell_fringe_is_half_one_plus_cos(self):
-        scan = fringe_scan(bell_psi().to_density(), GRID16)
+        scan = fringe_scan(partial_trace(bell_psi(), ()), GRID16)
         np.testing.assert_allclose(scan.p_plus, 0.5 * (1 + np.cos(GRID16)), atol=1e-12)
         np.testing.assert_allclose(scan.p_minus, 0.5 * (1 - np.cos(GRID16)), atol=1e-12)
 
@@ -231,7 +232,7 @@ class TestFringeScan:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            fringe_scan(bell_psi().to_density(), [])
+            fringe_scan(partial_trace(bell_psi(), ()), [])
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -244,9 +245,9 @@ class TestFringeScan:
 
 class TestVisibility:
     def test_bell_state_is_one(self):
-        scan = fringe_scan(bell_psi().to_density(), GRID16)
+        scan = fringe_scan(partial_trace(bell_psi(), ()), GRID16)
         assert estimate_visibility(GRID16, scan.p_plus).v == pytest.approx(1.0, abs=1e-12)
-        assert visibility_analytic(bell_psi().to_density()).v == pytest.approx(
+        assert visibility_analytic(partial_trace(bell_psi(), ())).v == pytest.approx(
             1.0, abs=1e-12
         )
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from swapsim import (
     MAX_ENTANGLED_PAIR,
     BsmSetting,
+    DensityMatrix,
     InputPair,
     LossChannel,
+    PureState,
     SpdcSource,
     apply_loss,
     asymptotic_state,
@@ -18,6 +20,8 @@ from swapsim import (
     concurrence_closed_form,
     concurrence_wootters,
     optimal_inputs,
+    partial_trace,
+    project,
     propagate,
     random_input_pair,
     spdc_input,
@@ -26,7 +30,7 @@ from swapsim import (
     validate,
 )
 
-from conftest import input_pairs
+from conftest import input_pairs, naive_partial_trace, naive_project, random_pure
 
 
 class TestInputPair:
@@ -51,23 +55,17 @@ class TestBsmSetting:
         ket = BsmSetting.y(-1).projector_ket()
         np.testing.assert_allclose(ket.amps, [0, 1, -1j, 0] / np.sqrt(2), atol=1e-15)
 
-    def test_phase_wraps_into_period(self):
-        assert BsmSetting("entangling", phase=2 * np.pi + 0.5).phase == pytest.approx(0.5)
-
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             BsmSetting("bogus")
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
-            BsmSetting("entangling", sign=2)
+            BsmSetting("x", sign=2)
 
     def test_bad_separable_outcome_rejected(self):
         with pytest.raises(ValueError, match="separable"):
             BsmSetting("separable", which="11")
-
-    def test_generic_phase_name(self):
-        assert BsmSetting("entangling", phase=1.25, sign=-1).name == "E(1.25)-"
 
     def test_separable_kets(self):
         np.testing.assert_allclose(BsmSetting.z("01").projector_ket().amps,
@@ -102,26 +100,25 @@ class TestPropagate:
     def test_lossless_is_pure_projector(self, rng):
         pair = random_input_pair(rng)
         psi = build_inputs(pair)
-        rho = propagate(psi, 1.0, 1.0)
+        rho = partial_trace(propagate(psi, 1.0, 1.0), ("E1", "E2"))
         np.testing.assert_allclose(
             rho.entries, np.outer(psi.amps, psi.amps.conj()), atol=1e-14
         )
 
     def test_full_loss_empties_flying_modes(self, rng):
-        from swapsim import partial_trace
-
-        rho = propagate(build_inputs(random_input_pair(rng)), 0.0, 0.0)
-        flying = partial_trace(rho, ("A", "B"))
+        psi = propagate(build_inputs(random_input_pair(rng)), 0.0, 0.0)
+        flying = partial_trace(psi, ("A", "B", "E1", "E2"))
         np.testing.assert_allclose(flying.entries[0, 0], 1.0, atol=1e-12)
-        ab = partial_trace(rho, ("C1", "C2"))
+        ab = partial_trace(psi, ("C1", "C2", "E1", "E2"))
         off_diag = ab.entries - np.diag(np.diag(ab.entries))
         assert np.max(np.abs(off_diag)) < 1e-14
 
     def test_trace_is_one(self, rng):
         for _ in range(10):
-            rho = propagate(
+            psi = propagate(
                 build_inputs(random_input_pair(rng)), rng.uniform(), rng.uniform()
             )
+            rho = partial_trace(psi, ("E1", "E2"))
             assert abs(np.trace(rho.entries) - 1.0) < 1e-12
             assert validate(rho).passed
 
@@ -131,9 +128,9 @@ class TestPropagate:
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(size=2)
             psi = build_inputs(pair)
-            via_dilation = propagate(psi, t1, t2)
+            via_dilation = partial_trace(propagate(psi, t1, t2), ("E1", "E2"))
             via_kraus = apply_loss(
-                apply_loss(psi.to_density(), "C1", LossChannel(t1)),
+                apply_loss(partial_trace(psi, ()), "C1", LossChannel(t1)),
                 "C2",
                 LossChannel(t2),
             )
@@ -143,9 +140,11 @@ class TestPropagate:
 
     def test_example_point_matches_kraus(self):
         psi = build_inputs(MAX_ENTANGLED_PAIR)
-        via_dilation = propagate(psi, 0.6, 0.8)
+        via_dilation = partial_trace(propagate(psi, 0.6, 0.8), ("E1", "E2"))
         via_kraus = apply_loss(
-            apply_loss(psi.to_density(), "C1", LossChannel(0.6)), "C2", LossChannel(0.8)
+            apply_loss(partial_trace(psi, ()), "C1", LossChannel(0.6)),
+            "C2",
+            LossChannel(0.8),
         )
         np.testing.assert_allclose(via_dilation.entries, via_kraus.entries, atol=1e-12)
 
@@ -178,16 +177,36 @@ class TestBsm:
         assert abs(out.rho_ab.entries[1, 2]) < 1e-14
 
     def test_requires_flying_modes(self, rng):
-        from conftest import random_density
-
         with pytest.raises(ValueError, match="flying modes"):
-            bsm(random_density(rng, ("A", "B")), BsmSetting.x(+1))
+            bsm(random_pure(rng, ("A", "B")), BsmSetting.x(+1))
 
-    def test_requires_unit_trace(self):
-        rho = propagate(build_inputs(MAX_ENTANGLED_PAIR), 0.9, 0.9)
-        scaled = type(rho)(rho.labels, 0.5 * rho.entries)
-        with pytest.raises(ValueError, match="unit trace"):
+    def test_requires_normalized_ket(self):
+        psi = propagate(build_inputs(MAX_ENTANGLED_PAIR), 0.9, 0.9)
+        scaled = PureState(psi.labels, np.sqrt(0.5) * psi.amps)
+        with pytest.raises(ValueError, match="normalized"):
             bsm(scaled, BsmSetting.x(+1))
+
+    def test_matches_the_density_matrix_references(self, rng):
+        """Ket route vs |psi><psi| traced and projected by the loop oracles."""
+        settings = [BsmSetting.x(+1), BsmSetting.x(-1), BsmSetting.y(+1),
+                    BsmSetting.y(-1), BsmSetting.z("01"), BsmSetting.z("10")]
+        for _ in range(20):
+            pair = random_input_pair(rng)
+            t1, t2 = rng.uniform(0.05, 1.0, size=2)
+            psi = propagate(build_inputs(pair), t1, t2)
+            assert psi.labels == ("A", "C1", "C2", "B", "E1", "E2")
+            traced = DensityMatrix(
+                psi.labels[:4],
+                naive_partial_trace(np.outer(psi.amps, psi.amps.conj()), 6, [0, 1, 2, 3]),
+            )
+            for setting in settings:
+                expected = naive_project(traced, setting.projector_ket())
+                weight = np.trace(expected).real
+                out = bsm(psi, setting)
+                np.testing.assert_allclose(
+                    out.rho_ab.entries, expected / weight, atol=1e-12
+                )
+                assert abs(out.p_success - weight) < 1e-12
 
 
 class TestClosedForm:
@@ -385,9 +404,9 @@ class TestSymmetries:
             t1, t2 = rng.uniform(0.3, 1.0, size=2)
             phi = rng.uniform(0.0, 2 * np.pi)
             base = swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab.entries
-            rotated = swap(
-                pair, t1, t2, BsmSetting("entangling", phase=phi, sign=+1)
-            ).rho_ab.entries
+            ket = PureState(("C1", "C2"), np.array([0, 1, np.exp(1j * phi), 0]) / np.sqrt(2))
+            heralded = project(propagate(build_inputs(pair), t1, t2), ket)
+            rotated = partial_trace(heralded, ("E1", "E2")).normalized().entries
             np.testing.assert_allclose(
                 np.diag(rotated), np.diag(base), atol=1e-12
             )

@@ -37,17 +37,17 @@ class TestTensor:
 
 class TestPartialTrace:
     def test_bell_marginal_is_maximally_mixed(self):
-        rho = bell_phi_plus().to_density()
-        out = partial_trace(rho, "b")
+        out = partial_trace(bell_phi_plus(), "b")
         np.testing.assert_allclose(out.entries, np.eye(2) / 2, atol=1e-15)
         assert out.labels == ("a",)
 
     def test_product_state_marginal(self, rng):
-        rho = random_density(rng, ("A",))
-        sigma = random_density(rng, ("B", "C"))
-        joint = DensityMatrix(("A", "B", "C"), np.kron(rho.entries, sigma.entries))
+        a = random_pure(rng, ("A",))
+        joint = tensor(a, random_pure(rng, ("B", "C")))
         out = partial_trace(joint, ("B", "C"))
-        np.testing.assert_allclose(out.entries, rho.entries, atol=1e-14)
+        np.testing.assert_allclose(
+            out.entries, np.outer(a.amps, a.amps.conj()), atol=1e-14
+        )
 
     def test_loss_split_populations(self):
         # photon amplitude b splits into b*t (kept) and b*r (lost to env)
@@ -56,26 +56,34 @@ class TestPartialTrace:
             ("A", "C1", "E1"),
             np.array([a, 0, 0, 0, 0, b * r, b * t, 0]),
         )
-        out = partial_trace(psi.to_density(), "E1")
+        out = partial_trace(psi, "E1")
         assert out.entries[3, 3] == pytest.approx((b * t) ** 2, abs=1e-14)
         assert out.entries[2, 2] == pytest.approx((b * r) ** 2, abs=1e-14)
         assert out.entries[0, 0] == pytest.approx(a ** 2, abs=1e-14)
 
     def test_discard_everything_leaves_scalar(self, rng):
-        rho = random_density(rng, ("A", "B"))
-        out = partial_trace(rho, ("A", "B"))
+        psi = PureState(("A", "B"), 0.5 * random_pure(rng, ("A", "B")).amps)
+        out = partial_trace(psi, ("A", "B"))
         assert out.labels == ()
         assert out.entries.shape == (1, 1)
-        assert out.weight == pytest.approx(rho.weight, abs=1e-12)
+        assert out.weight == pytest.approx(psi.norm2, abs=1e-12)
+
+    def test_discard_nothing_gives_the_ket_projector(self, rng):
+        psi = random_pure(rng, ("A", "B", "C"))
+        out = partial_trace(psi, ())
+        assert out.labels == psi.labels
+        np.testing.assert_allclose(
+            out.entries, np.outer(psi.amps, psi.amps.conj()), atol=1e-15
+        )
 
     def test_unknown_label_rejected(self, rng):
         with pytest.raises(LabelError, match="unknown"):
-            partial_trace(random_density(rng, ("A",)), "nope")
+            partial_trace(random_pure(rng, ("A",)), "nope")
 
     def test_matches_loop_oracle(self, rng):
         labels = ("A", "B", "C", "D")
         for _ in range(25):
-            rho = random_density(rng, labels, rank=3)
+            psi = random_pure(rng, labels)
             keep_mask = rng.integers(0, 2, size=4)
             if keep_mask.sum() == 0:
                 keep_mask[0] = 1
@@ -83,54 +91,55 @@ class TestPartialTrace:
             if not discard:
                 continue
             keep = [i for i, m in enumerate(keep_mask) if m == 1]
-            expected = naive_partial_trace(rho.entries, 4, keep)
-            out = partial_trace(rho, discard)
+            expected = naive_partial_trace(np.outer(psi.amps, psi.amps.conj()), 4, keep)
+            out = partial_trace(psi, discard)
             np.testing.assert_allclose(out.entries, expected, atol=1e-13)
 
 
 class TestProject:
     def test_bell_onto_vacuum_gives_half(self):
-        rho = bell_phi_plus().to_density()
-        out = project(rho, PureState(("a", "b"), [1, 0, 0, 0]))
+        out = project(bell_phi_plus(), PureState(("a", "b"), [1, 0, 0, 0]))
         assert out.labels == ()
-        assert out.weight == pytest.approx(0.5, abs=1e-14)
+        assert out.norm2 == pytest.approx(0.5, abs=1e-14)
 
     def test_orthogonal_ket_gives_zero(self):
-        rho = bell_phi_plus().to_density()
-        out = project(rho, PureState(("a", "b"), [0, 1, 0, 0]))
-        assert out.weight == pytest.approx(0.0, abs=1e-14)
+        out = project(bell_phi_plus(), PureState(("a", "b"), [0, 1, 0, 0]))
+        assert out.norm2 == pytest.approx(0.0, abs=1e-14)
 
     def test_unnormalized_ket_rejected(self, rng):
-        rho = random_density(rng, ("A", "B"))
+        psi = random_pure(rng, ("A", "B"))
         bad = PureState(("A",), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="normalized"):
-            project(rho, bad)
+            project(psi, bad)
 
     def test_unknown_ket_label_rejected(self, rng):
-        rho = random_density(rng, ("A", "B"))
+        psi = random_pure(rng, ("A", "B"))
         with pytest.raises(LabelError, match="unknown"):
-            project(rho, PureState(("Z",), [1, 0]))
+            project(psi, PureState(("Z",), [1, 0]))
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(25):
-            rho = random_density(rng, ("A", "B", "C"), rank=3)
+            psi = random_pure(rng, ("A", "B", "C"))
             ket = random_pure(rng, ("B", "C"))
+            rho = DensityMatrix(psi.labels, np.outer(psi.amps, psi.amps.conj()))
             expected = naive_project(rho, ket)
-            out = project(rho, ket)
-            np.testing.assert_allclose(out.entries, expected, atol=1e-13)
+            out = project(psi, ket)
+            np.testing.assert_allclose(
+                np.outer(out.amps, out.amps.conj()), expected, atol=1e-13
+            )
             assert out.labels == ("A",)
 
     def test_ket_label_order_is_respected(self, rng):
-        rho = random_density(rng, ("A", "B", "C"), rank=2)
+        psi = random_pure(rng, ("A", "B", "C"))
         ket = random_pure(rng, ("C", "B"))
-        out = project(rho, ket)
-        out_reordered = project(rho, ket.reorder(("B", "C")))
-        np.testing.assert_allclose(out.entries, out_reordered.entries, atol=1e-14)
+        out = project(psi, ket)
+        out_reordered = project(psi, ket.reorder(("B", "C")))
+        np.testing.assert_allclose(out.amps, out_reordered.amps, atol=1e-14)
 
 
 class TestValidate:
     def test_bell_state_passes(self):
-        report = validate(bell_phi_plus().to_density())
+        report = validate(partial_trace(bell_phi_plus(), ()))
         assert report.passed
         assert report.hermiticity_dev < 1e-15
         assert report.min_eigenvalue > -1e-15
@@ -222,30 +231,30 @@ class TestReorder:
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_tensor_then_trace_recovers_first_factor(seed):
     rng = np.random.default_rng(seed)
-    a = random_density(rng, ("A", "B"))
-    b = random_density(rng, ("C",))
-    out = partial_trace(DensityMatrix(("A", "B", "C"), np.kron(a.entries, b.entries)), "C")
-    # second factor has unit trace, so the first comes back exactly
-    np.testing.assert_allclose(out.entries, a.entries, atol=1e-12)
+    a = random_pure(rng, ("A", "B"))
+    b = random_pure(rng, ("C",))
+    out = partial_trace(tensor(a, b), "C")
+    # second factor has unit norm, so the first comes back exactly
+    np.testing.assert_allclose(out.entries, np.outer(a.amps, a.amps.conj()), atol=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_partial_trace_preserves_trace(seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, ("A", "B", "C"), rank=3)
-    out = partial_trace(rho, ("B",))
-    assert abs(np.trace(out.entries) - np.trace(rho.entries)) < 1e-12
+    psi = random_pure(rng, ("A", "B", "C"))
+    out = partial_trace(psi, ("B",))
+    assert abs(np.trace(out.entries) - psi.norm2) < 1e-12
 
 
 @settings(max_examples=50, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_project_never_increases_weight(seed):
     rng = np.random.default_rng(seed)
-    rho = random_density(rng, ("A", "B"), rank=2)
+    psi = random_pure(rng, ("A", "B"))
     ket = random_pure(rng, ("B",))
-    out = project(rho, ket)
-    assert out.weight <= rho.weight + 1e-12
+    out = project(psi, ket)
+    assert out.norm2 <= psi.norm2 + 1e-12
 
 
 @settings(max_examples=50, deadline=None)
@@ -253,7 +262,7 @@ def test_project_never_increases_weight(seed):
 def test_pure_density_has_single_eigenvalue(seed, scale):
     rng = np.random.default_rng(seed)
     psi = random_pure(rng, ("A", "B"))
-    rho = DensityMatrix(psi.labels, scale * psi.to_density().entries)
+    rho = DensityMatrix(psi.labels, scale * partial_trace(psi, ()).entries)
     ev = np.linalg.eigvalsh(rho.entries)
     assert ev[-1] == pytest.approx(rho.weight, abs=1e-12)
     assert np.all(np.abs(ev[:-1]) < 1e-10)
