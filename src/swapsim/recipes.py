@@ -1,10 +1,11 @@
 """Named sweep recipes and the batch runner.
 
 Each recipe evaluates a parameter grid with the pure library functions
-and emits one CSV (documented column contract below) plus a JSON sidecar
-with the full configuration, library version, and wall time. Rows are
-emitted in grid order, so a given configuration always writes a
-byte-identical CSV.
+and returns columns (header name -> Python values, in grid order) that one
+writer streams out as CSV, each float as its shortest repr, so a given
+configuration always writes a byte-identical CSV; no field needs quoting.
+A JSON sidecar holds the full configuration, library version, and wall
+time.
 
 Column contracts:
 
@@ -28,7 +29,7 @@ lossless channels. All transmittivities are AMPLITUDE transmittivities
 
 from __future__ import annotations
 
-import csv
+import contextlib
 import dataclasses
 import json
 import os
@@ -82,15 +83,15 @@ DEV_CONCURRENCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class RecipeResult:
-    """One recipe's output: CSV header and rows, summary, and extra files.
+    """One recipe's output: CSV columns, summary, and extra files.
 
-    ``rep_state`` builds the representative heralded state for
+    ``columns`` maps each header name, in order, to its column of Python
+    values; ``rep_state`` builds the representative heralded state for
     ``--dump-state`` only when asked; ``extra`` holds one
-    ``(filename, header, rows)`` triple per extra CSV file.
+    ``(filename, columns)`` pair per extra CSV file.
     """
 
-    header: list
-    rows: list
+    columns: dict
     summary: dict
     rep_state: Callable[[], DensityMatrix]
     ok: bool = True
@@ -131,6 +132,12 @@ def _grid(cfg: SweepConfig, key: str) -> tuple[float, ...]:
     return value
 
 
+def _append(columns, **row):
+    """Append one grid point's values, creating the columns on first use."""
+    for name, value in row.items():
+        columns.setdefault(name, []).append(value)
+
+
 def _rep_state(pair, t1, t2):
     """Deferred X+ heralded state at one grid point, for ``--dump-state``."""
     return lambda: swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab
@@ -141,24 +148,23 @@ def _rep_state(pair, t1, t2):
 def _run_surface(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
     conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, np.array(g1)[:, None], np.array(g2))
-    rows = [(a, b, c) for a, row in zip(g1, conc.tolist()) for b, c in zip(g2, row)]
-    summary = {"points": len(rows), "max_concurrence": float(conc.max())}
-    return RecipeResult(["t1", "t2", "concurrence"], rows, summary,
-                        _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
+    columns = {"t1": [a for a in g1 for _ in g2], "t2": list(g2) * len(g1),
+               "concurrence": conc.ravel().tolist()}
+    summary = {"points": conc.size, "max_concurrence": float(conc.max())}
+    return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 def _run_slices(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
-    rows = []
+    columns = {}
     for t1 in g1:
         for t2 in g2:
             c = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)
             rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
-            rows.append((t1, t2, c, visibility_analytic(rho).v, norm))
-    header = ["t1", "t2", "concurrence", "visibility", "p_success"]
-    summary = {"points": len(rows), "t1_values": list(g1)}
-    return RecipeResult(header, rows, summary,
-                        _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
+            _append(columns, t1=t1, t2=t2, concurrence=c,
+                    visibility=visibility_analytic(rho).v, p_success=norm)
+    summary = {"points": len(g1) * len(g2), "t1_values": list(g1)}
+    return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 _FRINGE_SETTINGS = (
@@ -180,24 +186,25 @@ def _run_fringes(cfg: SweepConfig):
     # xi is the total pump amplitude scale; the split divides it between sources
     pair = spdc_input(*pump_split(ratio, xi))
     children = np.random.SeedSequence(cfg.seed).spawn(len(_FRINGE_SETTINGS))
-    rows, fits, extra = [], {}, []
+    columns, fits, extra = {}, {}, []
     for (tag, setting), child in zip(_FRINGE_SETTINGS, children):
         model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
         counts = synth_counts(pair, t1, t2, setting, thetas, model)
         scan = counts.scan
-        count_rows = []
-        for i, theta in enumerate(scan.thetas):
-            for sign, prob, n in (("+", scan.p_plus[i], counts.counts_plus[i]),
-                                  ("-", scan.p_minus[i], counts.counts_minus[i])):
-                rows.append((tag, theta, sign, prob, mean * prob, int(n)))
-                count_rows.append((theta, sign, int(n)))
+        # rows run theta by theta, the "+" outcome before the "-" one
+        prob = np.stack((scan.p_plus, scan.p_minus), axis=1).ravel()
+        block = {"theta_rad": np.repeat(scan.thetas, 2).tolist(),
+                 "outcome_sign": ["+", "-"] * len(scan.thetas),
+                 "counts": np.stack((counts.counts_plus, counts.counts_minus), 1).ravel().tolist()}
+        part = {"setting": [tag] * prob.size, "theta_rad": block["theta_rad"],
+                "outcome_sign": block["outcome_sign"], "probability": prob.tolist(),
+                "expected_counts": (mean * prob).tolist(), "counts": block["counts"]}
+        for name, values in part.items():
+            columns.setdefault(name, []).extend(values)
         fit = estimate_visibility(thetas, counts.counts_plus)
         fits[tag] = {"v": fit.v, "sigma": fit.sigma}
-        extra.append((f"counts_{tag}_seed{cfg.seed}.csv",
-                      ["theta_rad", "outcome_sign", "counts"], count_rows))
-    header = ["setting", "theta_rad", "outcome_sign", "probability",
-              "expected_counts", "counts"]
-    return RecipeResult(header, rows, {"fitted_visibility": fits},
+        extra.append((f"counts_{tag}_seed{cfg.seed}.csv", block))
+    return RecipeResult(columns, {"fitted_visibility": fits},
                         _rep_state(pair, t1, t2), extra=tuple(extra))
 
 
@@ -209,11 +216,9 @@ def _run_scaling(cfg: SweepConfig):
     p = success_probability(pair, roots, roots)
     if np.any(p < 2.0 * WEIGHT_EPS):
         raise ValueError("degenerate inputs: heralding probability is zero")
-    columns = [grid, roots.tolist(), p.tolist()]
+    columns = {"t": list(grid), "t1": roots.tolist(), "p_success": p.tolist()}
     if cfg.normalize:
-        columns.append(normalized_success(pair, roots, roots).tolist())
-    rows = list(zip(*columns))
-    header = ["t", "t1", "p_success"] + (["p_normalized"] if cfg.normalize else [])
+        columns["p_normalized"] = normalized_success(pair, roots, roots).tolist()
     logs_t = np.log(grid)
     # a slope needs two transmissions that polyfit can tell apart
     slope = None
@@ -225,7 +230,7 @@ def _run_scaling(cfg: SweepConfig):
         "reference_slopes": {"swap": 1.0, "direct_transmission": 2.0},
     }
     root = float(roots[0])
-    return RecipeResult(header, rows, summary, _rep_state(pair, root, root))
+    return RecipeResult(columns, summary, _rep_state(pair, root, root))
 
 
 def _run_imbalance(cfg: SweepConfig):
@@ -234,27 +239,23 @@ def _run_imbalance(cfg: SweepConfig):
     xi = _grid(cfg, "xi")[0]
     epsilon = _grid(cfg, "epsilon")[0]
     equal = spdc_input(SpdcSource(xi), SpdcSource(xi))
-    rows = []
+    columns = {}
     for t2 in g2:
         for strategy in ("equal", "optimal"):
             pair = equal if strategy == "equal" else optimal_inputs(t1, t2, epsilon)
             rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
-            row = (t1, t2, strategy, visibility_analytic(rho).v, concurrence_wootters(rho),
-                   bell_fidelity(rho, sign=+1, phase=0.0), norm)
+            _append(columns, t1=t1, t2=t2, strategy=strategy,
+                    visibility=visibility_analytic(rho).v, concurrence=concurrence_wootters(rho),
+                    bell_fidelity=bell_fidelity(rho, sign=+1, phase=0.0), p_success=norm)
             if cfg.normalize:
-                row += (normalized_success(pair, t1, t2),)
-            rows.append(row)
-    header = ["t1", "t2", "strategy", "visibility", "concurrence",
-              "bell_fidelity", "p_success"]
-    if cfg.normalize:
-        header.append("p_normalized")
+                _append(columns, p_normalized=normalized_success(pair, t1, t2))
     summary = {
         "t1": t1,
         "equal_visibility_shape": "2*t1*t2/(t1^2+t2^2)",
         "optimal_success_shape": "2*t1^2*t2^2/(t1^2+t2^2)",
     }
     pair = optimal_inputs(t1, g2[0], epsilon)
-    return RecipeResult(header, rows, summary, _rep_state(pair, t1, g2[0]))
+    return RecipeResult(columns, summary, _rep_state(pair, t1, g2[0]))
 
 
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
@@ -265,7 +266,7 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     ``rep_state`` is the first draw's X+ state.
     """
     rng = np.random.default_rng(seed)
-    rows = []
+    columns = {}
     for i in range(draws):
         pair = random_input_pair(rng)
         t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
@@ -278,12 +279,13 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         dev_conc = abs(
             concurrence_wootters(brute.rho_ab) - concurrence_closed_form(pair, t1, t2)
         )
-        rows.append((i, t1, t2, sign, dev_rho, dev_norm, dev_conc))
+        _append(columns, draw=i, t1=t1, t2=t2, sign=sign, max_dev_rho=dev_rho,
+                dev_norm=dev_norm, dev_concurrence=dev_conc)
         if i == 0:
             rep_state = _rep_state(pair, t1, t2)
-    max_rho = max(r[4] for r in rows)
-    max_norm = max(r[5] for r in rows)
-    max_conc = max(r[6] for r in rows)
+    max_rho = max(columns["max_dev_rho"])
+    max_norm = max(columns["dev_norm"])
+    max_conc = max(columns["dev_concurrence"])
     ok = (
         max_rho <= DEV_RHO_TOL
         and max_norm <= DEV_NORM_TOL
@@ -301,13 +303,7 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         },
         "passed": ok,
     }
-    header = ["draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm",
-              "dev_concurrence"]
-    return RecipeResult(header, rows, summary, rep_state, ok)
-
-
-def _run_oracle(cfg: SweepConfig):
-    return run_oracle_draws(cfg.draws, cfg.seed)
+    return RecipeResult(columns, summary, rep_state, ok)
 
 
 def _positive(key: str):
@@ -321,14 +317,14 @@ RECIPES = {
         "concurrence of the heralded state over a (t1, t2) grid with "
         "maximally entangled inputs",
         _run_surface,
-        dict.fromkeys(("t1", "t2"), tuple(np.linspace(0.05, 1.0, 20))),
+        dict.fromkeys(("t1", "t2"), tuple(np.linspace(0.05, 1.0, 20).tolist())),
         rules=(_positive("t1"),),
     ),
     "concurrence-slices": Recipe(
         "concurrence, visibility and heralding probability vs t2 for "
         "selected t1 values, maximally entangled inputs",
         _run_slices,
-        {"t1": (0.3, 0.6, 0.8, 1.0), "t2": tuple(np.linspace(0.0, 1.0, 101))},
+        {"t1": (0.3, 0.6, 0.8, 1.0), "t2": tuple(np.linspace(0.0, 1.0, 101).tolist())},
         rules=(_positive("t1"),),
     ),
     "theta-fringes": Recipe(
@@ -336,7 +332,7 @@ RECIPES = {
         "with synthetic Poisson coincidence counts",
         _run_fringes,
         {"t1": (1.0,), "t2": (1.0,),
-         "theta": tuple(np.linspace(0.0, TWO_PI, 16, endpoint=False)),
+         "theta": tuple(np.linspace(0.0, TWO_PI, 16, endpoint=False).tolist()),
          "xi": (0.1,), "ratio": (0.5,)},
         single=frozenset({"t1", "t2", "xi", "ratio"}),
         rules=(_positive("t1"), _positive("t2"), _NONZERO_XI,
@@ -346,7 +342,7 @@ RECIPES = {
         "heralding probability vs total transmission t for balanced "
         "channels t1 = t2 = sqrt(t); summary reports the log-log slope",
         _run_scaling,
-        {"t": tuple(np.geomspace(1e-3, 1.0, 25)), "xi": (0.05,)},
+        {"t": tuple(np.geomspace(1e-3, 1.0, 25).tolist()), "xi": (0.05,)},
         single=frozenset({"xi"}),
         rules=(_positive("t"), _NONZERO_XI),
     ),
@@ -354,7 +350,7 @@ RECIPES = {
         "visibility/fidelity degradation from unbalanced losses and its "
         "restoration by loss-matched input amplitudes",
         _run_imbalance,
-        {"t1": (1.0,), "t2": tuple(np.linspace(0.1, 1.0, 10)),
+        {"t1": (1.0,), "t2": tuple(np.linspace(0.1, 1.0, 10).tolist()),
          "xi": (0.05,), "epsilon": (0.01,)},
         single=frozenset({"t1", "xi", "epsilon"}),
         rules=(_positive("t1"), _positive("t2"), _NONZERO_XI),
@@ -362,7 +358,7 @@ RECIPES = {
     "oracle-check": Recipe(
         "randomized cross-validation of the closed-form heralded state "
         "against the brute-force dilation pipeline",
-        _run_oracle,
+        lambda cfg: run_oracle_draws(cfg.draws, cfg.seed),
         {},
     ),
 }
@@ -380,19 +376,10 @@ def describe_recipes() -> str:
     return "\n".join(lines)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def _write_csv(fh, header, rows):
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+def _write_csv(fh, columns):
+    """Stream the header, then one line per row (``str(float)`` is its repr)."""
+    fh.write(",".join(columns) + "\n")
+    fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns.values()))
 
 
 def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
@@ -402,11 +389,22 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     produce byte-identical CSVs. A run writes all of its files or none:
     each goes to a temporary name beside its destination and is renamed
     into place only after every write, the state dump included, has
-    succeeded.
+    succeeded. A failed run also removes the directories it made, and a
+    ``dump_state`` path that names one of the run's own outputs is a
+    ``ValueError`` raised before anything is written.
     """
     started = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
+    result = RECIPES[cfg.experiment].runner(cfg)
+    csv_path = out / f"{cfg.experiment}.csv"
+    meta_path = out / f"{cfg.experiment}.meta.json"
+    extra_files = [out / filename for filename, _ in result.extra]
+    if dump_state is not None:
+        outputs = {p.resolve(): p for p in (csv_path, meta_path, *extra_files)}
+        clash = outputs.get(Path(dump_state).resolve())
+        if clash is not None:
+            raise ValueError(f"--dump-state {dump_state} would overwrite the run's output {clash}")
+    made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     staged = []  # (temporary path, destination)
 
     def stage(path):
@@ -420,17 +418,13 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
         staged.append((tmp, path))
         return fh
 
-    result = RECIPES[cfg.experiment].runner(cfg)
-    csv_path = out / f"{cfg.experiment}.csv"
     try:
+        out.mkdir(parents=True, exist_ok=True)
         with stage(csv_path) as fh:
-            _write_csv(fh, result.header, result.rows)
-        extra_files = []
-        for filename, header, rows in result.extra:
-            path = out / filename
+            _write_csv(fh, result.columns)
+        for path, (_, columns) in zip(extra_files, result.extra):
             with stage(path) as fh:
-                _write_csv(fh, header, rows)
-            extra_files.append(path)
+                _write_csv(fh, columns)
 
         if dump_state is not None:
             state = result.rep_state()
@@ -438,13 +432,12 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
                 json.dump(state.to_json_dict(), fh, indent=1)
                 fh.write("\n")
 
-        meta_path = out / f"{cfg.experiment}.meta.json"
         meta = {
             "experiment": cfg.experiment,
             "config": dataclasses.asdict(cfg),
             "library_version": __version__,
             "wall_time_s": time.monotonic() - started,
-            "rows": len(result.rows),
+            "rows": len(next(iter(result.columns.values()))),
             "summary": result.summary,
             "files": [csv_path.name] + [p.name for p in extra_files],
         }
@@ -456,6 +449,9 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     except BaseException:
         for tmp, _ in staged:
             tmp.unlink(missing_ok=True)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                directory.rmdir()
         raise
 
     return RunReport(cfg.experiment, csv_path, meta_path, tuple(extra_files),

@@ -72,6 +72,38 @@ class TestRun:
         assert (out / "theta-fringes.csv").read_text() == "an earlier run\n"
         assert str(dump) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, dump, code",
+        [
+            ("experiment = theta-fringes\ntheta = 0.1\n", None, 2),  # too few phase points
+            ("experiment = theta-fringes\n", "missing/state.json", 3),
+        ],
+        ids=["runner-fails", "dump-unwritable"],
+    )
+    def test_failed_run_leaves_no_directory_behind(self, doc, dump, code, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(doc)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "new" / "out")]
+        if dump is not None:
+            argv += ["--dump-state", str(tmp_path / dump)]
+        assert main(argv) == code
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+    @pytest.mark.parametrize("name", ["oracle-check.csv", "oracle-check.meta.json"])
+    def test_dump_state_onto_an_output_exits_2(self, oracle_cfg, name, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / name).write_text("an earlier run\n")
+        # the clash is found through a path spelled differently
+        dump = out / ".." / "out" / name
+        code = main(["run", str(oracle_cfg), "--out", str(out), "--dump-state", str(dump)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_text() == "an earlier run\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: --dump-state ") and name in err
+        assert err.count("\n") == 1
+
     def test_negative_seed_exits_2(self, oracle_cfg, tmp_path):
         assert main(["run", str(oracle_cfg), "--out", str(tmp_path),
                      "--seed", "-1"]) == 2

@@ -13,7 +13,7 @@ from swapsim import (
     partial_trace,
 )
 
-from conftest import finite_floats, random_density, random_pure
+from oracles import finite_floats, random_density, random_pure
 
 
 class TestLossChannel:

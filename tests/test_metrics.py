@@ -22,7 +22,7 @@ from swapsim import (
 )
 from swapsim.metrics import FringeScan
 
-from conftest import bell_psi, finite_floats
+from oracles import bell_psi, finite_floats
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 

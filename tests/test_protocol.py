@@ -30,7 +30,7 @@ from swapsim import (
     validate,
 )
 
-from conftest import input_pairs, naive_partial_trace, naive_project, random_pure
+from oracles import input_pairs, naive_partial_trace, naive_project, random_pure
 
 
 class TestInputPair:

@@ -23,14 +23,16 @@ class TestOracleDraws:
     def test_draws_pass_tolerances(self):
         result = run_oracle_draws(100, seed=5)
         assert result.ok
-        assert len(result.rows) == 100
+        assert [len(column) for column in result.columns.values()] == [100] * 7
+        # plain Python values, never numpy scalars
+        assert {type(x) for column in result.columns.values() for x in column} == {int, float}
         assert result.summary["max_dev_rho"] < 1e-12
         assert result.summary["max_dev_norm"] < 1e-12
         assert result.summary["max_dev_concurrence"] < 1e-10
 
     def test_deterministic_given_seed(self):
-        a = run_oracle_draws(20, seed=9).rows
-        b = run_oracle_draws(20, seed=9).rows
+        a = run_oracle_draws(20, seed=9).columns
+        b = run_oracle_draws(20, seed=9).columns
         assert a == b
 
 
@@ -64,6 +66,11 @@ class TestRecipeOutputs:
             rows = read_rows(report.csv_path)
             assert rows[0] == contracts[name], name
             assert len(rows) > 1
+            # the writer does not quote, so every line splits into its fields
+            for path in (report.csv_path, *report.extra_files):
+                lines = path.read_text().splitlines()
+                width = len(lines[0].split(","))
+                assert all(len(line.split(",")) == width for line in lines), path
 
     def test_csv_is_byte_identical_across_runs(self, tmp_path):
         cfg = validate_config(

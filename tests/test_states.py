@@ -13,7 +13,7 @@ from swapsim import (
     validate,
 )
 
-from conftest import (
+from oracles import (
     bell_phi_plus,
     naive_partial_trace,
     naive_project,
