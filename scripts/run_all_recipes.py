@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Run every bundled sweep configuration and print the summaries.
+"""Run every bundled sweep configuration through ``swapsim run``.
 
 Usage: python scripts/run_all_recipes.py [--out DIR]
+
+Each config runs even after one fails; the exit code is the first nonzero
+one ``swapsim run`` returned (2 usage, 3 I/O, 4 invariant violation).
 """
 
 import argparse
 import pathlib
 import sys
 
-from swapsim import validate_config
-from swapsim.recipes import run
+from swapsim.cli import main as swapsim_main
 
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 
@@ -19,17 +21,9 @@ def main() -> int:
     parser.add_argument("--out", default="out", help="output directory")
     args = parser.parse_args()
 
-    failures = 0
-    for cfg_path in sorted(CONFIG_DIR.glob("*.cfg")):
-        cfg = validate_config(cfg_path.read_text())
-        report = run(cfg, out_dir=args.out)
-        print(f"{cfg.experiment}: {report.csv_path}")
-        for key, value in report.summary.items():
-            print(f"  {key}: {value}")
-        if not report.ok:
-            print("  INVARIANT VIOLATION", file=sys.stderr)
-            failures += 1
-    return 4 if failures else 0
+    codes = [swapsim_main(["run", str(cfg_path), "--out", args.out])
+             for cfg_path in sorted(CONFIG_DIR.glob("*.cfg"))]
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, validate_config
-from .recipes import describe_recipes, run, run_oracle_draws
+from .recipes import describe_recipes, oracle_verdicts, run, run_oracle_draws
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -77,17 +77,10 @@ def _cmd_check(args) -> int:
     if args.draws < 1 or args.seed < 0:
         raise ConfigError("check needs --draws >= 1 and --seed >= 0")
     result = run_oracle_draws(args.draws, args.seed)
-    summary = result.summary
-    tols = summary["tolerances"]
-    checks = [
-        ("state entries vs closed form", summary["max_dev_rho"], tols["rho"]),
-        ("heralding probability vs summed weights", summary["max_dev_norm"], tols["norm"]),
-        ("concurrence vs closed form", summary["max_dev_concurrence"], tols["concurrence"]),
-    ]
-    for name, value, tol in checks:
-        status = "PASS" if value <= tol else "FAIL"
-        print(f"{status} {name}: max deviation {value:.3e} (tolerance {tol:.0e})")
-    print(f"{summary['draws']} random draws, seed {args.seed}")
+    for passed, label, value, tol in oracle_verdicts(result.summary):
+        status = "PASS" if passed else "FAIL"
+        print(f"{status} {label}: max deviation {value:.3e} (tolerance {tol:.0e})")
+    print(f"{result.summary['draws']} random draws, seed {args.seed}")
     return 0 if result.ok else INVARIANT_ERROR
 
 

@@ -19,27 +19,25 @@ import numpy as np
 from .metrics import TWO_PI
 from .recipes import RECIPES
 
-__all__ = [
-    "ConfigError",
-    "SweepConfig",
-    "EXPERIMENTS",
-    "GRID_KEYS",
-    "validate_config",
-    "to_text",
-]
+__all__ = ["ConfigError", "SweepConfig", "validate_config", "to_text"]
 
 EXPERIMENTS = tuple(RECIPES)
 
-# the grid keys in document order; inclusive bounds unless noted, epsilon
-# excludes its lower bound
+
+def _closed(lo: float, hi: float):
+    return (lambda x: lo <= x <= hi, f"[{lo}, {hi}]")
+
+
+# grid key, in document order -> (holds, text): every finite value must
+# satisfy ``holds`` ("outside <text>")
 _DOMAINS = {
-    "t1": (0.0, 1.0),
-    "t2": (0.0, 1.0),
-    "t": (0.0, 1.0),
-    "theta": (0.0, TWO_PI),  # upper bound exclusive
-    "epsilon": (0.0, 0.5),
-    "xi": (-0.5, 0.5),
-    "ratio": (0.0, 1.0),
+    "t1": _closed(0.0, 1.0),
+    "t2": _closed(0.0, 1.0),
+    "t": _closed(0.0, 1.0),
+    "theta": (lambda x: 0.0 <= x < TWO_PI, "[0, 2*pi)"),
+    "epsilon": (lambda x: 0.0 < x <= 0.5, "(0, 0.5]"),
+    "xi": _closed(-0.5, 0.5),
+    "ratio": _closed(0.0, 1.0),
 }
 GRID_KEYS = tuple(_DOMAINS)
 
@@ -125,16 +123,12 @@ def _parse_grid(key: str, text: str, errors: list[str]) -> tuple[float, ...] | N
 
 
 def _check_domain(key: str, grid: tuple[float, ...], errors: list[str]):
-    lo, hi = _DOMAINS[key]
+    holds, text = _DOMAINS[key]
     for x in grid:
         if not np.isfinite(x):
             errors.append(f"key {key!r}: value {x!r} is not finite")
-        elif key == "theta" and not (lo <= x < hi):
-            errors.append(f"key {key!r}: value {x!r} outside [0, 2*pi)")
-        elif key == "epsilon" and not (lo < x <= hi):
-            errors.append(f"key {key!r}: value {x!r} outside (0, 0.5]")
-        elif key not in ("theta", "epsilon") and not (lo <= x <= hi):
-            errors.append(f"key {key!r}: value {x!r} outside [{lo}, {hi}]")
+        elif not holds(x):
+            errors.append(f"key {key!r}: value {x!r} outside {text}")
 
 
 def _check_recipe(cfg: SweepConfig, errors: list[str]):

@@ -6,9 +6,10 @@ Alice and Bob each prepare a two-mode entangled pair
     |psi>_B = gamma|00> + delta|11>  on (C2, B),
 
 send the flying modes C1, C2 through lossy channels to a middle station,
-and keep A, B. The station projects (C1, C2) onto an entangled or a
-separable two-mode ket; a successful entangling outcome leaves Alice and
-Bob sharing a two-qubit state.
+and keep A, B. The station projects (C1, C2) onto one of six kets, named
+in ``SETTINGS``: the entangling X+, X-, Y+, Y- and the separable Z+, Z-.
+A successful entangling outcome leaves Alice and Bob sharing a two-qubit
+state.
 
 The module computes that state two independent ways: the brute-force
 pipeline and a closed form. The brute force dilates each loss onto an
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -92,58 +94,63 @@ MAX_ENTANGLED_PAIR = InputPair(
 )
 
 
+def _entangling(sign: int, phase: float) -> tuple:
+    # e^{i pi/2} as numpy rounds it, not 1j: the golden outputs pin it
+    return (0.0, 1.0 / math.sqrt(2.0), sign * np.exp(1j * phase) / math.sqrt(2.0), 0.0)
+
+
+# setting -> projector amplitudes on (C1, C2), basis |00>, |01>, |10>, |11>:
+# X+- and Y+- are (|01> +- e^{i phase} |10>) / sqrt(2) with phase 0 and
+# pi/2; the separable Z+ and Z- are |01> and |10>
+SETTINGS = MappingProxyType({
+    "X+": _entangling(+1, 0.0),
+    "X-": _entangling(-1, 0.0),
+    "Y+": _entangling(+1, math.pi / 2.0),
+    "Y-": _entangling(-1, math.pi / 2.0),
+    "Z+": (0.0, 1.0, 0.0, 0.0),
+    "Z-": (0.0, 0.0, 1.0, 0.0),
+})
+
+
 @dataclass(frozen=True)
 class BsmSetting:
-    """Middle-station measurement setting: X+-, Y+- or Z+-.
+    """Middle-station measurement setting, one of the names in ``SETTINGS``.
 
-    The X and Y settings (``kind`` "x", "y") project the flying modes onto
-    (|01> + sign * e^{i phase} |10>) / sqrt(2) with phase 0 and pi/2.
-    ``separable`` projects onto |01> or |10> (the Z+ / Z- settings),
-    which heralds no entanglement.
+    Build it by name (``BsmSetting("Y-")``) or with ``x(sign)``,
+    ``y(sign)`` or ``z(which)``.
     """
 
-    kind: str
-    sign: int = +1
-    which: str = "01"
+    name: str
 
     def __post_init__(self):
-        if self.kind not in ("x", "y", "separable"):
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.kind != "separable":
-            if self.sign not in (+1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        else:
-            if self.which not in ("01", "10"):
-                raise ValueError(f"separable outcome must be '01' or '10', got {self.which!r}")
+        if not isinstance(self.name, str) or self.name not in SETTINGS:
+            raise ValueError(
+                f"unknown measurement setting {self.name!r} "
+                f"(choose from {', '.join(SETTINGS)})"
+            )
 
     @classmethod
     def x(cls, sign: int = +1) -> "BsmSetting":
-        return cls("x", sign=sign)
+        return cls("X" + _sign_char(sign))
 
     @classmethod
     def y(cls, sign: int = +1) -> "BsmSetting":
-        return cls("y", sign=sign)
+        return cls("Y" + _sign_char(sign))
 
     @classmethod
     def z(cls, which: str = "01") -> "BsmSetting":
-        return cls("separable", which=which)
+        if which not in ("01", "10"):
+            raise ValueError(f"separable outcome must be '01' or '10', got {which!r}")
+        return cls("Z+" if which == "01" else "Z-")
 
-    @property
-    def name(self) -> str:
-        if self.kind == "separable":
-            return "Z+" if self.which == "01" else "Z-"
-        return f"{self.kind.upper()}{'+' if self.sign > 0 else '-'}"
+    def projector_ket(self) -> PureState:
+        return PureState((C1, C2), np.array(SETTINGS[self.name], dtype=complex))
 
-    def projector_ket(self, labels: tuple[str, str] = (C1, C2)) -> PureState:
-        amps = np.zeros(4, dtype=complex)
-        if self.kind != "separable":
-            # e^{i pi/2} as numpy rounds it, not 1j: the golden outputs pin it
-            phase = 0.0 if self.kind == "x" else math.pi / 2.0
-            amps[1] = 1.0 / math.sqrt(2.0)
-            amps[2] = self.sign * np.exp(1j * phase) / math.sqrt(2.0)
-        else:
-            amps[1 if self.which == "01" else 2] = 1.0
-        return PureState(labels, amps)
+
+def _sign_char(sign: int) -> str:
+    if sign not in (+1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    return "+" if sign > 0 else "-"
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,7 @@ from .metrics import (
 )
 from .protocol import (
     MAX_ENTANGLED_PAIR,
+    SETTINGS,
     WEIGHT_EPS,
     BsmSetting,
     closed_form_rho,
@@ -72,13 +73,17 @@ from .states import DensityMatrix
 if TYPE_CHECKING:
     from .config import SweepConfig
 
-__all__ = ["Recipe", "RecipeResult", "RunReport", "RECIPES", "run", "run_oracle_draws",
-           "describe_recipes"]
+__all__ = ["Recipe", "RecipeResult", "RunReport", "RECIPES", "ORACLE_CHECKS", "run",
+           "run_oracle_draws", "oracle_verdicts", "describe_recipes"]
 
-# oracle-check tolerances
-DEV_RHO_TOL = 1e-12
-DEV_NORM_TOL = 1e-12
-DEV_CONCURRENCE_TOL = 1e-10
+# oracle-check: summary key -> (CSV column whose maximum it holds, label,
+# key in the summary's "tolerances", tolerance); in summary and print order
+ORACLE_CHECKS = {
+    "max_dev_rho": ("max_dev_rho", "state entries vs closed form", "rho", 1e-12),
+    "max_dev_norm": ("dev_norm", "heralding probability vs summed weights", "norm", 1e-12),
+    "max_dev_concurrence": ("dev_concurrence", "concurrence vs closed form", "concurrence",
+                            1e-10),
+}
 
 
 @dataclass(frozen=True)
@@ -167,16 +172,6 @@ def _run_slices(cfg: SweepConfig):
     return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
-_FRINGE_SETTINGS = (
-    ("Xp", BsmSetting.x(+1)),
-    ("Xm", BsmSetting.x(-1)),
-    ("Yp", BsmSetting.y(+1)),
-    ("Ym", BsmSetting.y(-1)),
-    ("Zp", BsmSetting.z("01")),
-    ("Zm", BsmSetting.z("10")),
-)
-
-
 def _run_fringes(cfg: SweepConfig):
     t1, t2 = _grid(cfg, "t1")[0], _grid(cfg, "t2")[0]
     thetas = _grid(cfg, "theta")
@@ -185,11 +180,12 @@ def _run_fringes(cfg: SweepConfig):
     mean = cfg.counts
     # xi is the total pump amplitude scale; the split divides it between sources
     pair = spdc_input(*pump_split(ratio, xi))
-    children = np.random.SeedSequence(cfg.seed).spawn(len(_FRINGE_SETTINGS))
+    children = np.random.SeedSequence(cfg.seed).spawn(len(SETTINGS))
     columns, fits, extra = {}, {}, []
-    for (tag, setting), child in zip(_FRINGE_SETTINGS, children):
+    for name, child in zip(SETTINGS, children):
+        tag = name.replace("+", "p").replace("-", "m")  # file-name safe: X+ -> Xp
         model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
-        counts = synth_counts(pair, t1, t2, setting, thetas, model)
+        counts = synth_counts(pair, t1, t2, BsmSetting(name), thetas, model)
         scan = counts.scan
         # rows run theta by theta, the "+" outcome before the "-" one
         prob = np.stack((scan.p_plus, scan.p_minus), axis=1).ravel()
@@ -261,9 +257,8 @@ def _run_imbalance(cfg: SweepConfig):
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
-    ``ok`` is False as soon as any draw exceeds the fixed tolerances
-    (1e-12 on entries and heralding probability, 1e-10 on concurrence);
-    ``rep_state`` is the first draw's X+ state.
+    ``ok`` is False as soon as any draw exceeds a tolerance of
+    ``ORACLE_CHECKS``; ``rep_state`` is the first draw's X+ state.
     """
     rng = np.random.default_rng(seed)
     columns = {}
@@ -283,27 +278,18 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
                 dev_norm=dev_norm, dev_concurrence=dev_conc)
         if i == 0:
             rep_state = _rep_state(pair, t1, t2)
-    max_rho = max(columns["max_dev_rho"])
-    max_norm = max(columns["dev_norm"])
-    max_conc = max(columns["dev_concurrence"])
-    ok = (
-        max_rho <= DEV_RHO_TOL
-        and max_norm <= DEV_NORM_TOL
-        and max_conc <= DEV_CONCURRENCE_TOL
-    )
-    summary = {
-        "draws": draws,
-        "max_dev_rho": max_rho,
-        "max_dev_norm": max_norm,
-        "max_dev_concurrence": max_conc,
-        "tolerances": {
-            "rho": DEV_RHO_TOL,
-            "norm": DEV_NORM_TOL,
-            "concurrence": DEV_CONCURRENCE_TOL,
-        },
-        "passed": ok,
-    }
+    summary = {"draws": draws}
+    for key, (column, _, _, _) in ORACLE_CHECKS.items():
+        summary[key] = max(columns[column])
+    summary["tolerances"] = {tol_key: tol for _, _, tol_key, tol in ORACLE_CHECKS.values()}
+    ok = summary["passed"] = all(passed for passed, *_ in oracle_verdicts(summary))
     return RecipeResult(columns, summary, rep_state, ok)
+
+
+def oracle_verdicts(summary: dict) -> list[tuple[bool, str, float, float]]:
+    """``(passed, label, max deviation, tolerance)`` per oracle check, in order."""
+    return [(summary[key] <= tol, label, summary[key], tol)
+            for key, (_, label, _, tol) in ORACLE_CHECKS.items()]
 
 
 def _positive(key: str):

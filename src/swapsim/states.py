@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "ATOL",
     "PSD_MIN_EIG",
-    "Label",
     "LabelError",
     "PureState",
     "DensityMatrix",
@@ -162,7 +161,7 @@ class DensityMatrix:
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of two kets; labels concatenate."""
-    return PureState(a.labels + b.labels, np.kron(a.amps, b.amps))
+    return PureState(a.labels + b.labels, np.multiply.outer(a.amps, b.amps).ravel())
 
 
 def partial_trace(

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from swapsim import DensityMatrix
+from swapsim import recipes
 from swapsim.cli import main
 
 
@@ -109,12 +111,56 @@ class TestRun:
                      "--seed", "-1"]) == 2
 
 
+# the form a check line must keep: benchmarks parse the status, the
+# deviation and the printed tolerance out of it
+CHECK_LINE = re.compile(r"^(PASS|FAIL) .*: max deviation (\S+) \(tolerance (\S+)\)$")
+
+
+@pytest.fixture
+def perturbed_closed_form(monkeypatch):
+    """Shift one entry of the closed-form state by 1e-9, past its 1e-12 tolerance."""
+    exact = recipes.closed_form_rho
+
+    def perturbed(*args, **kwargs):
+        rho, norm = exact(*args, **kwargs)
+        rho = rho.copy()
+        rho[1, 1] += 1e-9
+        return rho, norm
+
+    monkeypatch.setattr(recipes, "closed_form_rho", perturbed)
+
+
 class TestCheck:
     def test_check_passes(self, capsys):
         assert main(["check", "--draws", "50", "--seed", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "FAIL" not in out
+
+    def test_check_lines_keep_their_form(self, capsys):
+        assert main(["check", "--draws", "50", "--seed", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        matches = [CHECK_LINE.match(line) for line in lines[:3]]
+        assert all(matches), lines
+        assert [m.group(1) for m in matches] == ["PASS"] * 3
+        assert [m.group(3) for m in matches] == ["1e-12", "1e-12", "1e-10"]
+        assert all(float(m.group(2)) <= float(m.group(3)) for m in matches)
+        assert lines[3:] == ["50 random draws, seed 1"]
+
+    def test_invariant_violation_exits_4(self, perturbed_closed_form, capsys):
+        assert main(["check", "--draws", "20", "--seed", "1"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert [m.group(1) for m in map(CHECK_LINE.match, lines[:3])] == ["FAIL", "PASS", "PASS"]
+        assert sum(line.startswith("FAIL state entries vs closed form") for line in lines) == 1
+
+    def test_run_reports_invariant_violation(self, perturbed_closed_form, oracle_cfg,
+                                             tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", str(oracle_cfg), "--out", str(out)]) == 4
+        assert "invariant violation detected" in capsys.readouterr().err
+        assert (out / "oracle-check.csv").is_file()
+        meta = json.loads((out / "oracle-check.meta.json").read_text())
+        assert meta["summary"]["passed"] is False
 
     def test_bad_draws_exit_2(self):
         assert main(["check", "--draws", "0"]) == 2

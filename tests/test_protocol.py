@@ -56,16 +56,35 @@ class TestBsmSetting:
         np.testing.assert_allclose(ket.amps, [0, 1, -1j, 0] / np.sqrt(2), atol=1e-15)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="kind"):
+        with pytest.raises(ValueError, match="unknown measurement setting"):
             BsmSetting("bogus")
+
+    @pytest.mark.parametrize("name", ["x", "separable", ["X+"]])
+    def test_old_kinds_and_non_strings_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown measurement setting"):
+            BsmSetting(name)
 
     def test_bad_sign_rejected(self):
         with pytest.raises(ValueError, match="sign"):
-            BsmSetting("x", sign=2)
+            BsmSetting.x(2)
 
     def test_bad_separable_outcome_rejected(self):
         with pytest.raises(ValueError, match="separable"):
-            BsmSetting("separable", which="11")
+            BsmSetting.z("11")
+
+    @pytest.mark.parametrize("name", ["X+", "X-", "Y+", "Y-", "Z+", "Z-"])
+    def test_names_round_trip(self, name):
+        assert BsmSetting(name).name == name
+
+    def test_name_and_constructor_are_one_setting(self):
+        assert BsmSetting("Z+") == BsmSetting.z("01")
+        assert hash(BsmSetting("Z+")) == hash(BsmSetting.z("01"))
+        assert BsmSetting("Y-") == BsmSetting.y(-1)
+
+    @pytest.mark.parametrize("field", [{"kind": "x"}, {"sign": -1}, {"which": "10"}])
+    def test_old_fields_are_gone(self, field):
+        with pytest.raises(TypeError):
+            BsmSetting("Z+", **field)
 
     def test_separable_kets(self):
         np.testing.assert_allclose(BsmSetting.z("01").projector_ket().amps,

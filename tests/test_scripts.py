@@ -22,7 +22,7 @@ def test_runs_every_bundled_config(tmp_path):
     reports = [line for line in proc.stdout.splitlines() if not line.startswith(" ")]
     assert len(reports) == len(CONFIGS)
     for line in reports:
-        experiment, csv_path = line.split(": ")
+        experiment, csv_path = line.split(": wrote ")
         assert Path(csv_path) == tmp_path / f"{experiment}.csv"
         assert Path(csv_path).is_file()
 
@@ -31,3 +31,12 @@ def test_rejects_jobs(tmp_path):
     proc = _run_script("--out", str(tmp_path), "--jobs", "2")
     assert proc.returncode == 2
     assert "unrecognized arguments: --jobs" in proc.stderr
+
+
+def test_unwritable_out_exits_3_without_a_traceback(tmp_path):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("i am a file")
+    proc = _run_script("--out", str(blocker / "sub"))
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "i/o error" in proc.stderr
