@@ -5,8 +5,9 @@
   swapsim recipes
 
 Exit codes: 0 success, 2 usage/configuration error (including inputs
-whose heralding probability vanishes), 3 I/O error, 4 invariant violation
-detected during the oracle check.
+whose heralding probability vanishes and a grid too large to compute in
+the memory there is), 3 I/O error, 4 invariant violation detected during
+the oracle check.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         # valid config, degenerate physics (e.g. an outcome of probability ~0)
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:
+        # valid config whose grid does not fit; the run has removed what it made
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return USAGE_ERROR
     raise AssertionError("unreachable")
 

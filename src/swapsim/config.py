@@ -97,14 +97,17 @@ def _parse_grid(key: str, text: str, errors: list[str]) -> tuple[float, ...] | N
         if n < 1:
             errors.append(f"key {key!r}: grid needs at least one point")
             return None
-        if kind == "linspace":
-            values = np.linspace(lo, hi, n)
-        else:
-            if lo <= 0.0 or hi <= 0.0:
-                errors.append(f"key {key!r}: logspace endpoints must be positive")
-                return None
-            values = np.geomspace(lo, hi, n)
-        return tuple(float(x) for x in values)
+        if kind == "logspace" and (lo <= 0.0 or hi <= 0.0):
+            errors.append(f"key {key!r}: logspace endpoints must be positive")
+            return None
+        space = np.linspace if kind == "linspace" else np.geomspace
+        # numpy refuses a count it cannot hold: ValueError past the largest
+        # array size, IndexError near 2**63, MemoryError when the allocation fails
+        try:
+            return tuple(space(lo, hi, n).tolist())
+        except (ValueError, IndexError, MemoryError) as exc:
+            errors.append(f"key {key!r}: cannot allocate a grid of {n} points ({exc})")
+            return None
     values = []
     for tok in text.split(","):
         tok = tok.strip()

@@ -1,11 +1,14 @@
 """Named sweep recipes and the batch runner.
 
 Each recipe evaluates a parameter grid with the pure library functions
-and returns columns (header name -> Python values, in grid order) that one
-writer streams out as CSV, each float as its shortest repr, so a given
+and returns columns (header name -> values, in grid order). The grid axis
+columns arrive already formatted: each axis value is turned into its
+``str`` once and that string is repeated down the column. Computed
+columns hold Python floats, ints and tags. One writer streams every field
+out as ``str(value)``, which for a float is its shortest repr, so a given
 configuration always writes a byte-identical CSV; no field needs quoting.
-A JSON sidecar holds the full configuration, library version, and wall
-time.
+A JSON sidecar holds the full configuration, library version, wall time
+and where that time went (``timings_s``: compute, write).
 
 Column contracts:
 
@@ -32,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -90,10 +94,12 @@ ORACLE_CHECKS = {
 class RecipeResult:
     """One recipe's output: CSV columns, summary, and extra files.
 
-    ``columns`` maps each header name, in order, to its column of Python
-    values; ``rep_state`` builds the representative heralded state for
-    ``--dump-state`` only when asked; ``extra`` holds one
-    ``(filename, columns)`` pair per extra CSV file.
+    ``columns`` maps each header name, in order, to its column of values:
+    grid axis columns as ``str`` (each value formatted once, see
+    ``_product``), computed columns as Python floats, ints or tags; the
+    writer writes ``str(value)`` for every field. ``rep_state`` builds the
+    representative heralded state for ``--dump-state`` only when asked;
+    ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
     """
 
     columns: dict
@@ -137,6 +143,24 @@ def _grid(cfg: SweepConfig, key: str) -> tuple[float, ...]:
     return value
 
 
+def _product(**axes):
+    """Axis columns of the Cartesian product of ``axes``, in row order.
+
+    The first axis varies slowest. Each value is formatted once, as
+    ``str(value)``, and that string is repeated wherever the value occurs.
+    """
+    columns, outer = {}, 1
+    inner = math.prod(len(values) for values in axes.values())
+    for name, values in axes.items():
+        inner //= len(values)
+        column = []
+        for text in map(str, values):
+            column += [text] * inner
+        columns[name] = column * outer
+        outer *= len(values)
+    return columns
+
+
 def _append(columns, **row):
     """Append one grid point's values, creating the columns on first use."""
     for name, value in row.items():
@@ -153,21 +177,20 @@ def _rep_state(pair, t1, t2):
 def _run_surface(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
     conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, np.array(g1)[:, None], np.array(g2))
-    columns = {"t1": [a for a in g1 for _ in g2], "t2": list(g2) * len(g1),
-               "concurrence": conc.ravel().tolist()}
+    columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel().tolist()}
     summary = {"points": conc.size, "max_concurrence": float(conc.max())}
     return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 def _run_slices(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
-    columns = {}
+    columns = _product(t1=g1, t2=g2)
     for t1 in g1:
         for t2 in g2:
             c = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)
             rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
-            _append(columns, t1=t1, t2=t2, concurrence=c,
-                    visibility=visibility_analytic(rho).v, p_success=norm)
+            _append(columns, concurrence=c, visibility=visibility_analytic(rho).v,
+                    p_success=norm)
     summary = {"points": len(g1) * len(g2), "t1_values": list(g1)}
     return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
@@ -188,13 +211,14 @@ def _run_fringes(cfg: SweepConfig):
         counts = synth_counts(pair, t1, t2, BsmSetting(name), thetas, model)
         scan = counts.scan
         # rows run theta by theta, the "+" outcome before the "-" one
+        axes = _product(setting=(tag,), theta_rad=scan.thetas.tolist(),
+                        outcome_sign=("+", "-"))
         prob = np.stack((scan.p_plus, scan.p_minus), axis=1).ravel()
-        block = {"theta_rad": np.repeat(scan.thetas, 2).tolist(),
-                 "outcome_sign": ["+", "-"] * len(scan.thetas),
-                 "counts": np.stack((counts.counts_plus, counts.counts_minus), 1).ravel().tolist()}
-        part = {"setting": [tag] * prob.size, "theta_rad": block["theta_rad"],
-                "outcome_sign": block["outcome_sign"], "probability": prob.tolist(),
-                "expected_counts": (mean * prob).tolist(), "counts": block["counts"]}
+        hits = np.stack((counts.counts_plus, counts.counts_minus), 1).ravel().tolist()
+        block = {"theta_rad": axes["theta_rad"], "outcome_sign": axes["outcome_sign"],
+                 "counts": hits}
+        part = {**axes, "probability": prob.tolist(), "expected_counts": (mean * prob).tolist(),
+                "counts": hits}
         for name, values in part.items():
             columns.setdefault(name, []).extend(values)
         fit = estimate_visibility(thetas, counts.counts_plus)
@@ -235,13 +259,14 @@ def _run_imbalance(cfg: SweepConfig):
     xi = _grid(cfg, "xi")[0]
     epsilon = _grid(cfg, "epsilon")[0]
     equal = spdc_input(SpdcSource(xi), SpdcSource(xi))
-    columns = {}
+    strategies = ("equal", "optimal")
+    columns = _product(t1=(t1,), t2=g2, strategy=strategies)
     for t2 in g2:
-        for strategy in ("equal", "optimal"):
+        for strategy in strategies:
             pair = equal if strategy == "equal" else optimal_inputs(t1, t2, epsilon)
             rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
-            _append(columns, t1=t1, t2=t2, strategy=strategy,
-                    visibility=visibility_analytic(rho).v, concurrence=concurrence_wootters(rho),
+            _append(columns, visibility=visibility_analytic(rho).v,
+                    concurrence=concurrence_wootters(rho),
                     bell_fidelity=bell_fidelity(rho, sign=+1, phase=0.0), p_success=norm)
             if cfg.normalize:
                 _append(columns, p_normalized=normalized_success(pair, t1, t2))
@@ -363,9 +388,15 @@ def describe_recipes() -> str:
 
 
 def _write_csv(fh, columns):
-    """Stream the header, then one line per row (``str(float)`` is its repr)."""
+    """Stream the header, then one line per row, each field as ``str(value)``.
+
+    ``%s`` formats with ``str``: a float comes out as its shortest repr and
+    a pre-formatted axis string passes through unchanged. Rows are formatted
+    one at a time, so no column of strings is ever built here.
+    """
     fh.write(",".join(columns) + "\n")
-    fh.writelines(",".join(map(str, row)) + "\n" for row in zip(*columns.values()))
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    fh.writelines(line % row for row in zip(*columns.values()))
 
 
 def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
@@ -382,6 +413,7 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     started = time.monotonic()
     out = Path(out_dir) if out_dir is not None else Path(cfg.out or ".")
     result = RECIPES[cfg.experiment].runner(cfg)
+    computed = time.monotonic()
     csv_path = out / f"{cfg.experiment}.csv"
     meta_path = out / f"{cfg.experiment}.meta.json"
     extra_files = [out / filename for filename, _ in result.extra]
@@ -418,11 +450,13 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
                 json.dump(state.to_json_dict(), fh, indent=1)
                 fh.write("\n")
 
+        written = time.monotonic()
         meta = {
             "experiment": cfg.experiment,
             "config": dataclasses.asdict(cfg),
             "library_version": __version__,
-            "wall_time_s": time.monotonic() - started,
+            "wall_time_s": written - started,
+            "timings_s": {"compute": computed - started, "write": written - computed},
             "rows": len(next(iter(result.columns.values()))),
             "summary": result.summary,
             "files": [csv_path.name] + [p.name for p in extra_files],

@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -197,6 +198,44 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "oracle-check.csv").exists()
+
+
+ADDRESS_SPACE = 1_500_000 * 1024  # bytes: numpy imports, no grid below fits
+
+
+def _limit_address_space():
+    # make the allocation fail inside the child instead of using real memory
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    "doc, err",
+    [
+        ("experiment = concurrence-surface\nt1 = linspace(0.1, 1, 1000000000)\n",
+         "configuration error:\nkey 't1': cannot allocate a grid of 1000000000 points ("),
+        ("experiment = concurrence-surface\n"
+         "t1 = linspace(0.1, 1, 100000)\nt2 = linspace(0.1, 1, 100000)\n",
+         "error: out of memory: "),
+    ],
+    ids=["grid-count", "product-grid"],
+)
+def test_unallocatable_grid_exits_2_without_a_traceback(doc, err, tmp_path):
+    pytest.importorskip("resource")
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(doc)
+    # OpenBLAS reserves address space per thread; one thread keeps the
+    # import well under the limit on a machine with many cores
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "swapsim", "run", str(cfg), "--out", str(tmp_path / "new" / "out")],
+        capture_output=True, text=True, env=env, preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(err), proc.stderr
+    assert proc.stderr.count("\n") == err.count("\n") + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
 @pytest.mark.parametrize(

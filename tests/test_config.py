@@ -112,6 +112,16 @@ class TestViolations:
         with pytest.raises(ConfigError, match="logspace"):
             validate_config("experiment = scaling-balanced\nt = logspace(0, 1, 5)\n")
 
+    @pytest.mark.parametrize("grid, n", [
+        ("linspace(0.1, 1, 100000000000000000000)", 10 ** 20),
+        ("logspace(0.1, 1, 100000000000000000000)", 10 ** 20),
+        ("linspace(0.1, 1, 9223372036854775807)", 2 ** 63 - 1),
+    ])
+    def test_unallocatable_count_names_the_key(self, grid, n):
+        # numpy rejects these counts before allocating anything
+        with pytest.raises(ConfigError, match=f"^key 't2': cannot allocate a grid of {n} points"):
+            validate_config(f"experiment = concurrence-surface\nt2 = {grid}\n")
+
     def test_key_unused_by_experiment(self):
         with pytest.raises(ConfigError, match="not used"):
             validate_config("experiment = scaling-balanced\nt1 = 0.5\n")

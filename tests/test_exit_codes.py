@@ -4,7 +4,9 @@ Documents are drawn from the config grammar: every experiment, any subset
 of keys, grid values at and just inside each domain bound (plus ordinary
 interior values), grids of at most five points and at most 20 draws.
 Whatever the document, ``swapsim run`` must return 0, 2, 3 or 4 and
-print no traceback.
+print no traceback. A ``linspace``/``logspace`` may also ask for
+``10**20`` points, a count numpy refuses before allocating anything; the
+run must then exit 2 and name the key.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ from swapsim.config import EXPERIMENTS
 from swapsim.recipes import RECIPES
 
 TINY = 5e-324  # smallest positive double
+HUGE = 10 ** 20  # grid count past numpy's largest array
 
 
 def _near(*bounds):
@@ -60,7 +63,7 @@ def grids(draw, key):
     if kind == "list":
         values = draw(st.lists(_values(key), min_size=1, max_size=5))
         return ", ".join(repr(v) for v in values)
-    n = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(1, 5), st.just(HUGE)))
     if kind == "logspace":
         a, b = draw(st.floats(TINY, hi)), draw(st.floats(TINY, hi))
     else:
@@ -109,3 +112,8 @@ def test_run_exits_with_a_documented_code(doc):
                          "--dump-state", str(Path(work) / "state.json")])
     assert code in (0, 2, 3, 4), (doc, code)
     assert "Traceback" not in err.getvalue(), doc
+    for line in doc.splitlines():
+        key, _, value = line.partition(" = ")
+        if value.endswith(f", {HUGE})"):
+            assert code == 2, doc
+            assert f"key {key!r}: cannot allocate a grid of {HUGE} points" in err.getvalue(), doc

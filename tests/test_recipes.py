@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -7,9 +8,19 @@ import pytest
 
 from swapsim import DensityMatrix, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input
-from swapsim.metrics import concurrence_closed_form
-from swapsim.protocol import MAX_ENTANGLED_PAIR, success_probability
-from swapsim.recipes import RECIPES, run, run_oracle_draws
+from swapsim.metrics import (
+    bell_fidelity,
+    concurrence_closed_form,
+    concurrence_wootters,
+    visibility_analytic,
+)
+from swapsim.protocol import (
+    MAX_ENTANGLED_PAIR,
+    closed_form_rho,
+    optimal_inputs,
+    success_probability,
+)
+from swapsim.recipes import RECIPES, _write_csv, run, run_oracle_draws
 
 DEFAULT_GRIDS = {name: recipe.grids for name, recipe in RECIPES.items()}
 
@@ -111,6 +122,9 @@ class TestRecipeOutputs:
         assert meta["config"]["draws"] == 10
         assert "library_version" in meta
         assert meta["wall_time_s"] >= 0.0
+        assert sorted(meta["timings_s"]) == ["compute", "write"]
+        for seconds in meta["timings_s"].values():
+            assert isinstance(seconds, float) and seconds >= 0.0
         assert meta["files"][0] == "oracle-check.csv"
 
     def test_dump_state_is_loadable_and_valid(self, tmp_path):
@@ -199,6 +213,68 @@ class TestRecipePhysics:
             assert root == math.sqrt(t)
             assert p == pytest.approx(success_probability(pair, root, root), **close)
             assert p_norm == pytest.approx(normalized_success(pair, root, root), **close)
+
+
+def _lines(report):
+    return report.csv_path.read_text(encoding="utf-8").splitlines()[1:]
+
+
+def _joined(*values):
+    return ",".join(map(repr, values))
+
+
+class TestByteIdentity:
+    """Each line is the repr of the raw grid floats and of the library's values."""
+
+    def test_surface(self, tmp_path):
+        cfg = validate_config("experiment = concurrence-surface\n"
+                              "t1 = linspace(0.01, 1, 97)\nt2 = logspace(1e-9, 1, 61)\n")
+        conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, np.array(cfg.t1)[:, None],
+                                       np.array(cfg.t2))
+        want = [_joined(t1, t2, float(conc[i, j]))
+                for i, t1 in enumerate(cfg.t1) for j, t2 in enumerate(cfg.t2)]
+        assert _lines(run(cfg, out_dir=tmp_path)) == want
+
+    def test_slices(self, tmp_path):
+        cfg = validate_config("experiment = concurrence-slices\n"
+                              "t1 = 0.3, 0.6, 1.0\nt2 = linspace(0, 1, 11)\n")
+        want = []
+        for t1 in cfg.t1:
+            for t2 in cfg.t2:
+                rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
+                want.append(_joined(t1, t2, concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2),
+                                    visibility_analytic(rho).v, norm))
+        assert _lines(run(cfg, out_dir=tmp_path)) == want
+
+    def test_imbalance(self, tmp_path):
+        cfg = validate_config("experiment = imbalance-restore\n"
+                              "t1 = 0.7\nt2 = logspace(0.1, 1, 5)\nxi = 0.05\nepsilon = 0.01\n")
+        (t1,), (xi,), (epsilon,) = cfg.t1, cfg.xi, cfg.epsilon
+        want = []
+        for t2 in cfg.t2:
+            for strategy in ("equal", "optimal"):
+                pair = (spdc_input(SpdcSource(xi), SpdcSource(xi)) if strategy == "equal"
+                        else optimal_inputs(t1, t2, epsilon))
+                rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
+                want.append(_joined(t1, t2) + f",{strategy}," + _joined(
+                    visibility_analytic(rho).v, concurrence_wootters(rho),
+                    bell_fidelity(rho, sign=+1, phase=0.0), norm,
+                    normalized_success(pair, t1, t2)))
+        assert _lines(run(cfg, out_dir=tmp_path)) == want
+
+
+def test_write_csv_writes_str_of_every_field():
+    columns = {
+        "x": [-0.0, 5e-324, 1e16, 1e-05, 0.1, 2.5],
+        "n": [0, -3, 2 ** 70, 7, 1, 10 ** 16],
+        "tag": ["Xp", "+", "-", "equal", "0.1", "1e-05"],
+    }
+    fh = io.StringIO()
+    _write_csv(fh, columns)
+    lines = fh.getvalue().split("\n")
+    assert lines[0] == "x,n,tag" and lines[-1] == ""
+    assert lines[1:-1] == [",".join(map(str, row)) for row in zip(*columns.values())]
+    assert lines[1:4] == ["-0.0,0,Xp", "5e-324,-3,+", f"1e+16,{2 ** 70},-"]
 
 
 def test_default_grids_cover_every_recipe():
