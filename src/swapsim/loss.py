@@ -77,13 +77,12 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
         raise LabelError(f"mode {mode!r} not in register {psi.labels!r}")
     if not psi.is_normalized(atol=1e-9):
         raise ValueError(f"input state must be normalized (norm^2 = {psi.norm2})")
-    n = psi.num_modes
-    bit = 1 << (n - 1 - psi.labels.index(mode))
-    idx = np.arange(2 ** n)
-    occupied = (idx & bit) != 0
-    out = np.zeros(2 ** (n + 1), dtype=complex)
+    pos = psi.labels.index(mode)
+    # (before, mode, after) -> (before, mode, after, environment): the
     # environment bit is appended as the least-significant position
-    out[idx << 1] = np.where(occupied, ch.t, 1.0) * psi.amps
-    src = idx[occupied]
-    out[((src ^ bit) << 1) | 1] = ch.r * psi.amps[src]
+    amps = psi.amps.reshape(2 ** pos, 2, -1)
+    out = np.zeros(amps.shape + (2,), dtype=complex)
+    out[:, 0, :, 0] = amps[:, 0, :]         # no photon: untouched
+    out[:, 1, :, 0] = ch.t * amps[:, 1, :]  # photon kept
+    out[:, 0, :, 1] = ch.r * amps[:, 1, :]  # photon moved to the environment
     return PureState(psi.labels + (env,), out)

@@ -1,7 +1,8 @@
 """Entanglement and interference figures of merit for the heralded state.
 
 Concurrence comes in two independent flavors that must agree: the
-general spin-flip construction for any two-qubit density matrix, and the
+general spin-flip construction for any two-qubit density matrix (or a
+stack of them, in one stacked eigendecomposition and SVD), and the
 closed form for the swap output,
 
     C = 2 |alpha beta gamma delta t1 t2| / norm.
@@ -58,7 +59,7 @@ def _two_qubit_matrix(rho) -> np.ndarray:
     return m
 
 
-def concurrence_wootters(rho) -> float:
+def concurrence_wootters(rho) -> float | np.ndarray:
     """Concurrence of an arbitrary two-qubit state via the spin-flip product.
 
     C = max(0, l1 - l2 - l3 - l4) where the l_i are the decreasing square
@@ -66,7 +67,17 @@ def concurrence_wootters(rho) -> float:
     l_i are computed as the singular values of A^T (Y x Y) A with
     rho = A A^dag: that matrix product is similar to the spin-flip product
     but avoids taking square roots of roundoff-sized eigenvalues.
+
+    ``rho`` is one state (a DensityMatrix or a 4x4 array), which gives a
+    float, or a stack of shape (N, 4, 4), which gives an array of N
+    concurrences from one stacked ``eigh`` and one stacked ``svd``. Stacked
+    LAPACK calls treat each member exactly as a single call would, so both
+    forms agree bit for bit. Every member must pass the trace, Hermiticity
+    and positivity checks; the first that fails raises the error a single
+    call on it would raise.
     """
+    if not isinstance(rho, DensityMatrix) and np.ndim(rho) == 3:
+        return _concurrence_stack(np.asarray(rho, dtype=complex))
     m = _two_qubit_matrix(rho)
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("input matrix is not Hermitian")
@@ -79,6 +90,28 @@ def concurrence_wootters(rho) -> float:
     a = vec * np.sqrt(np.clip(ev, 0.0, None))
     lam = np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def _concurrence_stack(m: np.ndarray) -> np.ndarray:
+    """``concurrence_wootters`` over a stack (N, 4, 4), member by member."""
+    if m.shape[1:] != (4, 4):
+        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {m.shape}")
+    tr = np.trace(m, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(tr - 1.0) > 1e-9)
+    if bad.size:
+        raise ValueError(f"two-qubit state must be normalized (trace = {complex(tr[bad[0]])})")
+    h = m.conj().transpose(0, 2, 1)
+    if np.any(np.max(np.abs(m - h), axis=(1, 2)) > 1e-10):
+        raise ValueError("input matrix is not Hermitian")
+    ev, vec = np.linalg.eigh((m + h) / 2.0)
+    bad = np.flatnonzero(ev[:, 0] < -1e-10)
+    if bad.size:
+        raise ValueError(
+            f"input matrix is not positive semidefinite (min eigenvalue {ev[bad[0], 0]:.3e})"
+        )
+    a = vec * np.sqrt(np.clip(ev, 0.0, None))[:, None, :]
+    lam = np.linalg.svd(a.transpose(0, 2, 1) @ _YY @ a, compute_uv=False)
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
 
 
 def concurrence_closed_form(pair: InputPair, t1, t2):

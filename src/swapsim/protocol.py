@@ -111,6 +111,11 @@ SETTINGS = MappingProxyType({
     "Z-": (0.0, 0.0, 1.0, 0.0),
 })
 
+# the same kets as immutable states, built once
+_PROJECTOR_KETS = {
+    name: PureState((C1, C2), np.array(amps, dtype=complex)) for name, amps in SETTINGS.items()
+}
+
 
 @dataclass(frozen=True)
 class BsmSetting:
@@ -144,7 +149,7 @@ class BsmSetting:
         return cls("Z+" if which == "01" else "Z-")
 
     def projector_ket(self) -> PureState:
-        return PureState((C1, C2), np.array(SETTINGS[self.name], dtype=complex))
+        return _PROJECTOR_KETS[self.name]
 
 
 def _sign_char(sign: int) -> str:

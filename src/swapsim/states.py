@@ -92,13 +92,24 @@ class PureState:
         return PureState(self.labels, self.amps / np.sqrt(n2))
 
     def reorder(self, labels: Iterable[Label]) -> "PureState":
-        """Permute the register so it reads ``labels``."""
+        """Permute the register so it reads ``labels``; the same order returns ``self``."""
         labels = _as_labels(labels)
         if set(labels) != set(self.labels):
             raise LabelError(f"cannot reorder {self.labels!r} into {labels!r}")
-        perm = [self.labels.index(lab) for lab in labels]
-        amps = self.amps.reshape((2,) * self.num_modes).transpose(perm).reshape(-1)
-        return PureState(labels, amps)
+        if labels == self.labels:
+            return self
+        return PureState(labels, _amps_in_order(self, labels))
+
+
+def _amps_in_order(psi: PureState, labels: tuple[Label, ...]) -> np.ndarray:
+    """``psi``'s amplitudes with its register permuted to read ``labels``.
+
+    ``labels`` must be a permutation of ``psi.labels``; the caller checks.
+    """
+    if labels == psi.labels:
+        return psi.amps
+    perm = [psi.labels.index(lab) for lab in labels]
+    return psi.amps.reshape((2,) * psi.num_modes).transpose(perm).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -178,7 +189,7 @@ def partial_trace(
     if unknown:
         raise LabelError(f"cannot trace out unknown modes {sorted(unknown)!r}")
     keep = tuple(lab for lab in psi.labels if lab not in discard)
-    v = psi.reorder(keep + discard).amps.reshape(2 ** len(keep), -1)
+    v = _amps_in_order(psi, keep + discard).reshape(2 ** len(keep), -1)
     return DensityMatrix(keep, v @ v.conj().T)
 
 
@@ -197,7 +208,7 @@ def project(psi: PureState, projector_ket: PureState) -> PureState:
     if missing:
         raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
     keep = tuple(lab for lab in psi.labels if lab not in projector_ket.labels)
-    v = psi.reorder(projector_ket.labels + keep).amps.reshape(-1, 2 ** len(keep))
+    v = _amps_in_order(psi, projector_ket.labels + keep).reshape(-1, 2 ** len(keep))
     return PureState(keep, projector_ket.amps.conj() @ v)
 
 

@@ -76,6 +76,23 @@ def naive_project(rho: DensityMatrix, ket: PureState) -> np.ndarray:
     return bra @ rho.entries @ bra.conj().T
 
 
+def naive_dilate(amps: np.ndarray, n_modes: int, pos: int, t: float, r: float) -> np.ndarray:
+    """Loop-based dilation oracle: one basis index at a time, environment bit last.
+
+    A photon on mode ``pos`` stays with amplitude t (environment in vacuum)
+    or moves to the environment with amplitude r.
+    """
+    bit = 1 << (n_modes - 1 - pos)
+    out = np.zeros(2 ** (n_modes + 1), dtype=complex)
+    for i in range(2 ** n_modes):
+        if i & bit:
+            out[2 * i] += t * amps[i]
+            out[2 * (i ^ bit) + 1] += r * amps[i]
+        else:
+            out[2 * i] += amps[i]
+    return out
+
+
 def bell_phi_plus(labels=("a", "b")) -> PureState:
     return PureState(labels, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 

@@ -280,6 +280,29 @@ def test_vanishing_signal_exits_2_with_one_line(doc, tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_surface_accepts_a_zero_t1_like_a_zero_t2(tmp_path, capsys):
+    rows = {}
+    for name, grids in (("t1_zero", "t1 = 0, 0.5\nt2 = 0.5\n"),
+                        ("t2_zero", "t1 = 0.5\nt2 = 0, 0.5\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text("experiment = concurrence-surface\n" + grids)
+        assert main(["run", str(cfg), "--out", str(tmp_path / name)]) == 0
+        lines = (tmp_path / name / "concurrence-surface.csv").read_text().splitlines()
+        rows[name] = [line.split(",") for line in lines[1:]]
+    assert capsys.readouterr().err == ""
+    assert rows["t1_zero"] == [["0.0", "0.5", "0.0"], ["0.5", "0.5", "0.5714285714285713"]]
+    assert rows["t2_zero"] == [[t2, t1, c] for t1, t2, c in rows["t1_zero"]]
+
+
+def test_surface_with_both_t_zero_exits_2_with_one_line(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("experiment = concurrence-surface\nt1 = 0, 0.5\nt2 = 0, 0.5\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: degenerate inputs: heralding probability is zero\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_tiny_xi_scaling_fails_alike_with_and_without_normalize(tmp_path, capsys):
     errors = []
     for normalize in ("true", "false"):

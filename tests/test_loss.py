@@ -13,7 +13,7 @@ from swapsim import (
     partial_trace,
 )
 
-from oracles import finite_floats, random_density, random_pure
+from oracles import finite_floats, naive_dilate, random_density, random_pure
 
 
 class TestLossChannel:
@@ -131,6 +131,35 @@ class TestDilate:
         psi = PureState(("A",), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="normalized"):
             dilate(psi, "A", "E", LossChannel(0.5))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_dilate_matches_the_loop_oracle_at_every_mode_position(n_modes):
+    rng = np.random.default_rng(70 + n_modes)
+    labels = tuple(f"m{i}" for i in range(n_modes))
+    for t in (0.0, 1.0, *rng.uniform(size=3)):
+        ch = LossChannel(t)
+        for pos, mode in enumerate(labels):
+            psi = random_pure(rng, labels)
+            out = dilate(psi, mode, "env", ch)
+            assert out.labels == labels + ("env",)
+            assert np.array_equal(out.amps, naive_dilate(psi.amps, n_modes, pos, ch.t, ch.r))
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+def test_dilate_checks_hold_at_every_mode_position(n_modes):
+    rng = np.random.default_rng(80 + n_modes)
+    labels = tuple(f"m{i}" for i in range(n_modes))
+    psi = random_pure(rng, labels)
+    loose = PureState(labels, 2.0 * psi.amps)
+    ch = LossChannel(0.5)
+    for mode in labels:
+        with pytest.raises(LabelError, match="collides"):
+            dilate(psi, mode, mode, ch)
+        with pytest.raises(LabelError, match="not in register"):
+            dilate(psi, "absent", "env", ch)
+        with pytest.raises(ValueError, match="input state must be normalized"):
+            dilate(loose, mode, "env", ch)
 
 
 def test_dilation_equals_kraus_route_on_1000_draws():

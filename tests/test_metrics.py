@@ -80,6 +80,58 @@ class TestWoottersConcurrence:
         assert worst < 1e-10
 
 
+class TestStackedWootters:
+    """A stack (N, 4, 4) gives exactly the per-state values and errors."""
+
+    @staticmethod
+    def heralded_states(n, seed):
+        rng = np.random.default_rng(seed)
+        states = []
+        for i in range(n):
+            pair = random_input_pair(rng)
+            t1, t2 = rng.uniform(0.05, 1.0, size=2)
+            if i % 2:
+                states.append(heralded_matrix(pair, t1, t2, sign=-1))
+            else:
+                states.append(swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab.entries)
+        return np.array(states)
+
+    def test_stack_equals_per_state_calls(self):
+        stack = self.heralded_states(200, seed=31)
+        got = concurrence_wootters(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (200,)
+        assert got.tolist() == [concurrence_wootters(rho) for rho in stack]
+
+    def test_single_state_still_gives_a_float(self):
+        rho = self.heralded_states(1, seed=32)[0]
+        assert type(concurrence_wootters(rho)) is float
+        assert type(concurrence_wootters(DensityMatrix(("A", "B"), rho))) is float
+
+    def test_stack_of_one_and_empty_stack(self):
+        rho = self.heralded_states(1, seed=33)
+        assert concurrence_wootters(rho).tolist() == [concurrence_wootters(rho[0])]
+        assert concurrence_wootters(np.empty((0, 4, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [
+        np.eye(4, dtype=complex),                                       # trace 4
+        np.eye(4, dtype=complex) / 4.0 + 0.3 * np.eye(4, k=1),          # not Hermitian
+        np.diag([0.7, 0.5, -0.1, -0.1]).astype(complex),                # not PSD
+    ], ids=["unnormalized", "non-hermitian", "non-psd"])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_one_bad_member_raises_the_single_state_error(self, bad, where):
+        with pytest.raises(ValueError) as single:
+            concurrence_wootters(bad)
+        stack = self.heralded_states(7, seed=34)
+        stack[where] = bad
+        with pytest.raises(ValueError) as stacked:
+            concurrence_wootters(stack)
+        assert str(stacked.value) == str(single.value)
+
+    def test_wrong_member_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"4x4\) matrix, got shape \(2, 4, 3\)"):
+            concurrence_wootters(np.zeros((2, 4, 3)))
+
+
 class TestClosedFormConcurrence:
     def test_lossless_is_one(self):
         assert concurrence_closed_form(MAX_ENTANGLED_PAIR, 1.0, 1.0) == pytest.approx(

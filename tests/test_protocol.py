@@ -29,6 +29,7 @@ from swapsim import (
     swap,
     validate,
 )
+from swapsim.protocol import SETTINGS
 
 from oracles import input_pairs, naive_partial_trace, naive_project, random_pure
 
@@ -91,6 +92,14 @@ class TestBsmSetting:
                                    [0, 1, 0, 0])
         np.testing.assert_allclose(BsmSetting.z("10").projector_ket().amps,
                                    [0, 0, 1, 0])
+
+    @pytest.mark.parametrize("name", ["X+", "X-", "Y+", "Y-", "Z+", "Z-"])
+    def test_projector_ket_is_built_once_from_the_table(self, name):
+        ket = BsmSetting(name).projector_ket()
+        assert BsmSetting(name).projector_ket() is ket
+        assert ket.labels == ("C1", "C2")
+        assert ket.amps.tolist() == [complex(a) for a in SETTINGS[name]]
+        assert not ket.amps.flags.writeable
 
 
 class TestBuildInputs:

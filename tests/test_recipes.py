@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from swapsim import DensityMatrix, validate, validate_config
+from swapsim import DensityMatrix, recipes, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input
 from swapsim.metrics import (
     bell_fidelity,
@@ -16,11 +16,14 @@ from swapsim.metrics import (
 )
 from swapsim.protocol import (
     MAX_ENTANGLED_PAIR,
+    BsmSetting,
     closed_form_rho,
     optimal_inputs,
+    random_input_pair,
     success_probability,
+    swap,
 )
-from swapsim.recipes import RECIPES, _write_csv, run, run_oracle_draws
+from swapsim.recipes import CHUNK, RECIPES, _write_csv, run, run_oracle_draws
 
 DEFAULT_GRIDS = {name: recipe.grids for name, recipe in RECIPES.items()}
 
@@ -45,6 +48,46 @@ class TestOracleDraws:
         a = run_oracle_draws(20, seed=9).columns
         b = run_oracle_draws(20, seed=9).columns
         assert a == b
+
+    @staticmethod
+    def per_draw_reference(draws, seed):
+        """The oracle's columns, one draw and one Wootters call at a time."""
+        rng = np.random.default_rng(seed)
+        rows = []
+        for i in range(draws):
+            pair = random_input_pair(rng)
+            t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
+            sign = +1 if rng.integers(0, 2) == 0 else -1
+            brute = swap(pair, t1, t2, BsmSetting.x(sign))
+            other = swap(pair, t1, t2, BsmSetting.x(-sign))
+            rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
+            rows.append((i, t1, t2, sign, float(np.max(np.abs(brute.rho_ab.entries - rho_cf))),
+                         abs(brute.p_success + other.p_success - norm),
+                         abs(concurrence_wootters(brute.rho_ab)
+                             - concurrence_closed_form(pair, t1, t2))))
+        names = ("draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm", "dev_concurrence")
+        return dict(zip(names, map(list, zip(*rows))))
+
+    @pytest.mark.parametrize("draws", [1, CHUNK, CHUNK + 1])
+    def test_chunked_draws_match_the_per_draw_reference(self, draws):
+        columns = run_oracle_draws(draws, seed=12).columns
+        want = self.per_draw_reference(draws, seed=12)
+        assert list(columns) == list(want)
+        assert columns == want
+
+    def test_one_stacked_wootters_call_per_chunk(self, monkeypatch):
+        stacks = []
+
+        def spy(rho):
+            stacks.append(np.array(rho))
+            return concurrence_wootters(rho)
+
+        monkeypatch.setattr(recipes, "concurrence_wootters", spy)
+        run_oracle_draws(2 * CHUNK + 5, seed=13)
+        assert [len(stack) for stack in stacks] == [CHUNK, CHUNK, 5]
+        for stack in stacks:
+            assert concurrence_wootters(stack).tolist() == [
+                concurrence_wootters(rho) for rho in stack]
 
 
 class TestRecipeOutputs:
@@ -127,6 +170,14 @@ class TestRecipeOutputs:
             assert isinstance(seconds, float) and seconds >= 0.0
         assert meta["files"][0] == "oracle-check.csv"
 
+    def test_meta_sidecar_reports_the_environment(self, tmp_path):
+        cfg = validate_config("experiment = concurrence-surface\nt1 = 0.5\nt2 = 0.5\n")
+        meta = json.loads(run(cfg, out_dir=tmp_path).meta_path.read_text())
+        env = meta["environment"]
+        assert sorted(env) == ["cpu_count", "numpy", "platform", "python"]
+        assert all(isinstance(env[key], str) for key in ("numpy", "platform", "python"))
+        assert env["cpu_count"] is None or isinstance(env["cpu_count"], int)
+
     def test_dump_state_is_loadable_and_valid(self, tmp_path):
         cfg = validate_config("experiment = oracle-check\ndraws = 5\n")
         run(cfg, out_dir=tmp_path, dump_state=tmp_path / "state.json")
@@ -142,6 +193,18 @@ class TestRecipeOutputs:
         report = run(cfg)
         assert report.csv_path.parent == tmp_path / "sub"
         assert report.csv_path.exists()
+
+    def test_imbalance_makes_one_stacked_wootters_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(rho):
+            calls.append(np.shape(rho))
+            return concurrence_wootters(rho)
+
+        monkeypatch.setattr(recipes, "concurrence_wootters", spy)
+        cfg = validate_config("experiment = imbalance-restore\nt2 = linspace(0.1, 1, 10)\n")
+        run(cfg, out_dir=tmp_path)
+        assert calls == [(20, 4, 4)]
 
 
 class TestRecipePhysics:

@@ -224,6 +224,18 @@ class TestReorder:
         psi = PureState(("A", "B"), [0, 1, 0, 0])
         np.testing.assert_allclose(psi.reorder(("B", "A")).amps, [0, 0, 1, 0])
 
+    def test_same_order_returns_the_state_itself(self, rng):
+        psi = random_pure(rng, ("A", "B", "C"))
+        assert psi.reorder(("A", "B", "C")) is psi
+        assert psi.reorder(["A", "B", "C"]) is psi
+
+    @pytest.mark.parametrize("labels", [("A", "A", "B"), ("A", "B"), ("A", "B", "C", "D"),
+                                        ("A", "B", "D")])
+    def test_bad_label_sets_still_rejected(self, rng, labels):
+        psi = random_pure(rng, ("A", "B", "C"))
+        with pytest.raises(LabelError):
+            psi.reorder(labels)
+
 
 # ---------------------------------------------------------------- properties
 
