@@ -9,7 +9,9 @@ closed form for the swap output,
 
 Fringe scans model the joint verification measurement onto
 (|01> +/- e^{i theta} |10>) / sqrt(2); their contrast is the visibility
-2 |rho23| / (rho22 + rho33).
+2 |rho23| / (rho22 + rho33), also taken over a stack of states at once.
+Every metric first checks that each state has finite entries and unit
+trace.
 """
 
 from __future__ import annotations
@@ -48,14 +50,26 @@ _YY = np.array(
 )
 
 
-def _two_qubit_matrix(rho) -> np.ndarray:
-    """Accept a DensityMatrix or a bare 4x4 array; require unit trace."""
+def _two_qubit_matrix(rho, stack: bool = False) -> np.ndarray:
+    """Accept a DensityMatrix or a bare 4x4 array; require finite entries
+    and unit trace.
+
+    With ``stack`` true a bare array may also be a stack (..., 4, 4), and
+    every member must pass; the first bad member, in C order, raises the
+    error a single call on it would raise.
+    """
     m = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4) or not (stack or m.ndim == 2):
         raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {m.shape}")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"two-qubit state must be normalized (trace = {tr})")
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    tr = m.trace(axis1=-2, axis2=-1)
+    ok = finite & (abs(tr - 1.0) <= 1e-9)
+    # one state's flag is a numpy bool, whose .all() costs a microsecond
+    if not (ok.all() if m.ndim > 2 else ok):
+        first = np.unravel_index(np.argmin(ok), np.shape(ok))
+        if not finite[first]:
+            raise ValueError("two-qubit state must have finite entries")
+        raise ValueError(f"two-qubit state must be normalized (trace = {complex(tr[first])})")
     return m
 
 
@@ -72,12 +86,12 @@ def concurrence_wootters(rho) -> float | np.ndarray:
     float, or a stack of shape (N, 4, 4), which gives an array of N
     concurrences from one stacked ``eigh`` and one stacked ``svd``. Stacked
     LAPACK calls treat each member exactly as a single call would, so both
-    forms agree bit for bit. Every member must pass the trace, Hermiticity
-    and positivity checks; the first that fails raises the error a single
-    call on it would raise.
+    forms agree bit for bit. Every member must pass the finiteness, trace,
+    Hermiticity and positivity checks; the first that fails raises the
+    error a single call on it would raise.
     """
     if not isinstance(rho, DensityMatrix) and np.ndim(rho) == 3:
-        return _concurrence_stack(np.asarray(rho, dtype=complex))
+        return _concurrence_stack(_two_qubit_matrix(rho, stack=True))
     m = _two_qubit_matrix(rho)
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
         raise ValueError("input matrix is not Hermitian")
@@ -93,13 +107,7 @@ def concurrence_wootters(rho) -> float | np.ndarray:
 
 
 def _concurrence_stack(m: np.ndarray) -> np.ndarray:
-    """``concurrence_wootters`` over a stack (N, 4, 4), member by member."""
-    if m.shape[1:] != (4, 4):
-        raise ValueError(f"expected a two-qubit (4x4) matrix, got shape {m.shape}")
-    tr = np.trace(m, axis1=1, axis2=2)
-    bad = np.flatnonzero(np.abs(tr - 1.0) > 1e-9)
-    if bad.size:
-        raise ValueError(f"two-qubit state must be normalized (trace = {complex(tr[bad[0]])})")
+    """``concurrence_wootters`` over a validated stack (N, 4, 4), member by member."""
     h = m.conj().transpose(0, 2, 1)
     if np.any(np.max(np.abs(m - h), axis=(1, 2)) > 1e-10):
         raise ValueError("input matrix is not Hermitian")
@@ -219,10 +227,21 @@ def fringe_scan(rho, thetas) -> FringeScan:
     return FringeScan(thetas, base + osc, base - osc)
 
 
-def visibility_analytic(rho) -> VisibilityReport:
-    """Visibility straight from the state: V = 2|rho23| / (rho22 + rho33)."""
-    m = _two_qubit_matrix(rho)
-    denom = m[1, 1].real + m[2, 2].real
-    if denom < SIGNAL_EPS:
+def visibility_analytic(rho) -> VisibilityReport | np.ndarray:
+    """Visibility straight from the state: V = 2|rho23| / (rho22 + rho33).
+
+    One state (a DensityMatrix or a 4x4 array) gives a ``VisibilityReport``;
+    a stack (..., 4, 4) gives an array of its visibilities, bit-identical to
+    per-state calls. Each check runs over the whole stack, in the order a
+    single call makes them, and the first member that fails one raises the
+    error a single call on it would raise.
+    """
+    m = _two_qubit_matrix(rho, stack=True)
+    denom = m[..., 1, 1].real + m[..., 2, 2].real
+    if (denom < SIGNAL_EPS).any():
         raise ValueError("no signal: the one-photon populations vanish")
-    return VisibilityReport(float(2.0 * abs(m[1, 2]) / denom))
+    # hypot, as abs() of one complex does: numpy's SIMD complex abs rounds
+    # differently at times
+    r23 = m[..., 1, 2]
+    v = 2.0 * np.hypot(r23.real, r23.imag) / denom
+    return VisibilityReport(float(v)) if m.ndim == 2 else v

@@ -225,8 +225,8 @@ def _rho_entries(pair: InputPair, t1, t2):
 
 
 def closed_form_rho(
-    pair: InputPair, t1: float, t2: float, sign: int = +1
-) -> tuple[np.ndarray, float]:
+    pair: InputPair, t1, t2, sign: int = +1
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Closed form of the post-selected state for an entangling X outcome.
 
     Returns the normalized 4x4 matrix on (A, B) in the basis
@@ -237,20 +237,33 @@ def closed_form_rho(
 
     which is the total heralding probability summed over both signs (each
     sign occurs with probability norm / 2).
+
+    ``t1`` and ``t2`` broadcast: arrays of broadcast shape ``S`` give a
+    stack of shape ``S + (4, 4)`` and ``norm`` of shape ``S``, each member
+    equal bit for bit to the scalar call at its point. Scalars give one
+    4x4 matrix and a float. Any grid point with a vanishing heralding
+    probability rejects the whole call.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     r22, r33, r44, r23 = _rho_entries(pair, t1, t2)
     norm = r22 + r33 + r44
-    if norm < 2.0 * WEIGHT_EPS:
+    # a float norm is one point, checked and returned as the float it is:
+    # ndarray calls on it would cost more than the rest of a scalar call
+    point = isinstance(norm, float)
+    if norm < 2.0 * WEIGHT_EPS if point else (norm < 2.0 * WEIGHT_EPS).any():
         raise ValueError("degenerate inputs: heralding probability is zero")
-    rho = np.zeros((4, 4), dtype=complex)
+    # entry axes first, so that plain indexing fills them and norm broadcasts
+    rho = np.zeros((4, 4) if point else (4, 4) + norm.shape, dtype=complex)
     rho[1, 1] = r22
     rho[2, 2] = r33
     rho[3, 3] = r44
     rho[1, 2] = sign * r23
     rho[2, 1] = sign * np.conj(r23)
-    return rho / norm, float(norm)
+    rho /= norm
+    if point:
+        return rho, float(norm)
+    return np.moveaxis(rho, (0, 1), (-2, -1)), norm
 
 
 def success_probability(pair: InputPair, t1, t2):

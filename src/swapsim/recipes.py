@@ -9,7 +9,15 @@ out as ``str(value)``, which for a float is its shortest repr, so a given
 configuration always writes a byte-identical CSV; no field needs quoting.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
-wall time and where that time went (``timings_s``: compute, write).
+wall time, where that time went (``timings_s``: compute, write) and the
+compute rate (``points_per_s``: CSV rows over compute seconds).
+
+The closed-form recipes evaluate whole grids in array calls: the
+surface and the slices each make one call per closed form on the
+broadcast grid ``(t1[:, None], t2)``, and ``imbalance-restore``, whose
+input amplitudes change from point to point, builds its states one by
+one and takes their visibilities and concurrences in one stacked call
+each. Array and scalar calls agree bit for bit.
 
 Column contracts:
 
@@ -192,14 +200,13 @@ def _run_surface(cfg: SweepConfig):
 
 def _run_slices(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
-    columns = _product(t1=g1, t2=g2)
-    for t1 in g1:
-        for t2 in g2:
-            c = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)
-            rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
-            _append(columns, concurrence=c, visibility=visibility_analytic(rho).v,
-                    p_success=norm)
-    summary = {"points": len(g1) * len(g2), "t1_values": list(g1)}
+    t1, t2 = np.array(g1)[:, None], np.array(g2)
+    conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)
+    rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
+    columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel().tolist(),
+               "visibility": visibility_analytic(rho).ravel().tolist(),
+               "p_success": norm.ravel().tolist()}
+    summary = {"points": conc.size, "t1_values": list(g1)}
     return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
@@ -274,13 +281,14 @@ def _run_imbalance(cfg: SweepConfig):
             pair = equal if strategy == "equal" else optimal_inputs(t1, t2, epsilon)
             rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
             rhos.append(rho)
-            _append(computed, visibility=visibility_analytic(rho).v,
-                    bell_fidelity=bell_fidelity(rho, sign=+1, phase=0.0), p_success=norm)
+            _append(computed, bell_fidelity=bell_fidelity(rho, sign=+1, phase=0.0),
+                    p_success=norm)
             if cfg.normalize:
                 _append(computed, p_normalized=normalized_success(pair, t1, t2))
+    rhos = np.array(rhos)
     columns = {**_product(t1=(t1,), t2=g2, strategy=strategies),
-               "visibility": computed.pop("visibility"),
-               "concurrence": concurrence_wootters(np.array(rhos)).tolist(), **computed}
+               "visibility": visibility_analytic(rhos).tolist(),
+               "concurrence": concurrence_wootters(rhos).tolist(), **computed}
     summary = {
         "t1": t1,
         "equal_visibility_shape": "2*t1*t2/(t1^2+t2^2)",
@@ -480,6 +488,7 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
                 fh.write("\n")
 
         written = time.monotonic()
+        rows = len(next(iter(result.columns.values())))
         meta = {
             "experiment": cfg.experiment,
             "config": dataclasses.asdict(cfg),
@@ -487,7 +496,8 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
             "environment": _environment(),
             "wall_time_s": written - started,
             "timings_s": {"compute": computed - started, "write": written - computed},
-            "rows": len(next(iter(result.columns.values()))),
+            "rows": rows,
+            "points_per_s": rows / (computed - started) if computed > started else None,
             "summary": result.summary,
             "files": [csv_path.name] + [p.name for p in extra_files],
         }

@@ -20,7 +20,7 @@ from swapsim import (
     swap,
     visibility_analytic,
 )
-from swapsim.metrics import FringeScan
+from swapsim.metrics import FringeScan, VisibilityReport
 
 from oracles import bell_psi, finite_floats
 
@@ -130,6 +130,97 @@ class TestStackedWootters:
     def test_wrong_member_shape_rejected(self):
         with pytest.raises(ValueError, match=r"4x4\) matrix, got shape \(2, 4, 3\)"):
             concurrence_wootters(np.zeros((2, 4, 3)))
+
+
+def _nan_state():
+    m = np.eye(4, dtype=complex) / 4.0
+    m[1, 2] = np.nan
+    return m
+
+
+class TestSharedValidator:
+    """One validator serves every metric, for one state and for stacks."""
+
+    @pytest.mark.parametrize("metric", [
+        concurrence_wootters,
+        visibility_analytic,
+        bell_fidelity,
+        lambda rho: fringe_scan(rho, GRID16),
+    ], ids=["wootters", "visibility", "fidelity", "fringes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, metric, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            metric(m)
+
+    @pytest.mark.parametrize("metric", [concurrence_wootters, visibility_analytic],
+                             ids=["wootters", "visibility"])
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_non_finite_stack_member_rejected(self, metric, where):
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 7)
+        stack[where] = _nan_state()
+        with pytest.raises(ValueError, match="finite"):
+            metric(stack)
+
+    def test_first_bad_member_decides_the_error(self):
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 4)
+        stack[1] = np.eye(4)
+        stack[2] = _nan_state()
+        with pytest.raises(ValueError, match="normalized"):
+            concurrence_wootters(stack)
+        stack[1] = _nan_state()
+        stack[2] = np.eye(4)
+        with pytest.raises(ValueError, match="finite"):
+            visibility_analytic(stack)
+
+    @pytest.mark.parametrize("metric", [
+        bell_fidelity,
+        lambda rho: fringe_scan(rho, GRID16),
+    ], ids=["fidelity", "fringes"])
+    def test_single_state_metrics_reject_stacks(self, metric):
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 3)
+        with pytest.raises(ValueError, match=r"4x4\) matrix, got shape \(3, 4, 4\)"):
+            metric(stack)
+
+
+class TestStackedVisibility:
+    """A stack (..., 4, 4) gives exactly the per-state visibilities and errors."""
+
+    def test_stack_equals_per_state_calls(self):
+        stack = TestStackedWootters.heralded_states(300, seed=41)
+        got = visibility_analytic(stack)
+        assert isinstance(got, np.ndarray) and got.shape == (300,)
+        assert got.tolist() == [visibility_analytic(rho).v for rho in stack]
+
+    def test_values_are_the_scalar_formula_bit_for_bit(self):
+        stack = TestStackedWootters.heralded_states(300, seed=44)
+        want = [float(2.0 * abs(m[1, 2]) / (m[1, 1].real + m[2, 2].real)) for m in stack]
+        assert visibility_analytic(stack).tolist() == want
+
+    def test_grid_stack_equals_per_state_calls(self):
+        t = np.array([0.01, 0.2, 0.5, 1.0])
+        rho, _ = closed_form_rho(MAX_ENTANGLED_PAIR, t[:, None], np.append(t, 0.0))
+        got = visibility_analytic(rho)
+        assert got.shape == (4, 5)
+        assert got.ravel().tolist() == [visibility_analytic(m).v for m in rho.reshape(-1, 4, 4)]
+
+    def test_single_state_still_gives_a_report(self):
+        rho = TestStackedWootters.heralded_states(1, seed=42)[0]
+        report = visibility_analytic(rho)
+        assert isinstance(report, VisibilityReport) and type(report.v) is float
+        assert visibility_analytic(rho[None]).tolist() == [report.v]
+
+    @pytest.mark.parametrize("where", [0, 3, 6])
+    def test_no_signal_member_raises_the_single_state_error(self, where):
+        dark = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError) as single:
+            visibility_analytic(dark)
+        stack = TestStackedWootters.heralded_states(7, seed=43)
+        stack[where] = dark
+        with pytest.raises(ValueError) as stacked:
+            visibility_analytic(stack)
+        assert str(stacked.value) == str(single.value)
 
 
 class TestClosedFormConcurrence:

@@ -286,6 +286,36 @@ class TestClosedForm:
             assert report.min_eigenvalue >= -1e-10
 
 
+class TestBroadcastClosedForm:
+    """Arrays of t1, t2 give the stack of the scalar calls, bit for bit."""
+
+    T1 = np.array([1e-3, 0.05, 0.3, 0.5, 0.77, 1.0])
+    T2 = np.array([0.0, 1e-12, 0.2, 0.5, 0.91, 1.0])
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_grid_equals_scalar_calls(self, rng, sign):
+        for pair in (MAX_ENTANGLED_PAIR, *(random_input_pair(rng) for _ in range(5))):
+            rho, norm = closed_form_rho(pair, self.T1[:, None], self.T2, sign)
+            assert rho.shape == (6, 6, 4, 4) and norm.shape == (6, 6)
+            for i, t1 in enumerate(self.T1.tolist()):
+                for j, t2 in enumerate(self.T2.tolist()):
+                    rho_ij, norm_ij = closed_form_rho(pair, t1, t2, sign)
+                    assert (rho[i, j] == rho_ij).all()
+                    assert norm[i, j] == norm_ij
+
+    def test_scalar_call_gives_a_matrix_and_a_float(self):
+        rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, 0.4, 0.6)
+        assert rho.shape == (4, 4)
+        assert type(norm) is float
+
+    def test_one_degenerate_point_rejects_the_grid(self):
+        with pytest.raises(ValueError) as single:
+            closed_form_rho(MAX_ENTANGLED_PAIR, 0.0, 0.0)
+        with pytest.raises(ValueError) as grid:
+            closed_form_rho(MAX_ENTANGLED_PAIR, np.array([[0.5], [0.0]]), np.array([0.0, 0.5]))
+        assert str(grid.value) == str(single.value)
+
+
 class TestSuccessProbability:
     def test_ideal_value(self):
         assert success_probability(MAX_ENTANGLED_PAIR, 1.0, 1.0) == pytest.approx(

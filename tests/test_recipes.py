@@ -207,6 +207,36 @@ class TestRecipeOutputs:
         assert calls == [(20, 4, 4)]
 
 
+    def test_slices_make_one_closed_form_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(pair, t1, t2, sign=+1):
+            calls.append((np.shape(t1), np.shape(t2)))
+            return closed_form_rho(pair, t1, t2, sign)
+
+        monkeypatch.setattr(recipes, "closed_form_rho", spy)
+        cfg = validate_config("experiment = concurrence-slices\nt1 = 0.3, 0.6, 1.0\n"
+                              "t2 = linspace(0, 1, 11)\n")
+        run(cfg, out_dir=tmp_path)
+        assert calls == [((3, 1), (11,))]
+
+    def test_imbalance_makes_one_stacked_visibility_call(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(rho):
+            calls.append(np.shape(rho))
+            return visibility_analytic(rho)
+
+        monkeypatch.setattr(recipes, "visibility_analytic", spy)
+        cfg = validate_config("experiment = imbalance-restore\nt2 = linspace(0.1, 1, 10)\n")
+        run(cfg, out_dir=tmp_path)
+        assert calls == [(20, 4, 4)]
+
+    def test_meta_sidecar_reports_points_per_second(self, tmp_path):
+        cfg = validate_config("experiment = concurrence-slices\nt1 = 0.5\nt2 = 0.5\n")
+        meta = json.loads(run(cfg, out_dir=tmp_path).meta_path.read_text())
+        assert isinstance(meta["points_per_s"], float) and meta["points_per_s"] > 0.0
+
 class TestRecipePhysics:
     def test_scaling_summary_slope_is_one(self, tmp_path):
         cfg = validate_config(
