@@ -85,4 +85,4 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
     out[:, 0, :, 0] = amps[:, 0, :]         # no photon: untouched
     out[:, 1, :, 0] = ch.t * amps[:, 1, :]  # photon kept
     out[:, 0, :, 1] = ch.r * amps[:, 1, :]  # photon moved to the environment
-    return PureState(psi.labels + (env,), out)
+    return PureState._of(psi.labels + (env,), out.reshape(-1))

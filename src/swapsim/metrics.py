@@ -129,7 +129,8 @@ def concurrence_closed_form(pair: InputPair, t1, t2):
     t1, t2 (broadcast).
     """
     norm = success_probability(pair, t1, t2)
-    if np.any(np.asarray(norm) < 2.0 * WEIGHT_EPS):
+    # a float norm is one point: np.any on it costs more than the rest of the call
+    if norm < 2.0 * WEIGHT_EPS if isinstance(norm, float) else (norm < 2.0 * WEIGHT_EPS).any():
         raise ValueError("degenerate inputs: heralding probability is zero")
     num = 2.0 * abs(pair.alpha * pair.beta * pair.gamma * pair.delta) * t1 * t2
     c = num / norm

@@ -168,8 +168,8 @@ class SwapOutcome:
 
 def build_inputs(pair: InputPair) -> PureState:
     """Joint input ket on (A, C1, C2, B) before any transmission."""
-    alice = PureState((A, C1), np.array([pair.alpha, 0.0, 0.0, pair.beta]))
-    bob = PureState((C2, B), np.array([pair.gamma, 0.0, 0.0, pair.delta]))
+    alice = PureState._of((A, C1), np.array([pair.alpha, 0.0, 0.0, pair.beta], dtype=complex))
+    bob = PureState._of((C2, B), np.array([pair.gamma, 0.0, 0.0, pair.delta], dtype=complex))
     return tensor(alice, bob)
 
 

@@ -14,7 +14,13 @@ to the trace. States here are never renormalized behind the caller's
 back.
 
 Everything is immutable after construction and every operation is a
-pure function, so values can be shared freely between threads.
+pure function, so values can be shared freely between threads. The
+public constructors copy the array they are given and validate the
+labels and shape; states the library builds itself (``tensor``,
+``project``, ``partial_trace``, ``normalized``, ``reorder``, loss
+dilation and the protocol's inputs) reuse the fresh array the library
+just made, over labels already known to be valid, and only mark it
+read-only.
 """
 
 from __future__ import annotations
@@ -69,9 +75,20 @@ class PureState:
                 f"amplitude vector of length {amps.size} does not fit "
                 f"{len(labels)} modes"
             )
+        self._own(labels, amps)
+
+    @classmethod
+    def _of(cls, labels: tuple[Label, ...], amps: np.ndarray) -> "PureState":
+        """Library-built ket: ``labels`` already checked, ``amps`` a fresh
+        complex vector of the right size that no caller holds. No copy, no
+        checks."""
+        return object.__new__(cls)._own(labels, amps)
+
+    def _own(self, labels, amps) -> "PureState":
         amps.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "amps", amps)
+        return self
 
     @property
     def num_modes(self) -> int:
@@ -89,7 +106,7 @@ class PureState:
         n2 = self.norm2
         if n2 <= 0.0:
             raise ValueError("cannot normalize a zero state")
-        return PureState(self.labels, self.amps / np.sqrt(n2))
+        return PureState._of(self.labels, self.amps / np.sqrt(n2))
 
     def reorder(self, labels: Iterable[Label]) -> "PureState":
         """Permute the register so it reads ``labels``; the same order returns ``self``."""
@@ -98,7 +115,8 @@ class PureState:
             raise LabelError(f"cannot reorder {self.labels!r} into {labels!r}")
         if labels == self.labels:
             return self
-        return PureState(labels, _amps_in_order(self, labels))
+        # a permutation that is not the identity makes reshape copy
+        return PureState._of(labels, _amps_in_order(self, labels))
 
 
 def _amps_in_order(psi: PureState, labels: tuple[Label, ...]) -> np.ndarray:
@@ -141,9 +159,22 @@ class DensityMatrix:
             if weight < -ATOL:
                 raise ValueError(f"negative weight {weight}")
             weight = 0.0
+        self._own(labels, entries, weight)
+
+    @classmethod
+    def _of(cls, labels: tuple[Label, ...], entries: np.ndarray, weight: float
+            ) -> "DensityMatrix":
+        """Library-built state: ``labels`` already checked, ``entries`` a fresh
+        complex matrix of the right shape that no caller holds, ``weight`` a
+        nonnegative float. No copy, no checks."""
+        return object.__new__(cls)._own(labels, entries, weight)
+
+    def _own(self, labels, entries, weight) -> "DensityMatrix":
+        entries.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "weight", weight)
+        return self
 
     @property
     def num_modes(self) -> int:
@@ -152,7 +183,7 @@ class DensityMatrix:
     def normalized(self) -> "DensityMatrix":
         if self.weight <= 0.0:
             raise ValueError("cannot normalize a zero-weight state")
-        return DensityMatrix(self.labels, self.entries / self.weight, weight=1.0)
+        return DensityMatrix._of(self.labels, self.entries / self.weight, 1.0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,8 +202,11 @@ class DensityMatrix:
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
-    """Tensor product of two kets; labels concatenate."""
-    return PureState(a.labels + b.labels, np.multiply.outer(a.amps, b.amps).ravel())
+    """Tensor product of two kets; labels concatenate and must not overlap."""
+    labels = a.labels + b.labels
+    if not set(a.labels).isdisjoint(b.labels):
+        raise LabelError(f"duplicate mode labels in {labels!r}")
+    return PureState._of(labels, np.multiply.outer(a.amps, b.amps).ravel())
 
 
 def partial_trace(
@@ -190,7 +224,9 @@ def partial_trace(
         raise LabelError(f"cannot trace out unknown modes {sorted(unknown)!r}")
     keep = tuple(lab for lab in psi.labels if lab not in discard)
     v = _amps_in_order(psi, keep + discard).reshape(2 ** len(keep), -1)
-    return DensityMatrix(keep, v @ v.conj().T)
+    rho = v @ v.conj().T
+    # the diagonal holds sums of squares, so the weight is never negative
+    return DensityMatrix._of(keep, rho, float(np.trace(rho).real))
 
 
 def project(psi: PureState, projector_ket: PureState) -> PureState:
@@ -209,7 +245,7 @@ def project(psi: PureState, projector_ket: PureState) -> PureState:
         raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
     keep = tuple(lab for lab in psi.labels if lab not in projector_ket.labels)
     v = _amps_in_order(psi, projector_ket.labels + keep).reshape(-1, 2 ** len(keep))
-    return PureState(keep, projector_ket.amps.conj() @ v)
+    return PureState._of(keep, projector_ket.amps.conj() @ v)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import (
+    BsmSetting,
     DensityMatrix,
     LabelError,
+    LossChannel,
     PureState,
+    bsm,
+    build_inputs,
+    dilate,
     partial_trace,
     project,
+    propagate,
+    random_input_pair,
     tensor,
     validate,
 )
@@ -33,6 +42,16 @@ class TestTensor:
         b = random_pure(rng, ("B",))
         with pytest.raises(LabelError, match="duplicate"):
             tensor(a, b)
+
+    @pytest.mark.parametrize("left, right", [(("A", "B"), ("B",)), (("A", "B"), ("C", "A")),
+                                             (("A",), ("A",))])
+    def test_overlap_raises_the_public_constructors_message(self, rng, left, right):
+        labels = left + right
+        with pytest.raises(LabelError) as public:
+            PureState(labels, np.zeros(2 ** len(labels)))
+        assert str(public.value) == f"duplicate mode labels in {labels!r}"
+        with pytest.raises(LabelError, match=re.escape(str(public.value))):
+            tensor(random_pure(rng, left), random_pure(rng, right))
 
 
 class TestPartialTrace:
@@ -79,6 +98,13 @@ class TestPartialTrace:
     def test_unknown_label_rejected(self, rng):
         with pytest.raises(LabelError, match="unknown"):
             partial_trace(random_pure(rng, ("A",)), "nope")
+
+    @pytest.mark.parametrize("discard", [(), ("B",), ("A", "C"), ("A", "B", "C")])
+    def test_weight_is_the_trace_the_public_constructor_derives(self, rng, discard):
+        psi = PureState(("A", "B", "C"), 0.7 * random_pure(rng, ("A", "B", "C")).amps)
+        out = partial_trace(psi, discard)
+        assert out.weight == DensityMatrix(out.labels, out.entries).weight
+        assert type(out.weight) is float
 
     def test_matches_loop_oracle(self, rng):
         labels = ("A", "B", "C", "D")
@@ -180,6 +206,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match="does not fit"):
             DensityMatrix(("A",), np.zeros((3, 3)))
 
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(LabelError, match=re.escape("duplicate mode labels in ('A', 'A')")):
+            PureState(("A", "A"), np.zeros(4))
+        with pytest.raises(LabelError, match=re.escape("duplicate mode labels in ('A', 'A')")):
+            DensityMatrix(["A", "A"], np.zeros((4, 4)))
+
+    def test_public_constructors_copy(self, rng):
+        amps = random_pure(rng, ("A",)).amps.copy()
+        entries = random_density(rng, ("A",)).entries.copy()
+        psi = PureState(("A",), amps)
+        rho = DensityMatrix(("A",), entries)
+        assert not np.shares_memory(psi.amps, amps)
+        assert not np.shares_memory(rho.entries, entries)
+        assert amps.flags.writeable and entries.flags.writeable
+
     def test_negative_weight_rejected(self, rng):
         rho = random_density(rng, ("A",))
         with pytest.raises(ValueError, match="negative weight"):
@@ -235,6 +276,86 @@ class TestReorder:
         psi = random_pure(rng, ("A", "B", "C"))
         with pytest.raises(LabelError):
             psi.reorder(labels)
+
+
+# ------------------------------------------------------ library-built states
+# Every operation below hands back a state built without the public
+# constructor's copy and checks; each builder returns that state and the
+# writable arrays its caller made the inputs from.
+
+def _writable(rng, labels, scale=1.0):
+    amps = scale * random_pure(rng, labels).amps
+    return amps, PureState(labels, amps)
+
+
+def _tensor(rng):
+    a, psi_a = _writable(rng, ("A", "B"))
+    b, psi_b = _writable(rng, ("C",))
+    return tensor(psi_a, psi_b), [a, b]
+
+
+def _dilate(rng):
+    a, psi = _writable(rng, ("A", "B"))
+    return dilate(psi, "B", "E", LossChannel(rng.uniform())), [a]
+
+
+def _project(rng):
+    a, psi = _writable(rng, ("A", "B", "C"))
+    k, ket = _writable(rng, ("C", "A"))
+    return project(psi, ket), [a, k]
+
+
+def _partial_trace(rng):
+    a, psi = _writable(rng, ("A", "B", "C"), scale=0.5)
+    return partial_trace(psi, ("B",)), [a]
+
+
+def _pure_normalized(rng):
+    a, psi = _writable(rng, ("A", "B"), scale=3.0)
+    return psi.normalized(), [a]
+
+
+def _density_normalized(rng):
+    e = 2.0 * random_density(rng, ("A", "B")).entries
+    return DensityMatrix(("A", "B"), e).normalized(), [e]
+
+
+def _reorder(rng):
+    a, psi = _writable(rng, ("A", "B", "C"))
+    return psi.reorder(("C", "A", "B")), [a]
+
+
+def _build_inputs(rng):
+    return build_inputs(random_input_pair(rng)), []
+
+
+def _bsm(rng):
+    ket = propagate(build_inputs(random_input_pair(rng)), *rng.uniform(0.05, 1.0, size=2))
+    a = np.array(ket.amps)
+    return bsm(PureState(ket.labels, a), BsmSetting.x(+1)).rho_ab, [a]
+
+
+@pytest.mark.parametrize("build", [_tensor, _dilate, _project, _partial_trace, _pure_normalized,
+                                   _density_normalized, _reorder, _build_inputs, _bsm])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_library_built_state_is_owned_and_equals_its_public_rebuild(build, seed):
+    out, caller_arrays = build(np.random.default_rng(seed))
+    if isinstance(out, PureState):
+        arr = out.amps
+        rebuilt = PureState(out.labels, arr).amps
+    else:
+        arr = out.entries
+        public = DensityMatrix(out.labels, arr, weight=out.weight)
+        rebuilt = public.entries
+        assert type(out.weight) is float and out.weight == public.weight
+    assert type(out.labels) is tuple and all(type(lab) is str for lab in out.labels)
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 0.0
+    assert not any(np.shares_memory(arr, c) for c in caller_arrays)
+    assert (arr.dtype, arr.shape) == (rebuilt.dtype, rebuilt.shape)
+    assert arr.tobytes() == rebuilt.tobytes()
 
 
 # ---------------------------------------------------------------- properties
