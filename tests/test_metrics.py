@@ -252,13 +252,16 @@ class TestClosedFormConcurrence:
         assert balanced > lossless_arm
         assert balanced > concurrence_closed_form(MAX_ENTANGLED_PAIR, 0.3, 0.6)
 
+    def test_degenerate_rejected(self):
+        with pytest.raises(ValueError, match="degenerate"):
+            concurrence_closed_form(InputPair(1.0, 0.0, 1.0, 0.0), 0.5, 0.5)
+
     @pytest.mark.parametrize("pair, t1, t2", [
-        (InputPair(1.0, 0.0, 1.0, 0.0), 0.5, 0.5),
         (InputPair(1.0, 0.0, 1.0, 0.0), np.array(0.5), np.array(0.5)),
         (InputPair(1.0, 0.0, 1.0, 0.0), np.full(3, 0.5), 0.5),
         (MAX_ENTANGLED_PAIR, np.array([0.5, 0.0]), np.array([0.5, 0.0])),
     ])
-    def test_degenerate_rejected(self, pair, t1, t2):
+    def test_degenerate_array_inputs_rejected(self, pair, t1, t2):
         with pytest.raises(ValueError, match="degenerate"):
             concurrence_closed_form(pair, t1, t2)
 
