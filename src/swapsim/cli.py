@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 
 from . import __version__
@@ -25,7 +26,13 @@ IO_ERROR = 3
 INVARIANT_ERROR = 4
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every ``main`` call.
+
+    ``parse_args`` returns a fresh namespace each time and the parser keeps
+    no state between calls, so one instance serves a whole process.
+    """
     parser = argparse.ArgumentParser(
         prog="swapsim",
         description=(
@@ -86,8 +93,7 @@ def _cmd_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return _cmd_run(args)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .experiment import MAX_MEAN_COUNTS
 from .metrics import TWO_PI
 from .recipes import RECIPES
 
@@ -47,7 +48,8 @@ GRID_KEYS = tuple(_DOMAINS)
 _SCALARS = {
     "seed": (int, lambda x: x >= 0, "a nonnegative integer"),
     "draws": (int, lambda x: x >= 1, "a positive integer"),
-    "counts": (float, lambda x: np.isfinite(x) and x >= 0.0, "a nonnegative number"),
+    "counts": (float, lambda x: 0.0 <= x <= MAX_MEAN_COUNTS,
+               f"a number in [0, {MAX_MEAN_COUNTS!r}]"),
     "normalize": (lambda v: {"true": True, "false": False}.get(v.lower()),
                   lambda x: True, "true or false"),
 }

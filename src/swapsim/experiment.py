@@ -17,6 +17,7 @@ import numpy as np
 
 from .metrics import TWO_PI, FringeScan, VisibilityReport, fringe_scan
 from .protocol import WEIGHT_EPS, BsmSetting, InputPair, success_probability, swap
+from .states import ATOL
 
 __all__ = [
     "SpdcSource",
@@ -28,6 +29,13 @@ __all__ = [
     "estimate_visibility",
     "normalized_success",
 ]
+
+# numpy's Poisson sampler refuses a mean above its own bound, taken from the
+# C long range; a scan probability may reach 1 + ATOL, so the largest mean
+# count that ``synth_counts`` can always draw is that bound over 1 + ATOL
+_POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
+MAX_MEAN_COUNTS = _POISSON_MEAN_MAX / (1.0 + ATOL)
+
 
 @dataclass(frozen=True)
 class SpdcSource:
@@ -141,18 +149,22 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
     design = np.column_stack([np.ones(n), np.cos(thetas), np.sin(thetas)])
     sigma2 = np.maximum(counts, 1.0)  # Poisson variance, floored for empty bins
     sqrt_w = 1.0 / np.sqrt(sigma2)
-    coef, *_ = np.linalg.lstsq(design * sqrt_w[:, None], counts * sqrt_w, rcond=None)
+    weighted = design * sqrt_w[:, None]
+    coef, *_ = np.linalg.lstsq(weighted, counts * sqrt_w, rcond=None)
     a, u, v = (float(x) for x in coef)
     if a <= 0.0:
         raise ValueError(f"fit failure: nonpositive baseline a = {a}")
-    cov = np.linalg.inv(design.T @ (design / sigma2[:, None]))
     b = math.hypot(u, v)
     vis = b / a
     if b > 0.0:
         grad = np.array([-b / a ** 2, u / (a * b), v / (a * b)])
     else:
         grad = np.array([0.0, 1.0 / a, 0.0])
-    return VisibilityReport(vis, sigma=float(math.sqrt(grad @ cov @ grad)))
+    # the parameter covariance is (W^T W)^-1 = R^-1 R^-T for W = QR, so the
+    # variance grad^T cov grad is |R^-T grad|^2: never negative, and no
+    # normal matrix (condition squared) to invert when counts reach ~1e17
+    r = np.linalg.qr(weighted, mode="r")
+    return VisibilityReport(vis, sigma=float(np.linalg.norm(np.linalg.solve(r.T, grad))))
 
 
 def normalized_success(pair: InputPair, t1, t2):

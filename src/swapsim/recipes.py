@@ -4,9 +4,12 @@ Each recipe evaluates a parameter grid with the pure library functions
 and returns columns (header name -> values, in grid order). The grid axis
 columns arrive already formatted: each axis value is turned into its
 ``str`` once and that string is repeated down the column. Computed
-columns hold Python floats, ints and tags. One writer streams every field
+columns hold Python floats, ints and tags. One writer puts every field
 out as ``str(value)``, which for a float is its shortest repr, so a given
 configuration always writes a byte-identical CSV; no field needs quoting.
+A column is either all ``str``, written as it is, or formatted with
+``str`` as it is written; rows are joined and written in bounded chunks
+(``CSV_CHUNK`` rows), never as one file-sized string.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
 wall time, where that time went (``timings_s``: compute, write) and the
@@ -46,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -105,6 +109,9 @@ ORACLE_CHECKS = {
 # oracle-check draws per stacked concurrence_wootters call
 CHUNK = 128
 
+# CSV rows joined into one string per write
+CSV_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class RecipeResult:
@@ -112,8 +119,10 @@ class RecipeResult:
 
     ``columns`` maps each header name, in order, to its column of values:
     grid axis columns as ``str`` (each value formatted once, see
-    ``_product``), computed columns as Python floats, ints or tags; the
-    writer writes ``str(value)`` for every field. ``rep_state`` builds the
+    ``_product``), computed columns as Python floats, ints or tags. A
+    column is either all ``str``, which the writer passes through, or
+    holds no ``str``, and the writer formats each value with ``str``; it
+    joins and writes the rows in bounded chunks. ``rep_state`` builds the
     representative heralded state for ``--dump-state`` only when asked;
     ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
     """
@@ -415,15 +424,21 @@ def describe_recipes() -> str:
 
 
 def _write_csv(fh, columns):
-    """Stream the header, then one line per row, each field as ``str(value)``.
+    """Write the header, then one line per row, each field as ``str(value)``.
 
-    ``%s`` formats with ``str``: a float comes out as its shortest repr and
-    a pre-formatted axis string passes through unchanged. Rows are formatted
-    one at a time, so no column of strings is ever built here.
+    A column whose first value is a ``str`` is taken to be all ``str`` (an
+    axis column from ``_product``, or tags) and passes through unchanged;
+    every other column is formatted with ``str``, so a float comes out as
+    its shortest repr. Rows are joined and written ``CSV_CHUNK`` at a time,
+    so the whole file is never held as one string.
     """
     fh.write(",".join(columns) + "\n")
-    line = ",".join(["%s"] * len(columns)) + "\n"
-    fh.writelines(line % row for row in zip(*columns.values()))
+    fields = [column if column and isinstance(column[0], str) else map(str, column)
+              for column in columns.values()]
+    rows = map(",".join, zip(*fields))
+    while chunk := list(itertools.islice(rows, CSV_CHUNK)):
+        chunk.append("")  # ends the joined text with a newline, without a copy
+        fh.write("\n".join(chunk))
 
 
 def _environment() -> dict:
@@ -491,7 +506,7 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
         rows = len(next(iter(result.columns.values())))
         meta = {
             "experiment": cfg.experiment,
-            "config": dataclasses.asdict(cfg),
+            "config": {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)},
             "library_version": __version__,
             "environment": _environment(),
             "wall_time_s": written - started,

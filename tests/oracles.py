@@ -93,6 +93,17 @@ def naive_dilate(amps: np.ndarray, n_modes: int, pos: int, t: float, r: float) -
     return out
 
 
+def naive_write_csv(fh, columns):
+    """Row-at-a-time CSV writer oracle: one ``%s`` template per row.
+
+    ``%s`` formats with ``str``, so every field comes out as ``str(value)``;
+    the chunked writer in ``recipes`` must produce the same bytes.
+    """
+    fh.write(",".join(columns) + "\n")
+    line = ",".join(["%s"] * len(columns)) + "\n"
+    fh.writelines(line % row for row in zip(*columns.values()))
+
+
 def bell_phi_plus(labels=("a", "b")) -> PureState:
     return PureState(labels, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0))
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from swapsim import DensityMatrix
+from swapsim import DensityMatrix, __version__
 from swapsim import recipes
-from swapsim.cli import main
+from swapsim.cli import _build_parser, main
+from swapsim.experiment import MAX_MEAN_COUNTS
 
 
 @pytest.fixture
@@ -188,6 +189,47 @@ class TestArgparseBehavior:
         assert exc.value.code == 0
 
 
+class TestReusedParser:
+    """``main`` called again and again in one process, as perfbench does."""
+
+    @staticmethod
+    def run_seed(cfg, out, *extra):
+        assert main(["run", str(cfg), "--out", str(out), *extra]) == 0
+        return json.loads((out / "oracle-check.meta.json").read_text())["config"]["seed"]
+
+    def test_one_parser_per_process(self):
+        assert _build_parser() is _build_parser()
+
+    def test_seed_override_does_not_stick(self, oracle_cfg, tmp_path):
+        assert self.run_seed(oracle_cfg, tmp_path / "a", "--seed", "5") == 5
+        assert self.run_seed(oracle_cfg, tmp_path / "b") == 3
+
+    @pytest.mark.parametrize("bad", [["run"], ["run", "x.cfg", "--seed", "five"],
+                                     ["check", "--draws"], ["bogus"]])
+    def test_usage_error_leaves_later_calls_unchanged(self, bad, oracle_cfg, tmp_path,
+                                                      capsys):
+        assert self.run_seed(oracle_cfg, tmp_path / "before") == 3
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert self.run_seed(oracle_cfg, tmp_path / "after") == 3
+        before, after = (tmp_path / d / "oracle-check.csv" for d in ("before", "after"))
+        assert after.read_bytes() == before.read_bytes()
+
+    def test_version_exits_0_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.strip() == __version__
+
+    def test_check_defaults_do_not_leak(self, capsys):
+        assert main(["check", "--draws", "7", "--seed", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "7 random draws, seed 2"
+        assert main(["check"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "1000 random draws, seed 0"
+
+
 def test_module_entry_point(tmp_path):
     cfg = tmp_path / "o.cfg"
     cfg.write_text("experiment = oracle-check\ndraws = 10\n")
@@ -236,6 +278,16 @@ def test_unallocatable_grid_exits_2_without_a_traceback(doc, err, tmp_path):
     assert proc.stderr.startswith(err), proc.stderr
     assert proc.stderr.count("\n") == err.count("\n") + 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
+def test_largest_accepted_counts_run_theta_fringes(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"experiment = theta-fringes\ncounts = {MAX_MEAN_COUNTS!r}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "theta-fringes.meta.json").read_text())
+    fits = meta["summary"]["fitted_visibility"]
+    assert all(fit["sigma"] > 0.0 for fit in fits.values())
+    assert fits["Xp"]["v"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize(

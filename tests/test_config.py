@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swapsim import ConfigError, SweepConfig, to_text, validate_config
+from swapsim.experiment import MAX_MEAN_COUNTS
 
 
 class TestDefaults:
@@ -85,6 +86,13 @@ class TestViolations:
         ]:
             with pytest.raises(ConfigError, match=match):
                 validate_config(doc)
+
+    @pytest.mark.parametrize("value", ["1e19", repr(np.nextafter(MAX_MEAN_COUNTS, np.inf))])
+    def test_counts_beyond_the_poisson_limit_rejected(self, value):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(f"experiment = theta-fringes\ncounts = {value}\n")
+        assert str(exc.value) == (f"key 'counts': need a number in [0, {MAX_MEAN_COUNTS!r}], "
+                                  f"got {value!r}")
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate key"):

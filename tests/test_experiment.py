@@ -17,6 +17,8 @@ from swapsim import (
     synth_counts,
     visibility_analytic,
 )
+from swapsim.experiment import MAX_MEAN_COUNTS, _POISSON_MEAN_MAX
+from swapsim.states import ATOL
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
@@ -107,6 +109,13 @@ class TestSynthCounts:
         np.testing.assert_array_equal(a.counts_plus, b.counts_plus)
         np.testing.assert_array_equal(a.counts_minus, b.counts_minus)
 
+    def test_poisson_limit_is_numpys(self):
+        rng = np.random.default_rng(0)
+        rng.poisson(_POISSON_MEAN_MAX)
+        rng.poisson(MAX_MEAN_COUNTS * (1.0 + ATOL))
+        with pytest.raises(ValueError, match="lam value too large"):
+            rng.poisson(np.nextafter(_POISSON_MEAN_MAX, np.inf))
+
     def test_different_seeds_differ(self):
         kwargs = dict(pair=MAX_ENTANGLED_PAIR, t1=0.9, t2=0.8,
                       setting=BsmSetting.x(+1), thetas=GRID16)
@@ -130,6 +139,31 @@ class TestEstimateVisibility:
         rep = estimate_visibility(GRID16, counts.counts_plus)
         assert abs(rep.v - 0.8) <= 3.0 * rep.sigma
         assert rep.sigma < 0.02
+
+    @pytest.mark.parametrize("setting", [BsmSetting.x(-1), BsmSetting.y(+1)])
+    @pytest.mark.parametrize("mean", [1e17, 1e18, MAX_MEAN_COUNTS])
+    def test_huge_counts_fit_with_a_poisson_sigma(self, setting, mean):
+        # one empty bin among ~1e18 counts: the normal matrix of the fit is
+        # singular in floating point, its QR factor is not
+        counts = synth_counts(MAX_ENTANGLED_PAIR, 1.0, 1.0, setting, GRID16,
+                              CountModel(mean, seed=3))
+        rep = estimate_visibility(GRID16, counts.counts_plus)
+        assert rep.v == pytest.approx(1.0)
+        # as at 1e5 counts (2.004e-5), sigma of a unit-visibility fringe whose
+        # dark bins floor at variance 1 is close to 2 / mean
+        assert 1.0 / mean < rep.sigma < 4.0 / mean
+
+    def test_sigma_agrees_with_the_normal_equations(self):
+        counts = synth_counts(MAX_ENTANGLED_PAIR, 1.0, 0.5, BsmSetting.x(+1), GRID16,
+                              CountModel(1e5, seed=11)).counts_plus
+        rep = estimate_visibility(GRID16, counts)
+        design = np.column_stack([np.ones(16), np.cos(GRID16), np.sin(GRID16)])
+        cov = np.linalg.inv(design.T @ (design / np.maximum(counts, 1.0)[:, None]))
+        a, u, v = np.linalg.lstsq(design / np.sqrt(np.maximum(counts, 1.0))[:, None],
+                                  counts / np.sqrt(np.maximum(counts, 1.0)), rcond=None)[0]
+        b = np.hypot(u, v)
+        grad = np.array([-b / a ** 2, u / (a * b), v / (a * b)])
+        assert rep.sigma == pytest.approx(np.sqrt(grad @ cov @ grad), rel=1e-9)
 
     def test_flat_counts_are_consistent_with_zero(self):
         rng = np.random.default_rng(31)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -23,7 +24,9 @@ from swapsim.protocol import (
     success_probability,
     swap,
 )
-from swapsim.recipes import CHUNK, RECIPES, _write_csv, run, run_oracle_draws
+from swapsim.recipes import CHUNK, CSV_CHUNK, RECIPES, _write_csv, run, run_oracle_draws
+
+from oracles import naive_write_csv
 
 DEFAULT_GRIDS = {name: recipe.grids for name, recipe in RECIPES.items()}
 
@@ -368,6 +371,59 @@ def test_write_csv_writes_str_of_every_field():
     assert lines[0] == "x,n,tag" and lines[-1] == ""
     assert lines[1:-1] == [",".join(map(str, row)) for row in zip(*columns.values())]
     assert lines[1:4] == ["-0.0,0,Xp", "5e-324,-3,+", f"1e+16,{2 ** 70},-"]
+
+
+# values whose text is easy to get wrong: signed zero, subnormal, exponent
+# form, ints beyond 64 bits, tags that look like numbers
+_FLOATS = [-0.0, 5e-324, 1e16, 0.1, 1e-05, 2.5, -7.0]
+_INTS = [0, -3, 2 ** 70, 7, 10 ** 16]
+_TAGS = ["Xp", "+", "-", "equal", "0.1"]
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                  2 * CSV_CHUNK + 1])
+def test_write_csv_matches_the_row_at_a_time_writer(rows):
+    def cycle(values):
+        return [values[i % len(values)] for i in range(rows)]
+
+    columns = {"tag": cycle(_TAGS), "x": cycle(_FLOATS), "n": cycle(_INTS),
+               "axis": [str(x) for x in cycle(_FLOATS[::-1])]}
+    fast, naive = io.StringIO(), io.StringIO()
+    _write_csv(fast, columns)
+    naive_write_csv(naive, columns)
+    assert fast.getvalue() == naive.getvalue()
+    assert fast.getvalue().count("\n") == rows + 1
+
+
+def test_write_csv_writes_bounded_chunks():
+    lines_per_write = []
+
+    class Recorder(io.StringIO):
+        def write(self, text):
+            lines_per_write.append(text.count("\n"))
+            return super().write(text)
+
+    _write_csv(Recorder(), {"x": [0.5] * (2 * CSV_CHUNK + 1)})
+    assert lines_per_write == [1, CSV_CHUNK, CSV_CHUNK, 1]
+
+
+def test_surface_run_matches_the_row_at_a_time_writer(tmp_path):
+    cfg = validate_config("experiment = concurrence-surface\n"
+                          "t1 = linspace(0.01, 1, 300)\nt2 = linspace(0.01, 1, 300)\n")
+    columns = RECIPES[cfg.experiment].runner(cfg).columns
+    naive = io.StringIO()
+    naive_write_csv(naive, columns)
+    report = run(cfg, out_dir=tmp_path)
+    assert report.csv_path.read_bytes() == naive.getvalue().encode()
+    assert json.loads(report.meta_path.read_text())["rows"] == 90_000
+
+
+def test_meta_config_is_the_config_as_json(tmp_path):
+    cfg = validate_config("experiment = imbalance-restore\nseed = 4\nt1 = 0.7\n"
+                          "t2 = 0.2, 0.5\nnormalize = false\n")
+    meta = json.loads(run(cfg, out_dir=tmp_path).meta_path.read_text())
+    assert meta["config"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert list(meta["config"]) == [f.name for f in dataclasses.fields(cfg)]
 
 
 def test_default_grids_cover_every_recipe():
