@@ -11,6 +11,7 @@ b). Unknown keys are rejected and every violation is reported at once.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -130,7 +131,7 @@ def _parse_grid(key: str, text: str, errors: list[str]) -> tuple[float, ...] | N
 def _check_domain(key: str, grid: tuple[float, ...], errors: list[str]):
     holds, text = _DOMAINS[key]
     for x in grid:
-        if not np.isfinite(x):
+        if not math.isfinite(x):
             errors.append(f"key {key!r}: value {x!r} is not finite")
         elif not holds(x):
             errors.append(f"key {key!r}: value {x!r} outside {text}")

@@ -58,7 +58,11 @@ class SpdcSource:
 
 @dataclass(frozen=True)
 class CountModel:
-    """Counting-statistics knobs: mean total counts per phase setting, seed."""
+    """Counting-statistics knobs: mean total counts per phase setting, seed.
+
+    The mean must lie in [0, ``MAX_MEAN_COUNTS``], so that every scan point
+    can be sampled.
+    """
 
     mean_total_counts: float = 1e5
     seed: int = 0
@@ -66,7 +70,14 @@ class CountModel:
     def __post_init__(self):
         if self.mean_total_counts < 0:
             raise ValueError("mean_total_counts must be nonnegative")
-        object.__setattr__(self, "mean_total_counts", float(self.mean_total_counts))
+        mean = float(self.mean_total_counts)
+        # also refuses NaN, which fails every comparison
+        if not mean <= MAX_MEAN_COUNTS:
+            raise ValueError(
+                f"mean_total_counts = {mean!r} must be finite and at most "
+                f"MAX_MEAN_COUNTS = {MAX_MEAN_COUNTS!r}, numpy's Poisson limit"
+            )
+        object.__setattr__(self, "mean_total_counts", mean)
         object.__setattr__(self, "seed", int(self.seed))
 
 

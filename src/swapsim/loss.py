@@ -82,7 +82,7 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
     # environment bit is appended as the least-significant position
     amps = psi.amps.reshape(2 ** pos, 2, -1)
     out = np.zeros(amps.shape + (2,), dtype=complex)
-    out[:, 0, :, 0] = amps[:, 0, :]         # no photon: untouched
-    out[:, 1, :, 0] = ch.t * amps[:, 1, :]  # photon kept
-    out[:, 0, :, 1] = ch.r * amps[:, 1, :]  # photon moved to the environment
+    out[:, 0, :, 0] = amps[:, 0, :]                           # no photon: untouched
+    np.multiply(ch.t, amps[:, 1, :], out=out[:, 1, :, 0])     # photon kept
+    np.multiply(ch.r, amps[:, 1, :], out=out[:, 0, :, 1])     # photon moved to the environment
     return PureState._of(psi.labels + (env,), out.reshape(-1))

@@ -35,9 +35,11 @@ Column contracts:
                         bell_fidelity, p_success [, p_normalized]
   oracle-check          draw, t1, t2, sign, max_dev_rho, dev_norm,
                         dev_concurrence
-                        (draw by draw through both routes; the Wootters
-                        concurrences of the heralded states are taken
-                        ``CHUNK`` draws at a time, in one stacked call)
+                        (draw by draw through both routes; both
+                        deviation columns are taken ``CHUNK`` draws at a
+                        time: max_dev_rho from one stacked difference of
+                        heralded and closed-form states, dev_concurrence
+                        from one stacked Wootters call)
 
 Success probabilities are absolute heralding probabilities summed over
 both entangling outcomes; ``p_normalized`` divides by the same inputs on
@@ -71,6 +73,7 @@ from .experiment import (
     synth_counts,
     SpdcSource,
 )
+from .loss import LossChannel
 from .metrics import (
     TWO_PI,
     bell_fidelity,
@@ -106,8 +109,11 @@ ORACLE_CHECKS = {
                             1e-10),
 }
 
-# oracle-check draws per stacked concurrence_wootters call
+# oracle-check draws per stacked concurrence_wootters call and max_dev_rho difference
 CHUNK = 128
+
+# oracle-check's two settings, by sign
+_X_SETTINGS = {+1: BsmSetting.x(+1), -1: BsmSetting.x(-1)}
 
 # CSV rows joined into one string per write
 CSV_CHUNK = 4096
@@ -310,36 +316,43 @@ def _run_imbalance(cfg: SweepConfig):
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
-    Each draw runs both routes. Its heralded state and closed-form
-    concurrence wait in a ``CHUNK``-sized buffer, and each full (or last)
-    buffer gets its ``dev_concurrence`` values from one stacked
-    ``concurrence_wootters`` call, so memory does not grow with ``draws``.
-    ``ok`` is False as soon as any draw exceeds a tolerance of
-    ``ORACLE_CHECKS``; ``rep_state`` is the first draw's X+ state.
+    Each draw runs both routes; its two channels are built once and serve
+    both signs. Its heralded state, closed-form state and closed-form
+    concurrence wait in ``CHUNK``-sized buffers, and each full (or last)
+    buffer gets its ``max_dev_rho`` values from one stacked difference and
+    its ``dev_concurrence`` values from one stacked ``concurrence_wootters``
+    call, so memory does not grow with ``draws``. ``ok`` is False as soon
+    as any draw exceeds a tolerance of ``ORACLE_CHECKS``; ``rep_state`` is
+    the first draw's X+ state.
     """
     rng = np.random.default_rng(seed)
-    columns = {}
+    t1s, t2s, signs, dev_rhos, dev_norms, dev_concs = [], [], [], [], [], []
     states = np.empty((CHUNK, 4, 4), dtype=complex)
+    rhos_cf = np.empty((CHUNK, 4, 4), dtype=complex)
     conc_cf = np.empty(CHUNK)
     for i in range(draws):
         pair = random_input_pair(rng)
         t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
         sign = +1 if rng.integers(0, 2) == 0 else -1
-        brute = swap(pair, t1, t2, BsmSetting.x(sign))
-        other = swap(pair, t1, t2, BsmSetting.x(-sign))
-        rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
-        dev_rho = float(np.max(np.abs(brute.rho_ab.entries - rho_cf)))
-        dev_norm = abs(brute.p_success + other.p_success - norm)
+        ch1, ch2 = LossChannel(t1), LossChannel(t2)
+        brute = swap(pair, ch1, ch2, _X_SETTINGS[sign])
+        other = swap(pair, ch1, ch2, _X_SETTINGS[-sign])
         k = i % CHUNK
+        rhos_cf[k], norm = closed_form_rho(pair, t1, t2, sign)
         states[k] = brute.rho_ab.entries
         conc_cf[k] = concurrence_closed_form(pair, t1, t2)
-        _append(columns, draw=i, t1=t1, t2=t2, sign=sign, max_dev_rho=dev_rho,
-                dev_norm=dev_norm)
+        t1s.append(t1)
+        t2s.append(t2)
+        signs.append(sign)
+        dev_norms.append(abs(brute.p_success + other.p_success - norm))
         if k == CHUNK - 1 or i == draws - 1:
-            dev_conc = np.abs(concurrence_wootters(states[:k + 1]) - conc_cf[:k + 1])
-            columns.setdefault("dev_concurrence", []).extend(dev_conc.tolist())
+            n = k + 1
+            dev_rhos += np.max(np.abs(states[:n] - rhos_cf[:n]), axis=(1, 2)).tolist()
+            dev_concs += np.abs(concurrence_wootters(states[:n]) - conc_cf[:n]).tolist()
         if i == 0:
             rep_state = _rep_state(pair, t1, t2)
+    columns = {"draw": list(range(draws)), "t1": t1s, "t2": t2s, "sign": signs,
+               "max_dev_rho": dev_rhos, "dev_norm": dev_norms, "dev_concurrence": dev_concs}
     summary = {"draws": draws}
     for key, (column, _, _, _) in ORACLE_CHECKS.items():
         summary[key] = max(columns[column])

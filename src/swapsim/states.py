@@ -21,10 +21,18 @@ labels and shape; states the library builds itself (``tensor``,
 dilation and the protocol's inputs) reuse the fresh array the library
 just made, over labels already known to be valid, and only mark it
 read-only.
+
+The label bookkeeping of ``project``, ``partial_trace`` and ``reorder``
+is memoised per label tuple: the kept modes, the amplitude index that
+reorders a register, and the ``LabelError`` text of an unknown or
+repeated mode are worked out once per pair of registers and then looked
+up. A ket's ``norm2`` is computed on first use and kept with the
+(immutable) state, so checking a constant projector ket costs a lookup.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
@@ -47,6 +55,9 @@ ATOL = 1e-12          # entrywise equality, Hermiticity and trace tolerance
 PSD_MIN_EIG = -1e-10  # most negative admissible density-matrix eigenvalue
 
 Label = str
+
+# label pairs whose bookkeeping each memoised helper keeps
+_PLANS = 1024
 
 
 class LabelError(ValueError):
@@ -96,8 +107,15 @@ class PureState:
 
     @property
     def norm2(self) -> float:
-        """Squared norm; the weight carried by an unnormalized ket."""
-        return float(np.vdot(self.amps, self.amps).real)
+        """Squared norm; the weight carried by an unnormalized ket.
+
+        Computed on first use and kept: the amplitudes never change.
+        """
+        n2 = self.__dict__.get("_norm2")
+        if n2 is None:
+            n2 = float(np.vdot(self.amps, self.amps).real)
+            object.__setattr__(self, "_norm2", n2)
+        return n2
 
     def is_normalized(self, atol: float = ATOL) -> bool:
         return abs(self.norm2 - 1.0) <= atol
@@ -126,8 +144,25 @@ def _amps_in_order(psi: PureState, labels: tuple[Label, ...]) -> np.ndarray:
     """
     if labels == psi.labels:
         return psi.amps
-    perm = [psi.labels.index(lab) for lab in labels]
-    return psi.amps.reshape((2,) * psi.num_modes).transpose(perm).reshape(-1)
+    return psi.amps[_order_index(psi.labels, labels)]
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _order_index(src: tuple[Label, ...], dst: tuple[Label, ...]) -> np.ndarray:
+    """Flat index with ``amps[index]`` = a ket on ``src`` read in the order ``dst``.
+
+    ``dst`` must be a permutation of ``src``. Memoised and read-only.
+    """
+    perm = [src.index(lab) for lab in dst]
+    index = np.arange(2 ** len(src)).reshape((2,) * len(src)).transpose(perm).reshape(-1)
+    index.setflags(write=False)
+    return index
+
+
+def _split_index(labels: tuple[Label, ...], first: tuple[Label, ...],
+                 rest: tuple[Label, ...]) -> np.ndarray:
+    """Index with ``amps[index]`` = a ket on ``labels`` as a (first, rest) matrix."""
+    return _order_index(labels, first + rest).reshape(2 ** len(first), -1)
 
 
 @dataclass(frozen=True)
@@ -218,15 +253,33 @@ def partial_trace(
     |psi><psi|; discarding every mode leaves a 0-mode register whose 1x1
     matrix holds ``psi.norm2``.
     """
-    discard = _as_labels(discard)
-    unknown = set(discard) - set(psi.labels)
-    if unknown:
-        raise LabelError(f"cannot trace out unknown modes {sorted(unknown)!r}")
-    keep = tuple(lab for lab in psi.labels if lab not in discard)
-    v = _amps_in_order(psi, keep + discard).reshape(2 ** len(keep), -1)
+    if not isinstance(discard, (str, tuple)):
+        discard = tuple(discard)
+    keep, index, error = _trace_plan(psi.labels, discard)
+    if error:
+        raise LabelError(error)
+    v = psi.amps[index]
     rho = v @ v.conj().T
     # the diagonal holds sums of squares, so the weight is never negative
     return DensityMatrix._of(keep, rho, float(np.trace(rho).real))
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _trace_plan(labels: tuple[Label, ...], discard: Union[Label, tuple[Label, ...]]):
+    """``partial_trace``'s bookkeeping, memoised: ``(keep, index, error)``.
+
+    ``index`` reads the amplitudes as a (kept, discarded) matrix; ``error``
+    is the ``LabelError`` text of a repeated or unknown mode, else None.
+    """
+    try:
+        discard = _as_labels(discard)
+    except LabelError as exc:
+        return None, None, str(exc)
+    unknown = set(discard) - set(labels)
+    if unknown:
+        return None, None, f"cannot trace out unknown modes {sorted(unknown)!r}"
+    keep = tuple(lab for lab in labels if lab not in discard)
+    return keep, _split_index(labels, keep, discard), None
 
 
 def project(psi: PureState, projector_ket: PureState) -> PureState:
@@ -240,12 +293,24 @@ def project(psi: PureState, projector_ket: PureState) -> PureState:
         raise ValueError(
             f"projector ket must be normalized (norm^2 = {projector_ket.norm2})"
         )
-    missing = set(projector_ket.labels) - set(psi.labels)
+    keep, index, error = _project_plan(psi.labels, projector_ket.labels)
+    if error:
+        raise LabelError(error)
+    return PureState._of(keep, projector_ket.amps.conj() @ psi.amps[index])
+
+
+@functools.lru_cache(maxsize=_PLANS)
+def _project_plan(labels: tuple[Label, ...], bra: tuple[Label, ...]):
+    """``project``'s bookkeeping, memoised: ``(keep, index, error)``.
+
+    ``index`` reads the amplitudes as a (projected, kept) matrix; ``error``
+    is the ``LabelError`` text of an unknown mode, else None.
+    """
+    missing = set(bra) - set(labels)
     if missing:
-        raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
-    keep = tuple(lab for lab in psi.labels if lab not in projector_ket.labels)
-    v = _amps_in_order(psi, projector_ket.labels + keep).reshape(-1, 2 ** len(keep))
-    return PureState._of(keep, projector_ket.amps.conj() @ v)
+        return None, None, f"projector acts on unknown modes {sorted(missing)!r}"
+    keep = tuple(lab for lab in labels if lab not in bra)
+    return keep, _split_index(labels, bra, keep), None
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,16 @@ class TestEstimateVisibility:
         with pytest.raises(ValueError, match="nonnegative"):
             CountModel(-1.0, seed=0)
 
+    def test_largest_samplable_mean_accepted(self):
+        assert CountModel(MAX_MEAN_COUNTS).mean_total_counts == MAX_MEAN_COUNTS
+
+    @pytest.mark.parametrize("mean", [np.nextafter(MAX_MEAN_COUNTS, np.inf), np.nan,
+                                      np.inf, 1e19])
+    def test_unsamplable_mean_rejected(self, mean):
+        with pytest.raises(ValueError, match="MAX_MEAN_COUNTS") as info:
+            CountModel(mean)
+        assert repr(MAX_MEAN_COUNTS) in str(info.value)
+
     def test_pull_distribution_is_calibrated(self):
         rho, _ = closed_form_rho(MAX_ENTANGLED_PAIR, 1.0, 0.5)
         v_true = visibility_analytic(rho).v

@@ -3,11 +3,12 @@ import dataclasses
 import io
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from swapsim import DensityMatrix, recipes, validate, validate_config
+from swapsim import DensityMatrix, protocol, recipes, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input
 from swapsim.metrics import (
     bell_fidelity,
@@ -71,12 +72,34 @@ class TestOracleDraws:
         names = ("draw", "t1", "t2", "sign", "max_dev_rho", "dev_norm", "dev_concurrence")
         return dict(zip(names, map(list, zip(*rows))))
 
-    @pytest.mark.parametrize("draws", [1, CHUNK, CHUNK + 1])
+    # exact equality: guards the per-chunk max_dev_rho and dev_concurrence
+    @pytest.mark.parametrize("draws", [1, CHUNK, CHUNK + 1, 2 * CHUNK + 5])
     def test_chunked_draws_match_the_per_draw_reference(self, draws):
-        columns = run_oracle_draws(draws, seed=12).columns
-        want = self.per_draw_reference(draws, seed=12)
-        assert list(columns) == list(want)
-        assert columns == want
+        for seed in (12, 31):
+            columns = run_oracle_draws(draws, seed=seed).columns
+            want = self.per_draw_reference(draws, seed=seed)
+            assert list(columns) == list(want)
+            assert columns == want
+
+    def test_two_swaps_and_four_dilations_per_draw(self, monkeypatch):
+        per_draw = []  # one Counter per draw, opened by its random_input_pair call
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                if name == "random_input_pair":
+                    per_draw.append(Counter())
+                else:
+                    per_draw[-1][name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(recipes, "random_input_pair")
+        spy(recipes, "swap")
+        spy(protocol, "dilate")
+        run_oracle_draws(2 * CHUNK + 5, seed=14)
+        assert per_draw == [Counter(swap=2, dilate=4)] * (2 * CHUNK + 5)
 
     def test_one_stacked_wootters_call_per_chunk(self, monkeypatch):
         stacks = []

@@ -21,6 +21,7 @@ from swapsim import (
     tensor,
     validate,
 )
+from swapsim import states
 
 from oracles import (
     bell_phi_plus,
@@ -276,6 +277,71 @@ class TestReorder:
         psi = random_pure(rng, ("A", "B", "C"))
         with pytest.raises(LabelError):
             psi.reorder(labels)
+
+
+class TestMemoisedBookkeeping:
+    """``project``, ``partial_trace`` and ``reorder`` look their label
+    bookkeeping up per label tuple; a repeated register must get the
+    answer a fresh one would."""
+
+    ORDERS = [("A", "B", "C", "D"), ("D", "B", "A", "C"), ("C", "D", "B", "A"),
+              ("B", "A", "D", "C")]
+
+    def test_alternating_calls_over_reordered_registers_match_the_oracles(self, rng):
+        ket = random_pure(rng, ("C", "A"))
+        for _ in range(3):
+            for labels in self.ORDERS:
+                psi = random_pure(rng, labels)
+                rho = DensityMatrix(labels, np.outer(psi.amps, psi.amps.conj()))
+                out = project(psi, ket)
+                assert out.labels == tuple(lab for lab in labels if lab not in ket.labels)
+                np.testing.assert_allclose(np.outer(out.amps, out.amps.conj()),
+                                           naive_project(rho, ket), atol=1e-13)
+                discard = ("D", "B")
+                traced = partial_trace(psi, discard)
+                keep = [i for i, lab in enumerate(labels) if lab not in discard]
+                assert traced.labels == tuple(labels[i] for i in keep)
+                np.testing.assert_allclose(traced.entries,
+                                           naive_partial_trace(rho.entries, 4, keep),
+                                           atol=1e-13)
+                back = psi.reorder(self.ORDERS[0]).reorder(labels)
+                assert back.amps.tobytes() == psi.amps.tobytes()
+
+    @pytest.mark.parametrize("discard", ["B", ["B"], ("B",), ["C", "A"], ("C", "A")])
+    def test_discard_as_str_list_or_tuple(self, rng, discard):
+        psi = random_pure(rng, ("A", "B", "C"))
+        names = (discard,) if isinstance(discard, str) else tuple(discard)
+        keep = [i for i, lab in enumerate(psi.labels) if lab not in names]
+        for _ in range(2):
+            out = partial_trace(psi, discard)
+            assert out.labels == tuple(psi.labels[i] for i in keep)
+            np.testing.assert_allclose(
+                out.entries,
+                naive_partial_trace(np.outer(psi.amps, psi.amps.conj()), 3, keep),
+                atol=1e-13)
+
+    @pytest.mark.parametrize("call, text", [
+        (lambda psi: partial_trace(psi, ("B", "Q")), "cannot trace out unknown modes ['Q']"),
+        (lambda psi: partial_trace(psi, ["B", "B"]), "duplicate mode labels in ('B', 'B')"),
+        (lambda psi: project(psi, PureState(("Q", "A"), [1, 0, 0, 0])),
+         "projector acts on unknown modes ['Q']"),
+    ])
+    def test_label_error_text_is_the_same_on_a_repeated_call(self, rng, call, text):
+        states._trace_plan.cache_clear()
+        states._project_plan.cache_clear()
+        psi = random_pure(rng, ("A", "B", "C"))
+        for _ in range(2):
+            with pytest.raises(LabelError) as info:
+                call(psi)
+            assert str(info.value) == text
+
+    def test_norm2_is_computed_once_per_state(self, monkeypatch):
+        ket = PureState(("B",), np.array([0.6, 0.8]))
+        psi = PureState(("A", "B"), np.array([0.6, 0.0, 0.0, 0.8]))
+        n2 = ket.norm2
+        monkeypatch.setattr(np, "vdot", lambda *args: pytest.fail("norm2 recomputed"))
+        assert ket.norm2 == n2
+        assert project(psi, ket).labels == ("A",)
 
 
 # ------------------------------------------------------ library-built states
