@@ -1,9 +1,9 @@
 """Entanglement and interference figures of merit for the heralded state.
 
 Concurrence comes in two independent flavors that must agree: the
-general spin-flip construction for any two-qubit density matrix (or a
-stack of them, in one stacked eigendecomposition and SVD), and the
-closed form for the swap output,
+general spin-flip construction for any two-qubit density matrix or
+stack of them (one body, in which a single state is a stack of one),
+and the closed form for the swap output,
 
     C = 2 |alpha beta gamma delta t1 t2| / norm.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import WEIGHT_EPS, InputPair, success_probability
+from .protocol import InputPair, _check_sign, _heralded, success_probability
 from .states import ATOL, DensityMatrix
 
 __all__ = [
@@ -84,30 +84,16 @@ def concurrence_wootters(rho) -> float | np.ndarray:
 
     ``rho`` is one state (a DensityMatrix or a 4x4 array), which gives a
     float, or a stack of shape (N, 4, 4), which gives an array of N
-    concurrences from one stacked ``eigh`` and one stacked ``svd``. Stacked
-    LAPACK calls treat each member exactly as a single call would, so both
-    forms agree bit for bit. Every member must pass the finiteness, trace,
-    Hermiticity and positivity checks; the first that fails raises the
-    error a single call on it would raise.
+    concurrences. There is one body: a single state runs as a stack of one,
+    through one stacked ``eigh`` and one stacked ``svd``, which treat each
+    member exactly as a lone call would. Every member must pass the
+    finiteness, trace, Hermiticity and positivity checks; the first that
+    fails raises the error a single call on it would raise.
     """
-    if not isinstance(rho, DensityMatrix) and np.ndim(rho) == 3:
-        return _concurrence_stack(_two_qubit_matrix(rho, stack=True))
-    m = _two_qubit_matrix(rho)
-    if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise ValueError("input matrix is not Hermitian")
-    ev, vec = np.linalg.eigh((m + m.conj().T) / 2.0)
-    if ev[0] < -1e-10:
-        raise ValueError(
-            f"input matrix is not positive semidefinite (min eigenvalue {ev[0]:.3e})"
-        )
-    # tiny negative eigenvalues are roundoff; clip before the square root
-    a = vec * np.sqrt(np.clip(ev, 0.0, None))
-    lam = np.linalg.svd(a.T @ _YY @ a, compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
-
-
-def _concurrence_stack(m: np.ndarray) -> np.ndarray:
-    """``concurrence_wootters`` over a validated stack (N, 4, 4), member by member."""
+    stack = not isinstance(rho, DensityMatrix) and np.ndim(rho) == 3
+    m = _two_qubit_matrix(rho, stack=stack)
+    if not stack:
+        m = m[None]
     h = m.conj().transpose(0, 2, 1)
     if np.any(np.max(np.abs(m - h), axis=(1, 2)) > 1e-10):
         raise ValueError("input matrix is not Hermitian")
@@ -117,9 +103,11 @@ def _concurrence_stack(m: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input matrix is not positive semidefinite (min eigenvalue {ev[bad[0], 0]:.3e})"
         )
+    # tiny negative eigenvalues are roundoff; clip before the square root
     a = vec * np.sqrt(np.clip(ev, 0.0, None))[:, None, :]
     lam = np.linalg.svd(a.transpose(0, 2, 1) @ _YY @ a, compute_uv=False)
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return c if stack else float(c[0])
 
 
 def concurrence_closed_form(pair: InputPair, t1, t2):
@@ -129,9 +117,7 @@ def concurrence_closed_form(pair: InputPair, t1, t2):
     t1, t2 (broadcast).
     """
     norm = success_probability(pair, t1, t2)
-    # a float norm is one point: np.any on it costs more than the rest of the call
-    if norm < 2.0 * WEIGHT_EPS if isinstance(norm, float) else (norm < 2.0 * WEIGHT_EPS).any():
-        raise ValueError("degenerate inputs: heralding probability is zero")
+    _heralded(norm)
     num = 2.0 * abs(pair.alpha * pair.beta * pair.gamma * pair.delta) * t1 * t2
     c = num / norm
     return float(c) if np.isscalar(c) else c
@@ -163,8 +149,7 @@ def _bell_ket(sign: int, phase: float) -> np.ndarray:
 
 def bell_fidelity(rho, sign: int = +1, phase: float = 0.0) -> float:
     """Overlap <Psi|rho|Psi> with (|01> + sign e^{i phase} |10>)/sqrt(2)."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign)
     m = _two_qubit_matrix(rho)
     k = _bell_ket(sign, phase)
     return float(np.real(k.conj() @ m @ k))

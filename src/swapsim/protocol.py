@@ -152,9 +152,14 @@ class BsmSetting:
         return _PROJECTOR_KETS[self.name]
 
 
-def _sign_char(sign: int) -> str:
+def _check_sign(sign: int) -> None:
+    """Reject any sign but +1 and -1; every entry point that takes one calls this."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+
+
+def _sign_char(sign: int) -> str:
+    _check_sign(sign)
     return "+" if sign > 0 else "-"
 
 
@@ -224,6 +229,13 @@ def _rho_entries(pair: InputPair, t1, t2):
     return r22, r33, r44, r23
 
 
+def _heralded(norm) -> None:
+    """Reject a total heralding probability that vanishes at any point of ``norm``."""
+    # a float is one point: ndarray calls on it would cost more than the rest of a scalar call
+    if norm < 2.0 * WEIGHT_EPS if isinstance(norm, float) else (norm < 2.0 * WEIGHT_EPS).any():
+        raise ValueError("degenerate inputs: heralding probability is zero")
+
+
 def closed_form_rho(
     pair: InputPair, t1, t2, sign: int = +1
 ) -> tuple[np.ndarray, float | np.ndarray]:
@@ -244,15 +256,13 @@ def closed_form_rho(
     4x4 matrix and a float. Any grid point with a vanishing heralding
     probability rejects the whole call.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign)
     r22, r33, r44, r23 = _rho_entries(pair, t1, t2)
     norm = r22 + r33 + r44
-    # a float norm is one point, checked and returned as the float it is:
-    # ndarray calls on it would cost more than the rest of a scalar call
+    _heralded(norm)
+    # a float norm is one point, returned as the float it is: ndarray calls
+    # on it would cost more than the rest of a scalar call
     point = isinstance(norm, float)
-    if norm < 2.0 * WEIGHT_EPS if point else (norm < 2.0 * WEIGHT_EPS).any():
-        raise ValueError("degenerate inputs: heralding probability is zero")
     # entry axes first, so that plain indexing fills them and norm broadcasts
     rho = np.zeros((4, 4) if point else (4, 4) + norm.shape, dtype=complex)
     rho[1, 1] = r22
@@ -333,8 +343,7 @@ def asymptotic_state(
     whose squared norm (available as ``.norm2``) carries the success
     scaling: for balanced channels t1 = t2 = sqrt(t) it is linear in t.
     """
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    _check_sign(sign)
     amps = np.array(
         [
             0.0,

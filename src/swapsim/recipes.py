@@ -84,15 +84,14 @@ from .metrics import (
 from .protocol import (
     MAX_ENTANGLED_PAIR,
     SETTINGS,
-    WEIGHT_EPS,
     BsmSetting,
+    _heralded,
     closed_form_rho,
     optimal_inputs,
     random_input_pair,
     success_probability,
     swap,
 )
-from .states import DensityMatrix
 
 if TYPE_CHECKING:
     from .config import SweepConfig
@@ -128,14 +127,15 @@ class RecipeResult:
     ``_product``), computed columns as Python floats, ints or tags. A
     column is either all ``str``, which the writer passes through, or
     holds no ``str``, and the writer formats each value with ``str``; it
-    joins and writes the rows in bounded chunks. ``rep_state`` builds the
-    representative heralded state for ``--dump-state`` only when asked;
-    ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
+    joins and writes the rows in bounded chunks. ``rep`` is the
+    representative grid point as data, ``(pair, t1, t2)``; ``run`` builds
+    its X+ heralded state only for ``--dump-state``. ``extra`` holds one
+    ``(filename, columns)`` pair per extra CSV file.
     """
 
     columns: dict
     summary: dict
-    rep_state: Callable[[], DensityMatrix]
+    rep: tuple
     ok: bool = True
     extra: tuple = ()
 
@@ -192,17 +192,6 @@ def _product(**axes):
     return columns
 
 
-def _append(columns, **row):
-    """Append one grid point's values, creating the columns on first use."""
-    for name, value in row.items():
-        columns.setdefault(name, []).append(value)
-
-
-def _rep_state(pair, t1, t2):
-    """Deferred X+ heralded state at one grid point, for ``--dump-state``."""
-    return lambda: swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab
-
-
 # ---------------------------------------------------------------- recipes
 
 def _run_surface(cfg: SweepConfig):
@@ -210,7 +199,7 @@ def _run_surface(cfg: SweepConfig):
     conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, np.array(g1)[:, None], np.array(g2))
     columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel().tolist()}
     summary = {"points": conc.size, "max_concurrence": float(conc.max())}
-    return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
+    return RecipeResult(columns, summary, (MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 def _run_slices(cfg: SweepConfig):
@@ -222,7 +211,7 @@ def _run_slices(cfg: SweepConfig):
                "visibility": visibility_analytic(rho).ravel().tolist(),
                "p_success": norm.ravel().tolist()}
     summary = {"points": conc.size, "t1_values": list(g1)}
-    return RecipeResult(columns, summary, _rep_state(MAX_ENTANGLED_PAIR, g1[0], g2[0]))
+    return RecipeResult(columns, summary, (MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
 
 def _run_fringes(cfg: SweepConfig):
@@ -249,13 +238,13 @@ def _run_fringes(cfg: SweepConfig):
                  "counts": hits}
         part = {**axes, "probability": prob.tolist(), "expected_counts": (mean * prob).tolist(),
                 "counts": hits}
-        for name, values in part.items():
-            columns.setdefault(name, []).extend(values)
+        for header, values in part.items():
+            columns.setdefault(header, []).extend(values)
         fit = estimate_visibility(thetas, counts.counts_plus)
         fits[tag] = {"v": fit.v, "sigma": fit.sigma}
         extra.append((f"counts_{tag}_seed{cfg.seed}.csv", block))
-    return RecipeResult(columns, {"fitted_visibility": fits},
-                        _rep_state(pair, t1, t2), extra=tuple(extra))
+    return RecipeResult(columns, {"fitted_visibility": fits}, (pair, t1, t2),
+                        extra=tuple(extra))
 
 
 def _run_scaling(cfg: SweepConfig):
@@ -264,8 +253,7 @@ def _run_scaling(cfg: SweepConfig):
     pair = spdc_input(SpdcSource(xi), SpdcSource(xi))
     roots = np.sqrt(grid)
     p = success_probability(pair, roots, roots)
-    if np.any(p < 2.0 * WEIGHT_EPS):
-        raise ValueError("degenerate inputs: heralding probability is zero")
+    _heralded(p)
     columns = {"t": list(grid), "t1": roots.tolist(), "p_success": p.tolist()}
     if cfg.normalize:
         columns["p_normalized"] = normalized_success(pair, roots, roots).tolist()
@@ -280,7 +268,7 @@ def _run_scaling(cfg: SweepConfig):
         "reference_slopes": {"swap": 1.0, "direct_transmission": 2.0},
     }
     root = float(roots[0])
-    return RecipeResult(columns, summary, _rep_state(pair, root, root))
+    return RecipeResult(columns, summary, (pair, root, root))
 
 
 def _run_imbalance(cfg: SweepConfig):
@@ -290,27 +278,29 @@ def _run_imbalance(cfg: SweepConfig):
     epsilon = _grid(cfg, "epsilon")[0]
     equal = spdc_input(SpdcSource(xi), SpdcSource(xi))
     strategies = ("equal", "optimal")
-    rhos, computed = [], {}
+    rhos, fidelities, p_success, p_normalized = [], [], [], []
     for t2 in g2:
         for strategy in strategies:
             pair = equal if strategy == "equal" else optimal_inputs(t1, t2, epsilon)
             rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
             rhos.append(rho)
-            _append(computed, bell_fidelity=bell_fidelity(rho, sign=+1, phase=0.0),
-                    p_success=norm)
+            fidelities.append(bell_fidelity(rho, sign=+1, phase=0.0))
+            p_success.append(norm)
             if cfg.normalize:
-                _append(computed, p_normalized=normalized_success(pair, t1, t2))
+                p_normalized.append(normalized_success(pair, t1, t2))
     rhos = np.array(rhos)
     columns = {**_product(t1=(t1,), t2=g2, strategy=strategies),
                "visibility": visibility_analytic(rhos).tolist(),
-               "concurrence": concurrence_wootters(rhos).tolist(), **computed}
+               "concurrence": concurrence_wootters(rhos).tolist(),
+               "bell_fidelity": fidelities, "p_success": p_success}
+    if cfg.normalize:
+        columns["p_normalized"] = p_normalized
     summary = {
         "t1": t1,
         "equal_visibility_shape": "2*t1*t2/(t1^2+t2^2)",
         "optimal_success_shape": "2*t1^2*t2^2/(t1^2+t2^2)",
     }
-    pair = optimal_inputs(t1, g2[0], epsilon)
-    return RecipeResult(columns, summary, _rep_state(pair, t1, g2[0]))
+    return RecipeResult(columns, summary, (optimal_inputs(t1, g2[0], epsilon), t1, g2[0]))
 
 
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
@@ -322,8 +312,8 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     buffer gets its ``max_dev_rho`` values from one stacked difference and
     its ``dev_concurrence`` values from one stacked ``concurrence_wootters``
     call, so memory does not grow with ``draws``. ``ok`` is False as soon
-    as any draw exceeds a tolerance of ``ORACLE_CHECKS``; ``rep_state`` is
-    the first draw's X+ state.
+    as any draw exceeds a tolerance of ``ORACLE_CHECKS``; ``rep`` is the
+    first draw's point.
     """
     rng = np.random.default_rng(seed)
     t1s, t2s, signs, dev_rhos, dev_norms, dev_concs = [], [], [], [], [], []
@@ -350,7 +340,7 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
             dev_rhos += np.max(np.abs(states[:n] - rhos_cf[:n]), axis=(1, 2)).tolist()
             dev_concs += np.abs(concurrence_wootters(states[:n]) - conc_cf[:n]).tolist()
         if i == 0:
-            rep_state = _rep_state(pair, t1, t2)
+            rep = (pair, t1, t2)
     columns = {"draw": list(range(draws)), "t1": t1s, "t2": t2s, "sign": signs,
                "max_dev_rho": dev_rhos, "dev_norm": dev_norms, "dev_concurrence": dev_concs}
     summary = {"draws": draws}
@@ -358,7 +348,7 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         summary[key] = max(columns[column])
     summary["tolerances"] = {tol_key: tol for _, _, tol_key, tol in ORACLE_CHECKS.values()}
     ok = summary["passed"] = all(passed for passed, *_ in oracle_verdicts(summary))
-    return RecipeResult(columns, summary, rep_state, ok)
+    return RecipeResult(columns, summary, rep, ok)
 
 
 def oracle_verdicts(summary: dict) -> list[tuple[bool, str, float, float]]:
@@ -510,7 +500,7 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
                 _write_csv(fh, columns)
 
         if dump_state is not None:
-            state = result.rep_state()
+            state = swap(*result.rep, _X_SETTINGS[+1]).rho_ab
             with stage(dump_state) as fh:
                 json.dump(state.to_json_dict(), fh, indent=1)
                 fh.write("\n")

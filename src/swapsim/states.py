@@ -22,12 +22,11 @@ dilation and the protocol's inputs) reuse the fresh array the library
 just made, over labels already known to be valid, and only mark it
 read-only.
 
-The label bookkeeping of ``project``, ``partial_trace`` and ``reorder``
-is memoised per label tuple: the kept modes, the amplitude index that
-reorders a register, and the ``LabelError`` text of an unknown or
-repeated mode are worked out once per pair of registers and then looked
-up. A ket's ``norm2`` is computed on first use and kept with the
-(immutable) state, so checking a constant projector ket costs a lookup.
+``project``, ``partial_trace`` and ``reorder`` share one label plan,
+``_split``, memoised per pair of registers; a repeated or unknown mode
+has no plan, and the caller builds its ``LabelError`` text anew. A ket's
+``norm2`` is computed on first use and kept with the (immutable) state,
+so checking a constant projector ket costs a lookup.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ PSD_MIN_EIG = -1e-10  # most negative admissible density-matrix eigenvalue
 
 Label = str
 
-# label pairs whose bookkeeping each memoised helper keeps
+# label pairs whose plan ``_split`` keeps
 _PLANS = 1024
 
 
@@ -133,36 +132,28 @@ class PureState:
             raise LabelError(f"cannot reorder {self.labels!r} into {labels!r}")
         if labels == self.labels:
             return self
-        # a permutation that is not the identity makes reshape copy
-        return PureState._of(labels, _amps_in_order(self, labels))
-
-
-def _amps_in_order(psi: PureState, labels: tuple[Label, ...]) -> np.ndarray:
-    """``psi``'s amplitudes with its register permuted to read ``labels``.
-
-    ``labels`` must be a permutation of ``psi.labels``; the caller checks.
-    """
-    if labels == psi.labels:
-        return psi.amps
-    return psi.amps[_order_index(psi.labels, labels)]
+        # indexing with an array copies, so the new ket owns its amplitudes
+        _, index = _split(self.labels, labels)
+        return PureState._of(labels, self.amps[index.ravel()])
 
 
 @functools.lru_cache(maxsize=_PLANS)
-def _order_index(src: tuple[Label, ...], dst: tuple[Label, ...]) -> np.ndarray:
-    """Flat index with ``amps[index]`` = a ket on ``src`` read in the order ``dst``.
+def _split(labels: tuple[Label, ...], part: Union[Label, tuple[Label, ...]]):
+    """The label plan ``(rest, index)`` of ``part``, a mode or modes of ``labels``.
 
-    ``dst`` must be a permutation of ``src``. Memoised and read-only.
+    ``rest`` is the other modes, in their order; ``amps[index]`` reads a ket
+    on ``labels`` as a (``part``, ``rest``) matrix. None when ``part``
+    repeats a mode or names one not in ``labels``. Memoised and read-only.
     """
-    perm = [src.index(lab) for lab in dst]
-    index = np.arange(2 ** len(src)).reshape((2,) * len(src)).transpose(perm).reshape(-1)
+    part = (part,) if isinstance(part, str) else part
+    if len(set(part)) != len(part) or not set(part) <= set(labels):
+        return None
+    rest = tuple(lab for lab in labels if lab not in part)
+    perm = [labels.index(lab) for lab in part + rest]
+    index = np.arange(2 ** len(labels)).reshape((2,) * len(labels)).transpose(perm)
+    index = index.reshape(2 ** len(part), -1)
     index.setflags(write=False)
-    return index
-
-
-def _split_index(labels: tuple[Label, ...], first: tuple[Label, ...],
-                 rest: tuple[Label, ...]) -> np.ndarray:
-    """Index with ``amps[index]`` = a ket on ``labels`` as a (first, rest) matrix."""
-    return _order_index(labels, first + rest).reshape(2 ** len(first), -1)
+    return rest, index
 
 
 @dataclass(frozen=True)
@@ -255,31 +246,17 @@ def partial_trace(
     """
     if not isinstance(discard, (str, tuple)):
         discard = tuple(discard)
-    keep, index, error = _trace_plan(psi.labels, discard)
-    if error:
-        raise LabelError(error)
-    v = psi.amps[index]
-    rho = v @ v.conj().T
+    plan = _split(psi.labels, discard)
+    if plan is None:
+        discard = _as_labels(discard)
+        unknown = set(discard) - set(psi.labels)
+        raise LabelError(f"cannot trace out unknown modes {sorted(unknown)!r}")
+    keep, index = plan
+    # w is the (discarded, kept) matrix, so rho = w^T w*
+    w = psi.amps[index]
+    rho = w.T @ w.conj()
     # the diagonal holds sums of squares, so the weight is never negative
     return DensityMatrix._of(keep, rho, float(np.trace(rho).real))
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _trace_plan(labels: tuple[Label, ...], discard: Union[Label, tuple[Label, ...]]):
-    """``partial_trace``'s bookkeeping, memoised: ``(keep, index, error)``.
-
-    ``index`` reads the amplitudes as a (kept, discarded) matrix; ``error``
-    is the ``LabelError`` text of a repeated or unknown mode, else None.
-    """
-    try:
-        discard = _as_labels(discard)
-    except LabelError as exc:
-        return None, None, str(exc)
-    unknown = set(discard) - set(labels)
-    if unknown:
-        return None, None, f"cannot trace out unknown modes {sorted(unknown)!r}"
-    keep = tuple(lab for lab in labels if lab not in discard)
-    return keep, _split_index(labels, keep, discard), None
 
 
 def project(psi: PureState, projector_ket: PureState) -> PureState:
@@ -293,24 +270,12 @@ def project(psi: PureState, projector_ket: PureState) -> PureState:
         raise ValueError(
             f"projector ket must be normalized (norm^2 = {projector_ket.norm2})"
         )
-    keep, index, error = _project_plan(psi.labels, projector_ket.labels)
-    if error:
-        raise LabelError(error)
+    plan = _split(psi.labels, projector_ket.labels)
+    if plan is None:
+        missing = set(projector_ket.labels) - set(psi.labels)
+        raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
+    keep, index = plan
     return PureState._of(keep, projector_ket.amps.conj() @ psi.amps[index])
-
-
-@functools.lru_cache(maxsize=_PLANS)
-def _project_plan(labels: tuple[Label, ...], bra: tuple[Label, ...]):
-    """``project``'s bookkeeping, memoised: ``(keep, index, error)``.
-
-    ``index`` reads the amplitudes as a (projected, kept) matrix; ``error``
-    is the ``LabelError`` text of an unknown mode, else None.
-    """
-    missing = set(bra) - set(labels)
-    if missing:
-        return None, None, f"projector acts on unknown modes {sorted(missing)!r}"
-    keep = tuple(lab for lab in labels if lab not in bra)
-    return keep, _split_index(labels, bra, keep), None
 
 
 @dataclass(frozen=True)

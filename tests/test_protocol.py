@@ -316,6 +316,36 @@ class TestBroadcastClosedForm:
         assert str(grid.value) == str(single.value)
 
 
+class TestSharedRules:
+    """Each entry point that takes a sign or heralds a closed form gives
+    the one message of the shared rule, word for word."""
+
+    @pytest.mark.parametrize("sign", [0, 2, "+"])
+    @pytest.mark.parametrize("call", [
+        BsmSetting.x,
+        BsmSetting.y,
+        lambda sign: closed_form_rho(MAX_ENTANGLED_PAIR, 0.5, 0.5, sign),
+        lambda sign: asymptotic_state(MAX_ENTANGLED_PAIR, 0.5, 0.5, sign),
+        # the sign is checked before the matrix, which here is not a state
+        lambda sign: bell_fidelity(np.full((4, 4), np.nan), sign),
+    ])
+    def test_bad_sign_text(self, call, sign):
+        with pytest.raises(ValueError) as info:
+            call(sign)
+        assert str(info.value) == f"sign must be +1 or -1, got {sign!r}"
+
+    @pytest.mark.parametrize("t1, t2", [
+        (0.0, 0.0),
+        (np.array(0.0), np.array(0.0)),
+        (np.array([0.5, 0.0]), np.array([0.5, 0.0])),
+    ])
+    @pytest.mark.parametrize("closed_form", [closed_form_rho, concurrence_closed_form])
+    def test_degenerate_text(self, closed_form, t1, t2):
+        with pytest.raises(ValueError) as info:
+            closed_form(MAX_ENTANGLED_PAIR, t1, t2)
+        assert str(info.value) == "degenerate inputs: heralding probability is zero"
+
+
 class TestSuccessProbability:
     def test_ideal_value(self):
         assert success_probability(MAX_ENTANGLED_PAIR, 1.0, 1.0) == pytest.approx(

@@ -325,15 +325,21 @@ class TestMemoisedBookkeeping:
         (lambda psi: partial_trace(psi, ["B", "B"]), "duplicate mode labels in ('B', 'B')"),
         (lambda psi: project(psi, PureState(("Q", "A"), [1, 0, 0, 0])),
          "projector acts on unknown modes ['Q']"),
+        (lambda psi: psi.reorder(("A", "Q", "C")),
+         "cannot reorder ('A', 'B', 'C') into ('A', 'Q', 'C')"),
     ])
     def test_label_error_text_is_the_same_on_a_repeated_call(self, rng, call, text):
-        states._trace_plan.cache_clear()
-        states._project_plan.cache_clear()
+        states._split.cache_clear()
         psi = random_pure(rng, ("A", "B", "C"))
+        sizes = []
         for _ in range(2):
             with pytest.raises(LabelError) as info:
                 call(psi)
             assert str(info.value) == text
+            sizes.append(states._split.cache_info().currsize)
+        # the text is built anew on each call; a repeated failing lookup
+        # keeps no more than the first one did
+        assert sizes[1] == sizes[0] <= 1
 
     def test_norm2_is_computed_once_per_state(self, monkeypatch):
         ket = PureState(("B",), np.array([0.6, 0.8]))
