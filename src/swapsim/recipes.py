@@ -5,11 +5,15 @@ and returns columns (header name -> values, in grid order). The grid axis
 columns arrive already formatted: each axis value is turned into its
 ``str`` once and that string is repeated down the column. Computed
 columns hold Python floats, ints and tags. One writer puts every field
-out as ``str(value)``, which for a float is its shortest repr, so a given
-configuration always writes a byte-identical CSV; no field needs quoting.
-A column is either all ``str``, written as it is, or formatted with
-``str`` as it is written; rows are joined and written in bounded chunks
-(``CSV_CHUNK`` rows), never as one file-sized string.
+out as the text of ``str(value)``, which for a float is its shortest
+repr, so a given configuration always writes a byte-identical CSV; no
+field needs quoting. A column is either all ``str``, written as it is, or
+formatted as it is written; rows are formatted, joined and written in
+bounded chunks (``CSV_CHUNK`` rows), never as one file-sized string. In a
+chunk, a column of at least ``FLOATFMT_MIN`` values that are all Python
+floats goes through ``floatfmt.format_floats``, an exact array version of
+the shortest repr (values it cannot take on its fast path go to ``repr``
+itself), and every other column through ``str`` value by value.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
 wall time, where that time went (``timings_s``: compute, write) and the
@@ -51,7 +55,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -73,6 +76,7 @@ from .experiment import (
     synth_counts,
     SpdcSource,
 )
+from .floatfmt import format_floats
 from .loss import LossChannel
 from .metrics import (
     TWO_PI,
@@ -117,6 +121,11 @@ _X_SETTINGS = {+1: BsmSetting.x(+1), -1: BsmSetting.x(-1)}
 # CSV rows joined into one string per write
 CSV_CHUNK = 4096
 
+# the fewest floats in a block for which format_floats (about 0.3 ms fixed
+# cost, then about 0.3 us a value) beats str (about 0.8 us a value): blocks
+# of 640 were still slower with it, blocks of 768 faster
+FLOATFMT_MIN = 768
+
 
 @dataclass(frozen=True)
 class RecipeResult:
@@ -126,11 +135,11 @@ class RecipeResult:
     grid axis columns as ``str`` (each value formatted once, see
     ``_product``), computed columns as Python floats, ints or tags. A
     column is either all ``str``, which the writer passes through, or
-    holds no ``str``, and the writer formats each value with ``str``; it
-    joins and writes the rows in bounded chunks. ``rep`` is the
-    representative grid point as data, ``(pair, t1, t2)``; ``run`` builds
-    its X+ heralded state only for ``--dump-state``. ``extra`` holds one
-    ``(filename, columns)`` pair per extra CSV file.
+    holds no ``str``, and the writer writes the text of ``str`` of each
+    value; it formats, joins and writes the rows in bounded chunks.
+    ``rep`` is the representative grid point as data, ``(pair, t1, t2)``;
+    ``run`` builds its X+ heralded state only for ``--dump-state``.
+    ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
     """
 
     columns: dict
@@ -426,22 +435,41 @@ def describe_recipes() -> str:
     return "\n".join(lines)
 
 
+def _format(block):
+    """The text of one block of a non-``str`` column: ``str`` of each value."""
+    if len(block) >= FLOATFMT_MIN and set(map(type, block)) == {float}:
+        return format_floats(np.fromiter(block, np.float64, len(block)))
+    return map(str, block)
+
+
+def _csv_rows(columns, as_is, start):
+    """Rows ``start`` to ``start + CSV_CHUNK`` as CSV lines, each ended by a
+    newline; a block's fields and lines are freed before the next is made."""
+    blocks = (column[start:start + CSV_CHUNK] for column in columns)
+    fields = [block if keep else _format(block) for block, keep in zip(blocks, as_is)]
+    lines = list(map(",".join, zip(*fields)))
+    lines.append("")  # ends the joined text with a newline, without a copy
+    return "\n".join(lines)
+
+
 def _write_csv(fh, columns):
     """Write the header, then one line per row, each field as ``str(value)``.
 
     A column whose first value is a ``str`` is taken to be all ``str`` (an
-    axis column from ``_product``, or tags) and passes through unchanged;
-    every other column is formatted with ``str``, so a float comes out as
-    its shortest repr. Rows are joined and written ``CSV_CHUNK`` at a time,
-    so the whole file is never held as one string.
+    axis column from ``_product``, or tags) and passes through unchanged.
+    The rows are formatted, joined and written ``CSV_CHUNK`` at a time, so
+    the whole file is never held as one string. In each block, a column that
+    holds only Python floats, at least ``FLOATFMT_MIN`` of them, goes through
+    ``floatfmt.format_floats``, which gives the same text as ``str`` (the
+    shortest repr) for a whole array at once; any other block is formatted
+    with ``str`` value by value.
     """
     fh.write(",".join(columns) + "\n")
-    fields = [column if column and isinstance(column[0], str) else map(str, column)
-              for column in columns.values()]
-    rows = map(",".join, zip(*fields))
-    while chunk := list(itertools.islice(rows, CSV_CHUNK)):
-        chunk.append("")  # ends the joined text with a newline, without a copy
-        fh.write("\n".join(chunk))
+    columns = list(columns.values())
+    as_is = [bool(column) and isinstance(column[0], str) for column in columns]
+    rows = min(map(len, columns), default=0)
+    for start in range(0, rows, CSV_CHUNK):
+        fh.write(_csv_rows(columns, as_is, start))
 
 
 def _environment() -> dict:
@@ -473,9 +501,12 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     meta_path = out / f"{cfg.experiment}.meta.json"
     extra_files = [out / filename for filename, _ in result.extra]
     if dump_state is not None:
-        outputs = {p.resolve(): p for p in (csv_path, meta_path, *extra_files)}
-        clash = outputs.get(Path(dump_state).resolve())
-        if clash is not None:
+        # every output lies in ``out`` and is replaced by name, never written
+        # through a symlink, so (directory, name) pairs are what can clash
+        dump = Path(dump_state)
+        outputs = {p.name: p for p in (csv_path, meta_path, *extra_files)}
+        clash = outputs.get(dump.name)
+        if clash is not None and dump.parent.resolve() == out.resolve():
             raise ValueError(f"--dump-state {dump_state} would overwrite the run's output {clash}")
     made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
     staged = []  # (temporary path, destination)

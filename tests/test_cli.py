@@ -108,6 +108,19 @@ class TestRun:
         assert err.startswith("error: --dump-state ") and name in err
         assert err.count("\n") == 1
 
+    def test_dump_state_onto_the_target_of_an_output_symlink_runs(self, oracle_cfg, tmp_path):
+        # the run replaces the link out/oracle-check.csv itself, so the file
+        # the link points at is the dump's alone
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "oracle-check.csv").symlink_to(Path("..") / "target.json")
+        dump = tmp_path / "target.json"
+        code = main(["run", str(oracle_cfg), "--out", str(out), "--dump-state", str(dump)])
+        assert code == 0
+        assert not (out / "oracle-check.csv").is_symlink()
+        assert (out / "oracle-check.csv").read_text().startswith("draw,t1,t2,")
+        assert DensityMatrix.from_json_dict(json.loads(dump.read_text())).labels == ("A", "B")
+
     def test_negative_seed_exits_2(self, oracle_cfg, tmp_path):
         assert main(["run", str(oracle_cfg), "--out", str(tmp_path),
                      "--seed", "-1"]) == 2

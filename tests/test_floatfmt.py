@@ -1,0 +1,116 @@
+"""floatfmt.format_floats against repr, value by value."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swapsim import floatfmt
+from swapsim.floatfmt import format_floats
+
+
+def _reprs(values):
+    return [repr(x) for x in values.tolist()]
+
+
+def _edges():
+    values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 0.3,
+              2 / 3, 9999999999999998.0, 123456.789, 1.5e-7]
+    values += [10.0 ** k for k in range(-323, 309)]
+    values += [2.0 ** k for k in range(-1074, 1024)]
+    for x in (1e-4, 1e-5, 1e16, 9999999999999998.0):
+        values += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    # integer-valued floats near 2**53, where the spacing grows from 1 to 2
+    values += [float(2 ** 53 + k) for k in range(-8, 9)]
+    values += [math.inf, math.nan]
+    return np.array(values + [-x for x in values])
+
+
+def test_edge_values_match_repr():
+    values = _edges()
+    assert format_floats(values) == _reprs(values)
+
+
+def test_random_bit_patterns_match_repr():
+    rng = np.random.default_rng(20240518)
+    bits = rng.integers(0, 2 ** 64, size=200_000, dtype=np.uint64, endpoint=False)
+    # NaNs with random payloads and both signs, infinities, zeros, subnormals
+    special = rng.integers(0, 2 ** 52, size=2_000, dtype=np.uint64)
+    special[:4] = 0
+    exponents = np.repeat(np.uint64([0x7FF, 0, 0x7FF + 0x800, 0x800]), 500)
+    bits[:2_000] = (exponents << np.uint64(52)) | special
+    values = bits.view(np.float64)
+    assert format_floats(values) == _reprs(values)
+
+
+def test_decimal_grids_match_repr():
+    # short decimals, where most digits are dropped, and values whose text
+    # has the point inside the digits or past them
+    rng = np.random.default_rng(5)
+    values = np.concatenate([
+        np.round(rng.random(5_000), 3),
+        np.linspace(0.01, 1.0, 300),
+        np.round(rng.random(5_000) * 1e6, 2),
+        rng.random(5_000) * 10.0 ** rng.integers(-30, 30, 5_000),
+        rng.integers(-2 ** 53, 2 ** 53, 5_000).astype(np.float64),
+    ])
+    assert format_floats(values) == _reprs(values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                max_size=20))
+def test_any_floats_match_repr(values):
+    array = np.array(values, dtype=np.float64)
+    assert format_floats(array) == _reprs(array)
+
+
+def test_fast_path_exponents_keep_their_bounds():
+    """Over every biased exponent the fast path takes, the product shift
+    stays in 118..121 (so the 32-bit limb split holds), the scaled interval
+    is 30..399 wide (so one or two digits can go before any test) and vr
+    has 18 or 19 digits (so the digit count needs no search). vr grows with
+    the mantissa, so its two ends bound it."""
+    biased = np.arange(1, 1077)
+    q, i, j = floatfmt._plan(biased)
+    fast = q >= 2
+    assert fast.sum() == 1072 and biased[fast].max() == 1072
+    assert j[fast].min() == 118 and j[fast].max() == 121
+    assert i[fast].min() >= 0 and i[fast].max() <= 325
+    biased, q, i, j = biased[fast], q[fast], i[fast], j[fast]
+    b = [limbs[i] for limbs in floatfmt._POW5]
+    for fraction in (0, 1, 2 ** 52 - 1):
+        mv = np.full(biased.size, 4 * (2 ** 52 + fraction), dtype=np.uint64)
+        mm_shift = (np.full(biased.size, fraction != 0) | (biased <= 1)).astype(np.int64)
+        vr, vp, vm = floatfmt._scaled(mv, mm_shift, b, j)
+        assert (vp - vm).min() >= 30 and (vp - vm).max() <= 399
+        assert vr.min() >= 10 ** 17 and vr.max() < 10 ** 19
+
+
+def test_scaled_ends_are_exact_floors():
+    rng = np.random.default_rng(9)
+    biased = rng.integers(1, 1073, 5_000)
+    fraction = rng.integers(0, 2 ** 52, 5_000, dtype=np.uint64)
+    q, i, j = floatfmt._plan(biased)
+    mv = (fraction | np.uint64(2 ** 52)) << np.uint64(2)
+    mm_shift = ((fraction != 0) | (biased <= 1)).astype(np.int64)
+    got = floatfmt._scaled(mv, mm_shift, [limbs[i] for limbs in floatfmt._POW5], j)
+    for row in range(0, 5_000, 7):
+        p = 5 ** int(i[row])
+        top = p >> max(p.bit_length() - 125, 0) << max(125 - p.bit_length(), 0)
+        m = int(mv[row])
+        for k, v in zip((0, 2, -1 - int(mm_shift[row])), got):
+            assert int(v[row]) == (m + k) * top >> int(j[row])
+
+
+@pytest.mark.parametrize("values", [[], [1.0], [0.1], [-0.0, 1e300]])
+def test_short_arrays(values):
+    array = np.array(values, dtype=np.float64)
+    assert format_floats(array) == _reprs(array)
+
+
+def test_two_dimensional_input_is_rejected():
+    with pytest.raises(ValueError, match="1-D"):
+        format_floats(np.zeros((2, 2)))

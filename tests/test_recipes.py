@@ -397,10 +397,16 @@ def test_write_csv_writes_str_of_every_field():
 
 
 # values whose text is easy to get wrong: signed zero, subnormal, exponent
-# form, ints beyond 64 bits, tags that look like numbers
-_FLOATS = [-0.0, 5e-324, 1e16, 0.1, 1e-05, 2.5, -7.0]
+# form, ints beyond 64 bits, tags that look like numbers; the floats also
+# cover both routes of floatfmt.format_floats, its fast path (0.1, 1e-05,
+# -1234.5678, 1/3) and each kind it hands to repr (zero, subnormal,
+# non-finite, |x| >= 2**54, short mantissas)
+_FLOATS = [-0.0, 5e-324, 1e16, 0.1, 1e-05, 2.5, -7.0, math.inf, -math.inf, math.nan, 0.5,
+           1.0, 2.0 ** 60, 1e22, 123456789012345680.0, -1234.5678, 1 / 3]
 _INTS = [0, -3, 2 ** 70, 7, 10 ** 16]
 _TAGS = ["Xp", "+", "-", "equal", "0.1"]
+# a column of floats, ints and a bool: str writes 1 as "1", never "1.0"
+_MIXED = [0.1, 1, -2.5, 10 ** 16, 1e-05, True]
 
 
 @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
@@ -410,7 +416,7 @@ def test_write_csv_matches_the_row_at_a_time_writer(rows):
         return [values[i % len(values)] for i in range(rows)]
 
     columns = {"tag": cycle(_TAGS), "x": cycle(_FLOATS), "n": cycle(_INTS),
-               "axis": [str(x) for x in cycle(_FLOATS[::-1])]}
+               "axis": [str(x) for x in cycle(_FLOATS[::-1])], "mixed": cycle(_MIXED)}
     fast, naive = io.StringIO(), io.StringIO()
     _write_csv(fast, columns)
     naive_write_csv(naive, columns)
