@@ -1,18 +1,21 @@
 """Shortest round-trip text of a float64 array, the same bytes as ``repr``.
 
-``format_floats(a)`` returns ``[str(x) for x in a.tolist()]``. Most values
+``format_floats(a)`` returns the text of ``str(x)`` for each ``x`` of
+``a.tolist()`` as one ``(a.size, 24)`` uint8 array: row ``k`` holds the
+ASCII characters of value ``k`` from its first column on, padded with NULs
+(24 characters fit every float64, ``-2.2250738585072014e-308``). Most values
 take Ryū's common path (U. Adams, "Ryū: fast float-to-string conversion",
 PLDI 2018), run on the whole array in numpy ``uint64`` arithmetic, and are
 laid out by ``repr``'s rules: fixed notation when ``-4 < decpt <= 16``,
 otherwise ``d.ddde±XX``, where ``x = 0.<digits> * 10**decpt``.
 
-The others are handed to ``repr`` itself. An integer test on the bits picks
-them out: zero, subnormal, infinite or NaN, ``|x| >= 2**54`` (Ryū's
-``e2 >= 0`` branch, which would need the inverse table) and Ryū's general
-case, where a scaled interval end may be exact and trailing zeros decide
-the rounding (``q <= 1``, or ``4 * m2`` a multiple of ``2**q``). In what is
-left no interval end is exact, so the last digit dropped alone decides the
-rounding.
+The others are handed to ``repr`` itself, and its text is written into
+their rows. An integer test on the bits picks them out: zero, subnormal,
+infinite or NaN, ``|x| >= 2**54`` (Ryū's ``e2 >= 0`` branch, which would
+need the inverse table) and Ryū's general case, where a scaled interval
+end may be exact and trailing zeros decide the rounding (``q <= 1``, or
+``4 * m2`` a multiple of ``2**q``). In what is left no interval end is
+exact, so the last digit dropped alone decides the rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["format_floats"]
+__all__ = ["WIDTH", "format_floats"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -48,9 +51,11 @@ _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
 # the ASCII text of "0000" .. "9999", one row each
 _QUADS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
           + ord("0")).astype(np.uint8)
-# a row of text: 20 bytes that take digits spilled left, then the text (at
-# most 24 characters) and at least one NUL
-_GAP, _ROW = 20, 45
+# a row of text: 20 bytes that take digits spilled left, then the text,
+# at most WIDTH characters
+WIDTH = 24
+_GAP = 20
+_ROW = _GAP + WIDTH
 
 
 def _plan(biased):
@@ -197,22 +202,22 @@ def _fast_digits(bits):
     return rows, d, nd, e, (bits >> _U64(63)).astype(np.intp)
 
 
-def format_floats(a) -> list[str]:
-    """``[str(x) for x in a.tolist()]`` for a 1-D float64 array ``a``."""
+def format_floats(a) -> np.ndarray:
+    """The text of ``str(x)`` for each ``x`` of a 1-D float64 array ``a``, one
+    NUL-padded ASCII row each: an ``(a.size, WIDTH)`` uint8 array."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError("format_floats takes a 1-D array")
     # each step's temporaries are freed before the next one allocates
     rows, *digits = _fast_digits(a.view(np.uint64))
-    if rows.size == 0:
-        return list(map(repr, a.tolist()))
-    text = _layout(a.size, rows, *digits)[:, _GAP:]
+    if rows.size:
+        text = _layout(a.size, rows, *digits)[:, _GAP:]
+    else:
+        text = np.zeros((a.size, WIDTH), dtype=np.uint8)
     del digits
-    # as UCS-4, whose tolist() gives str and drops the trailing NULs
-    lines = text.astype(np.uint32).view(f"U{_ROW - _GAP}")[:, 0]
-    del text
     if rows.size < a.size:
         slow = np.ones(a.size, dtype=bool)
         slow[rows] = False
-        lines[slow] = list(map(repr, a[slow].tolist()))
-    return lines.tolist()
+        reprs = np.array(list(map(repr, a[slow].tolist())), dtype=f"S{WIDTH}")
+        text[slow] = reprs.view(np.uint8).reshape(-1, WIDTH)
+    return text

@@ -1,19 +1,23 @@
 """Named sweep recipes and the batch runner.
 
 Each recipe evaluates a parameter grid with the pure library functions
-and returns columns (header name -> values, in grid order). The grid axis
-columns arrive already formatted: each axis value is turned into its
-``str`` once and that string is repeated down the column. Computed
-columns hold Python floats, ints and tags. One writer puts every field
-out as the text of ``str(value)``, which for a float is its shortest
-repr, so a given configuration always writes a byte-identical CSV; no
-field needs quoting. A column is either all ``str``, written as it is, or
-formatted as it is written; rows are formatted, joined and written in
-bounded chunks (``CSV_CHUNK`` rows), never as one file-sized string. In a
-chunk, a column of at least ``FLOATFMT_MIN`` values that are all Python
-floats goes through ``floatfmt.format_floats``, an exact array version of
-the shortest repr (values it cannot take on its fast path go to ``repr``
-itself), and every other column through ``str`` value by value.
+and returns columns (header name -> values, in grid order) of three kinds.
+A grid axis column is an ``AxisColumn``: the ASCII text of ``str`` of each
+axis value, kept once, and the rule that says which text each row holds.
+A computed float column is a float64 array, straight from the closed
+forms. Any other column (ints, tags, mixed values, the oracle's per-draw
+values) is a Python list. One writer puts every
+field out as the text of ``str(value)`` of its Python value, which for a
+float is its shortest repr, so a given configuration always writes a
+byte-identical CSV; no field needs quoting. It writes ``CSV_CHUNK`` rows
+at a time, never one file-sized string, and builds each chunk as one byte
+matrix: every field in a NUL-padded slot of fixed width between ``,`` and
+newline columns, the NULs dropped in one step, the rest decoded and
+written once. An axis column's slot is gathered by row index from its
+texts. A float64 block of at least ``FLOATFMT_MIN`` values goes through
+``floatfmt.format_floats``, an exact array version of the shortest repr
+(values it cannot take on its fast path go to ``repr`` itself); shorter
+float blocks and every other column go through ``str`` value by value.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
 wall time, where that time went (``timings_s``: compute, write) and the
@@ -76,7 +80,7 @@ from .experiment import (
     synth_counts,
     SpdcSource,
 )
-from .floatfmt import format_floats
+from .floatfmt import WIDTH, format_floats
 from .loss import LossChannel
 from .metrics import (
     TWO_PI,
@@ -100,7 +104,7 @@ from .protocol import (
 if TYPE_CHECKING:
     from .config import SweepConfig
 
-__all__ = ["Recipe", "RecipeResult", "RunReport", "RECIPES", "ORACLE_CHECKS", "run",
+__all__ = ["AxisColumn", "Recipe", "RecipeResult", "RunReport", "RECIPES", "ORACLE_CHECKS", "run",
            "run_oracle_draws", "oracle_verdicts", "describe_recipes"]
 
 # oracle-check: summary key -> (CSV column whose maximum it holds, label,
@@ -122,21 +126,23 @@ _X_SETTINGS = {+1: BsmSetting.x(+1), -1: BsmSetting.x(-1)}
 CSV_CHUNK = 4096
 
 # the fewest floats in a block for which format_floats (about 0.3 ms fixed
-# cost, then about 0.3 us a value) beats str (about 0.8 us a value): blocks
-# of 640 were still slower with it, blocks of 768 faster
-FLOATFMT_MIN = 768
+# cost, then about 0.2 us a value) beats repr and encoding value by value
+# (about 0.7 us a value): blocks of 512 were as fast either way, blocks of
+# 576 faster with it
+FLOATFMT_MIN = 576
 
 
 @dataclass(frozen=True)
 class RecipeResult:
     """One recipe's output: CSV columns, summary, and extra files.
 
-    ``columns`` maps each header name, in order, to its column of values:
-    grid axis columns as ``str`` (each value formatted once, see
-    ``_product``), computed columns as Python floats, ints or tags. A
-    column is either all ``str``, which the writer passes through, or
-    holds no ``str``, and the writer writes the text of ``str`` of each
-    value; it formats, joins and writes the rows in bounded chunks.
+    ``columns`` maps each header name, in order, to its column, one of
+    three kinds: grid axis columns as ``AxisColumn`` (each value's text kept
+    once, see ``_product``), computed float columns as 1-D float64 arrays,
+    and any other column (ints, tags, mixed values, the oracle's per-draw
+    values) as a Python list. The writer writes the
+    text of ``str`` of each Python value (a float64 array's ``tolist()``)
+    and builds each chunk of rows as one byte matrix.
     ``rep`` is the representative grid point as data, ``(pair, t1, t2)``;
     ``run`` builds its X+ heralded state only for ``--dump-state``.
     ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
@@ -183,21 +189,35 @@ def _grid(cfg: SweepConfig, key: str) -> tuple[float, ...]:
     return value
 
 
+@dataclass(frozen=True, eq=False)
+class AxisColumn:
+    """One axis column of a Cartesian product (see ``_product``).
+
+    ``texts`` holds the ASCII text of ``str(value)`` of each axis value once,
+    as an ``S`` array, and row ``k`` of the column is
+    ``texts[k // inner % len(texts)]``; ``rows`` is the column's length.
+    """
+
+    texts: np.ndarray
+    inner: int
+    rows: int
+
+    def __len__(self):
+        return self.rows
+
+
 def _product(**axes):
     """Axis columns of the Cartesian product of ``axes``, in row order.
 
     The first axis varies slowest. Each value is formatted once, as
-    ``str(value)``, and that string is repeated wherever the value occurs.
+    ``str(value)``; the writer gathers a row's text by index.
     """
-    columns, outer = {}, 1
-    inner = math.prod(len(values) for values in axes.values())
+    columns, rows = {}, math.prod(len(values) for values in axes.values())
+    inner = rows
     for name, values in axes.items():
         inner //= len(values)
-        column = []
-        for text in map(str, values):
-            column += [text] * inner
-        columns[name] = column * outer
-        outer *= len(values)
+        texts = np.array([str(value) for value in values], dtype=np.bytes_)
+        columns[name] = AxisColumn(texts, inner, rows)
     return columns
 
 
@@ -206,7 +226,7 @@ def _product(**axes):
 def _run_surface(cfg: SweepConfig):
     g1, g2 = _grid(cfg, "t1"), _grid(cfg, "t2")
     conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, np.array(g1)[:, None], np.array(g2))
-    columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel().tolist()}
+    columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel()}
     summary = {"points": conc.size, "max_concurrence": float(conc.max())}
     return RecipeResult(columns, summary, (MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
@@ -216,9 +236,8 @@ def _run_slices(cfg: SweepConfig):
     t1, t2 = np.array(g1)[:, None], np.array(g2)
     conc = concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2)
     rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
-    columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel().tolist(),
-               "visibility": visibility_analytic(rho).ravel().tolist(),
-               "p_success": norm.ravel().tolist()}
+    columns = {**_product(t1=g1, t2=g2), "concurrence": conc.ravel(),
+               "visibility": visibility_analytic(rho).ravel(), "p_success": norm.ravel()}
     summary = {"points": conc.size, "t1_values": list(g1)}
     return RecipeResult(columns, summary, (MAX_ENTANGLED_PAIR, g1[0], g2[0]))
 
@@ -232,28 +251,26 @@ def _run_fringes(cfg: SweepConfig):
     # xi is the total pump amplitude scale; the split divides it between sources
     pair = spdc_input(*pump_split(ratio, xi))
     children = np.random.SeedSequence(cfg.seed).spawn(len(SETTINGS))
-    columns, fits, extra = {}, {}, []
-    for name, child in zip(SETTINGS, children):
-        tag = name.replace("+", "p").replace("-", "m")  # file-name safe: X+ -> Xp
+    tags = [name.replace("+", "p").replace("-", "m") for name in SETTINGS]  # X+ -> Xp
+    probs, hits, fits = [], [], {}
+    for name, tag, child in zip(SETTINGS, tags, children):
         model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
         counts = synth_counts(pair, t1, t2, BsmSetting(name), thetas, model)
         scan = counts.scan
-        # rows run theta by theta, the "+" outcome before the "-" one
-        axes = _product(setting=(tag,), theta_rad=scan.thetas.tolist(),
-                        outcome_sign=("+", "-"))
-        prob = np.stack((scan.p_plus, scan.p_minus), axis=1).ravel()
-        hits = np.stack((counts.counts_plus, counts.counts_minus), 1).ravel().tolist()
-        block = {"theta_rad": axes["theta_rad"], "outcome_sign": axes["outcome_sign"],
-                 "counts": hits}
-        part = {**axes, "probability": prob.tolist(), "expected_counts": (mean * prob).tolist(),
-                "counts": hits}
-        for header, values in part.items():
-            columns.setdefault(header, []).extend(values)
+        probs.append(np.stack((scan.p_plus, scan.p_minus), axis=1).ravel())
+        hits.append(np.stack((counts.counts_plus, counts.counts_minus), 1).ravel().tolist())
         fit = estimate_visibility(thetas, counts.counts_plus)
         fits[tag] = {"v": fit.v, "sigma": fit.sigma}
-        extra.append((f"counts_{tag}_seed{cfg.seed}.csv", block))
-    return RecipeResult(columns, {"fitted_visibility": fits}, (pair, t1, t2),
-                        extra=tuple(extra))
+    # rows run setting by setting, then theta by theta, the "+" outcome before
+    # the "-" one; every setting scans the same grid
+    axes = {"theta_rad": scan.thetas.tolist(), "outcome_sign": ("+", "-")}
+    prob = np.concatenate(probs)
+    columns = {**_product(setting=tags, **axes), "probability": prob,
+               "expected_counts": mean * prob, "counts": [n for part in hits for n in part]}
+    block = _product(**axes)
+    extra = tuple((f"counts_{tag}_seed{cfg.seed}.csv", {**block, "counts": part})
+                  for tag, part in zip(tags, hits))
+    return RecipeResult(columns, {"fitted_visibility": fits}, (pair, t1, t2), extra=extra)
 
 
 def _run_scaling(cfg: SweepConfig):
@@ -263,9 +280,9 @@ def _run_scaling(cfg: SweepConfig):
     roots = np.sqrt(grid)
     p = success_probability(pair, roots, roots)
     _heralded(p)
-    columns = {"t": list(grid), "t1": roots.tolist(), "p_success": p.tolist()}
+    columns = {**_product(t=grid), "t1": roots, "p_success": p}
     if cfg.normalize:
-        columns["p_normalized"] = normalized_success(pair, roots, roots).tolist()
+        columns["p_normalized"] = normalized_success(pair, roots, roots)
     logs_t = np.log(grid)
     # a slope needs two transmissions that polyfit can tell apart
     slope = None
@@ -299,11 +316,10 @@ def _run_imbalance(cfg: SweepConfig):
                 p_normalized.append(normalized_success(pair, t1, t2))
     rhos = np.array(rhos)
     columns = {**_product(t1=(t1,), t2=g2, strategy=strategies),
-               "visibility": visibility_analytic(rhos).tolist(),
-               "concurrence": concurrence_wootters(rhos).tolist(),
-               "bell_fidelity": fidelities, "p_success": p_success}
+               "visibility": visibility_analytic(rhos), "concurrence": concurrence_wootters(rhos),
+               "bell_fidelity": np.array(fidelities), "p_success": np.array(p_success)}
     if cfg.normalize:
-        columns["p_normalized"] = p_normalized
+        columns["p_normalized"] = np.array(p_normalized)
     summary = {
         "t1": t1,
         "equal_visibility_shape": "2*t1*t2/(t1^2+t2^2)",
@@ -435,41 +451,57 @@ def describe_recipes() -> str:
     return "\n".join(lines)
 
 
-def _format(block):
-    """The text of one block of a non-``str`` column: ``str`` of each value."""
-    if len(block) >= FLOATFMT_MIN and set(map(type, block)) == {float}:
-        return format_floats(np.fromiter(block, np.float64, len(block)))
-    return map(str, block)
+def _field(column, start, stop):
+    """Rows ``start`` to ``stop`` of one column as NUL-padded ASCII text: an
+    ``S`` array, or a uint8 matrix with one row of characters per row."""
+    if isinstance(column, AxisColumn):
+        return column.texts[np.arange(start, stop) // column.inner % column.texts.size]
+    block = column[start:stop]
+    if isinstance(block, np.ndarray) and block.dtype == np.float64:
+        if block.size >= FLOATFMT_MIN:
+            return format_floats(block)
+        # a float's repr is its str, and repr is the quicker call
+        return np.array(list(map(repr, block.tolist())), dtype=f"S{WIDTH}")
+    texts = list(map(str, block))
+    # with its width given, numpy encodes without a scan of its own
+    return np.array(texts, dtype=f"S{max(map(len, texts))}")
 
 
-def _csv_rows(columns, as_is, start):
-    """Rows ``start`` to ``start + CSV_CHUNK`` as CSV lines, each ended by a
-    newline; a block's fields and lines are freed before the next is made."""
-    blocks = (column[start:start + CSV_CHUNK] for column in columns)
-    fields = [block if keep else _format(block) for block, keep in zip(blocks, as_is)]
-    lines = list(map(",".join, zip(*fields)))
-    lines.append("")  # ends the joined text with a newline, without a copy
-    return "\n".join(lines)
+def _csv_rows(columns, start, stop):
+    """Rows ``start`` to ``stop`` as CSV lines, each ended by a newline.
+
+    The fields sit side by side in one ``uint8`` matrix, each in a slot of
+    fixed width padded with NULs and followed by a ``,`` column (the last
+    by a newline column); dropping every NUL leaves the lines.
+    """
+    n = stop - start
+    comma, newline = np.full((n, 1), ord(","), np.uint8), np.full((n, 1), ord("\n"), np.uint8)
+    parts = []
+    for column in columns:
+        parts += [_field(column, start, stop).view(np.uint8).reshape(n, -1), comma]
+    parts[-1] = newline
+    text = np.concatenate(parts, axis=1)
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def _write_csv(fh, columns):
     """Write the header, then one line per row, each field as ``str(value)``.
 
-    A column whose first value is a ``str`` is taken to be all ``str`` (an
-    axis column from ``_product``, or tags) and passes through unchanged.
-    The rows are formatted, joined and written ``CSV_CHUNK`` at a time, so
-    the whole file is never held as one string. In each block, a column that
-    holds only Python floats, at least ``FLOATFMT_MIN`` of them, goes through
-    ``floatfmt.format_floats``, which gives the same text as ``str`` (the
-    shortest repr) for a whole array at once; any other block is formatted
-    with ``str`` value by value.
+    A column is one of three kinds. An ``AxisColumn`` (from ``_product``)
+    holds each distinct text once, and a block of its rows is gathered by
+    index. A float64 array is formatted by ``floatfmt.format_floats``, which
+    gives the same text as ``str`` (the shortest repr) for a whole block at
+    once, in blocks of at least ``FLOATFMT_MIN`` values; a shorter block
+    goes through ``str`` value by value. Any other sequence (ints, tags, a
+    mix) is written as ``str`` of each value. The rows are written
+    ``CSV_CHUNK`` at a time, one ``write`` of one string each, so the whole
+    file is never held as one string.
     """
     fh.write(",".join(columns) + "\n")
     columns = list(columns.values())
-    as_is = [bool(column) and isinstance(column[0], str) for column in columns]
     rows = min(map(len, columns), default=0)
     for start in range(0, rows, CSV_CHUNK):
-        fh.write(_csv_rows(columns, as_is, start))
+        fh.write(_csv_rows(columns, start, min(start + CSV_CHUNK, rows)))
 
 
 def _environment() -> dict:

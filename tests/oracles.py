@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from swapsim import DensityMatrix, PureState
+from swapsim.recipes import AxisColumn
 
 
 def random_pure(rng: np.random.Generator, labels) -> PureState:
@@ -93,15 +94,32 @@ def naive_dilate(amps: np.ndarray, n_modes: int, pos: int, t: float, r: float) -
     return out
 
 
+def naive_values(column):
+    """A column as a list of Python values, row by row.
+
+    A float64 array gives its ``tolist()``. An axis column gives its texts,
+    each repeated ``inner`` times, that run repeated until the column is
+    full: the repetition rule itself, not the writer's index arithmetic.
+    """
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    if isinstance(column, AxisColumn):
+        run = [text.decode("ascii") for text in column.texts.tolist() for _ in range(column.inner)]
+        return (run * -(-len(column) // len(run)))[:len(column)]
+    return column
+
+
 def naive_write_csv(fh, columns):
     """Row-at-a-time CSV writer oracle: one ``%s`` template per row.
 
-    ``%s`` formats with ``str``, so every field comes out as ``str(value)``;
-    the chunked writer in ``recipes`` must produce the same bytes.
+    ``%s`` formats with ``str``, so every field comes out as ``str(value)``
+    of the column's Python values (``naive_values``); the chunked writer in
+    ``recipes`` must produce the same bytes.
     """
     fh.write(",".join(columns) + "\n")
     line = ",".join(["%s"] * len(columns)) + "\n"
-    fh.writelines(line % row for row in zip(*columns.values()))
+    values = map(naive_values, columns.values())
+    fh.writelines(line % row for row in zip(*values))
 
 
 def bell_phi_plus(labels=("a", "b")) -> PureState:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from collections import Counter
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from swapsim import DensityMatrix, protocol, recipes, validate, validate_config
-from swapsim.experiment import SpdcSource, normalized_success, spdc_input
+from swapsim.experiment import SpdcSource, normalized_success, spdc_input, synth_counts
 from swapsim.metrics import (
     bell_fidelity,
     concurrence_closed_form,
@@ -25,9 +26,20 @@ from swapsim.protocol import (
     success_probability,
     swap,
 )
-from swapsim.recipes import CHUNK, CSV_CHUNK, RECIPES, _write_csv, run, run_oracle_draws
+from swapsim.cli import main
+from swapsim.recipes import (
+    CHUNK,
+    CSV_CHUNK,
+    FLOATFMT_MIN,
+    RECIPES,
+    AxisColumn,
+    _product,
+    _write_csv,
+    run,
+    run_oracle_draws,
+)
 
-from oracles import naive_write_csv
+from oracles import naive_values, naive_write_csv
 
 DEFAULT_GRIDS = {name: recipe.grids for name, recipe in RECIPES.items()}
 
@@ -424,6 +436,60 @@ def test_write_csv_matches_the_row_at_a_time_writer(rows):
     assert fast.getvalue().count("\n") == rows + 1
 
 
+# the longest text of any float64, 24 characters
+_LONGEST = -2.2250738585072014e-308
+
+
+def _assert_same_lines(got, want):
+    """``got == want`` for two CSV texts, reported by the first line that
+    differs: pytest's diff of two texts this long would take minutes."""
+    got, want = got.split("\n"), want.split("\n")
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
+
+
+def _axis(values, inner, rows):
+    return AxisColumn(np.array([str(x) for x in values], dtype=np.bytes_), inner, rows)
+
+
+@pytest.mark.parametrize("rows", [FLOATFMT_MIN - 1, FLOATFMT_MIN, CSV_CHUNK - 1,
+                                  CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
+def test_write_csv_column_kinds_match_the_row_at_a_time_writer(rows):
+    """float64 arrays (whole blocks through floatfmt or, when short, str per
+    value), axis columns whose runs of one text cross the chunk edges, and
+    lists of ints, tags and a mix, side by side."""
+    def cycle(values):
+        return [values[i % len(values)] for i in range(rows)]
+
+    floats = _FLOATS + [_LONGEST]
+    columns = {"x": np.array(cycle(floats)), "tag": cycle(_TAGS),
+               "long": np.full(rows, _LONGEST), "n": cycle(_INTS), "mixed": cycle(_MIXED),
+               # runs of 1000 and 3000 rows, so one text spans the edge at CSV_CHUNK
+               "a1": _axis(floats, 1000, rows), "a2": _axis((0.5, _LONGEST), 3000, rows),
+               "a3": _axis(floats[::-1], 1, rows), "a4": _axis(("+", "-", "equal"), 7, rows),
+               "y": np.array(cycle(floats[::-1]))}
+    fast, naive = io.StringIO(), io.StringIO()
+    _write_csv(fast, columns)
+    naive_write_csv(naive, columns)
+    _assert_same_lines(fast.getvalue(), naive.getvalue())
+    assert fast.getvalue().count("\n") == rows + 1
+    assert f"{_LONGEST},-,{_LONGEST}" in fast.getvalue()
+
+
+def test_write_csv_axis_columns_from_product_match_the_repetition_rule():
+    # 3 * 17 * 97 = 4947 rows: the first axis changes every 1649 rows and the
+    # second every 97, neither at the chunk edge
+    axes = {"a": (0.1, 2.0, 1e-05), "b": tuple(range(17)), "c": tuple(np.linspace(0, 1, 97))}
+    columns = _product(**axes)
+    want = [list(map(str, row)) for row in itertools.product(*axes.values())]
+    assert [len(column) for column in columns.values()] == [len(want)] * 3
+    assert list(zip(*map(naive_values, columns.values()))) == list(map(tuple, want))
+    fast = io.StringIO()
+    _write_csv(fast, columns)
+    _assert_same_lines(fast.getvalue(), "a,b,c\n" + "".join(",".join(row) + "\n" for row in want))
+
+
 def test_write_csv_writes_bounded_chunks():
     lines_per_write = []
 
@@ -432,7 +498,9 @@ def test_write_csv_writes_bounded_chunks():
             lines_per_write.append(text.count("\n"))
             return super().write(text)
 
-    _write_csv(Recorder(), {"x": [0.5] * (2 * CSV_CHUNK + 1)})
+    rows = 2 * CSV_CHUNK + 1
+    _write_csv(Recorder(), {"x": [0.5] * rows, "y": np.full(rows, 0.25),
+                            "t": _axis((0.1, 0.2), CSV_CHUNK + 3, rows)})
     assert lines_per_write == [1, CSV_CHUNK, CSV_CHUNK, 1]
 
 
@@ -460,3 +528,78 @@ def test_default_grids_cover_every_recipe():
     for name, grids in DEFAULT_GRIDS.items():
         for key, grid in grids.items():
             assert len(grid) >= 1, (name, key)
+
+
+def _plain(value):
+    """True when ``value`` is built of dicts, lists and tuples of plain Python
+    scalars only: no numpy scalar, whose repr reads ``np.float64(...)``."""
+    if isinstance(value, dict):
+        return all(type(key) is str and _plain(v) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(map(_plain, value))
+    return type(value) in (int, float, str, bool, type(None))
+
+
+@pytest.mark.parametrize("name", list(RECIPES))
+def test_summary_holds_plain_python_scalars(name, tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"experiment = {name}\nseed = 4\ndraws = 50\n"
+                        if name == "oracle-check" else f"experiment = {name}\nseed = 4\n")
+    summary = RECIPES[name].runner(validate_config(cfg_path.read_text())).summary
+    assert _plain(summary), summary
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    stdout = capsys.readouterr().out
+    assert all(f"\n  {key}: " in stdout for key in summary)
+    assert "np." not in stdout
+    meta_text = (tmp_path / "out" / f"{name}.meta.json").read_text()
+    assert "np." not in meta_text
+    assert json.loads(meta_text)["summary"] == json.loads(json.dumps(summary))
+
+
+def test_recipes_hand_the_writer_axis_columns_and_float64_arrays():
+    """Grid axes are ``AxisColumn``s and computed float columns float64
+    arrays, so no value of them becomes a Python object before the writer."""
+    floats = {
+        "concurrence-surface": {"concurrence"},
+        "concurrence-slices": {"concurrence", "visibility", "p_success"},
+        "theta-fringes": {"probability", "expected_counts"},
+        "scaling-balanced": {"t1", "p_success", "p_normalized"},
+        "imbalance-restore": {"visibility", "concurrence", "bell_fidelity", "p_success",
+                              "p_normalized"},
+    }
+    axes = {"concurrence-surface": {"t1", "t2"}, "concurrence-slices": {"t1", "t2"},
+            "theta-fringes": {"setting", "theta_rad", "outcome_sign"},
+            "scaling-balanced": {"t"}, "imbalance-restore": {"t1", "t2", "strategy"}}
+    for name in floats:
+        columns = RECIPES[name].runner(validate_config(f"experiment = {name}\n")).columns
+        assert {k for k, c in columns.items() if isinstance(c, AxisColumn)} == axes[name]
+        assert {k for k, c in columns.items()
+                if isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
+                } == floats[name], name
+        assert len({len(column) for column in columns.values()}) == 1, name
+
+
+def test_fringes_every_setting_scans_one_grid(monkeypatch):
+    """The axis columns are built once, from one setting's scan: every
+    setting's scan must cover the same phases, and each counts file holds
+    its setting's rows of the main file."""
+    grids = []
+
+    def recording(*args):
+        counts = synth_counts(*args)
+        grids.append(counts.scan.thetas.tolist())
+        return counts
+
+    monkeypatch.setattr(recipes, "synth_counts", recording)
+    cfg = validate_config("experiment = theta-fringes\nseed = 3\ntheta = linspace(0, 6, 9)\n")
+    result = RECIPES[cfg.experiment].runner(cfg)
+    assert grids == [list(cfg.theta)] * len(protocol.SETTINGS)
+    columns = {k: naive_values(c) for k, c in result.columns.items()}
+    tags = ("Xp", "Xm", "Yp", "Ym", "Zp", "Zm")
+    assert columns["setting"] == [tag for tag in tags for _ in range(2 * len(cfg.theta))]
+    for tag, (filename, extra) in zip(tags, result.extra):
+        assert filename == f"counts_{tag}_seed3.csv"
+        rows = [i for i, setting in enumerate(columns["setting"]) if setting == tag]
+        assert naive_values(extra["theta_rad"])[::2] == [str(x) for x in cfg.theta]
+        for key in ("theta_rad", "outcome_sign", "counts"):
+            assert naive_values(extra[key]) == [columns[key][i] for i in rows]
