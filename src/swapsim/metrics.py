@@ -64,8 +64,7 @@ def _two_qubit_matrix(rho, stack: bool = False) -> np.ndarray:
     finite = np.isfinite(m).all(axis=(-2, -1))
     tr = m.trace(axis1=-2, axis2=-1)
     ok = finite & (abs(tr - 1.0) <= 1e-9)
-    # one state's flag is a numpy bool, whose .all() costs a microsecond
-    if not (ok.all() if m.ndim > 2 else ok):
+    if not ok.all():
         first = np.unravel_index(np.argmin(ok), np.shape(ok))
         if not finite[first]:
             raise ValueError("two-qubit state must have finite entries")

@@ -1,14 +1,13 @@
 """Named sweep recipes and the batch runner.
 
 Each recipe evaluates a parameter grid with the pure library functions
-and returns columns (header name -> values, in grid order) of three kinds.
+and returns columns (header name -> values, in grid order) of two kinds.
 A grid axis column is an ``AxisColumn``: the ASCII text of ``str`` of each
 axis value, kept once, and the rule that says which text each row holds.
-A computed float column is a float64 array, straight from the closed
-forms. Any other column (ints, tags, mixed values, the oracle's per-draw
-values) is a Python list. One writer puts every
-field out as the text of ``str(value)`` of its Python value, which for a
-float is its shortest repr, so a given configuration always writes a
+Every computed column is a 1-D numpy array: float64 straight from the
+closed forms, int64 for counts, draw numbers and signs. One writer puts
+every field out as the text of ``str(value)`` of its Python value, which
+for a float is its shortest repr, so a given configuration always writes a
 byte-identical CSV; no field needs quoting. It writes ``CSV_CHUNK`` rows
 at a time, never one file-sized string, and builds each chunk as one byte
 matrix: every field in a NUL-padded slot of fixed width between ``,`` and
@@ -17,7 +16,7 @@ written once. An axis column's slot is gathered by row index from its
 texts. A float64 block of at least ``FLOATFMT_MIN`` values goes through
 ``floatfmt.format_floats``, an exact array version of the shortest repr
 (values it cannot take on its fast path go to ``repr`` itself); shorter
-float blocks and every other column go through ``str`` value by value.
+float blocks and int columns go through ``str`` value by value.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
 wall time, where that time went (``timings_s``: compute, write) and the
@@ -80,7 +79,7 @@ from .experiment import (
     synth_counts,
     SpdcSource,
 )
-from .floatfmt import WIDTH, format_floats
+from .floatfmt import format_floats
 from .loss import LossChannel
 from .metrics import (
     TWO_PI,
@@ -137,12 +136,11 @@ class RecipeResult:
     """One recipe's output: CSV columns, summary, and extra files.
 
     ``columns`` maps each header name, in order, to its column, one of
-    three kinds: grid axis columns as ``AxisColumn`` (each value's text kept
-    once, see ``_product``), computed float columns as 1-D float64 arrays,
-    and any other column (ints, tags, mixed values, the oracle's per-draw
-    values) as a Python list. The writer writes the
-    text of ``str`` of each Python value (a float64 array's ``tolist()``)
-    and builds each chunk of rows as one byte matrix.
+    two kinds: grid axis columns as ``AxisColumn`` (each value's text kept
+    once, see ``_product``) and every computed column (floats, counts, the
+    oracle's per-draw values) as a 1-D numpy array. The writer writes the
+    text of ``str`` of each Python value of an array's ``tolist()`` and
+    builds each chunk of rows as one byte matrix.
     ``rep`` is the representative grid point as data, ``(pair, t1, t2)``;
     ``run`` builds its X+ heralded state only for ``--dump-state``.
     ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
@@ -258,7 +256,7 @@ def _run_fringes(cfg: SweepConfig):
         counts = synth_counts(pair, t1, t2, BsmSetting(name), thetas, model)
         scan = counts.scan
         probs.append(np.stack((scan.p_plus, scan.p_minus), axis=1).ravel())
-        hits.append(np.stack((counts.counts_plus, counts.counts_minus), 1).ravel().tolist())
+        hits.append(np.stack((counts.counts_plus, counts.counts_minus), 1).ravel())
         fit = estimate_visibility(thetas, counts.counts_plus)
         fits[tag] = {"v": fit.v, "sigma": fit.sigma}
     # rows run setting by setting, then theta by theta, the "+" outcome before
@@ -266,7 +264,7 @@ def _run_fringes(cfg: SweepConfig):
     axes = {"theta_rad": scan.thetas.tolist(), "outcome_sign": ("+", "-")}
     prob = np.concatenate(probs)
     columns = {**_product(setting=tags, **axes), "probability": prob,
-               "expected_counts": mean * prob, "counts": [n for part in hits for n in part]}
+               "expected_counts": mean * prob, "counts": np.concatenate(hits)}
     block = _product(**axes)
     extra = tuple((f"counts_{tag}_seed{cfg.seed}.csv", {**block, "counts": part})
                   for tag, part in zip(tags, hits))
@@ -332,16 +330,20 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
     Each draw runs both routes; its two channels are built once and serve
-    both signs. Its heralded state, closed-form state and closed-form
-    concurrence wait in ``CHUNK``-sized buffers, and each full (or last)
-    buffer gets its ``max_dev_rho`` values from one stacked difference and
-    its ``dev_concurrence`` values from one stacked ``concurrence_wootters``
-    call, so memory does not grow with ``draws``. ``ok`` is False as soon
-    as any draw exceeds a tolerance of ``ORACLE_CHECKS``; ``rep`` is the
-    first draw's point.
+    both signs. The columns are numpy arrays allocated before the first
+    draw: ``draw`` and ``sign`` int64, the rest float64. A draw's heralded
+    state, closed-form state and closed-form concurrence wait in
+    ``CHUNK``-sized buffers, and each full (or last) buffer fills its slice
+    of ``max_dev_rho`` from one stacked difference and of
+    ``dev_concurrence`` from one stacked ``concurrence_wootters`` call.
+    ``ok`` is False as soon as any draw exceeds a tolerance of
+    ``ORACLE_CHECKS``; ``rep`` is the first draw's point.
     """
+    # allocated first: numpy refuses a count it cannot index before any draw runs
+    draw = np.arange(draws)
+    t1s, t2s, dev_rhos, dev_norms, dev_concs = (np.empty(draws) for _ in range(5))
+    signs = np.empty(draws, dtype=np.int64)
     rng = np.random.default_rng(seed)
-    t1s, t2s, signs, dev_rhos, dev_norms, dev_concs = [], [], [], [], [], []
     states = np.empty((CHUNK, 4, 4), dtype=complex)
     rhos_cf = np.empty((CHUNK, 4, 4), dtype=complex)
     conc_cf = np.empty(CHUNK)
@@ -356,21 +358,19 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         rhos_cf[k], norm = closed_form_rho(pair, t1, t2, sign)
         states[k] = brute.rho_ab.entries
         conc_cf[k] = concurrence_closed_form(pair, t1, t2)
-        t1s.append(t1)
-        t2s.append(t2)
-        signs.append(sign)
-        dev_norms.append(abs(brute.p_success + other.p_success - norm))
+        t1s[i], t2s[i], signs[i] = t1, t2, sign
+        dev_norms[i] = abs(brute.p_success + other.p_success - norm)
         if k == CHUNK - 1 or i == draws - 1:
             n = k + 1
-            dev_rhos += np.max(np.abs(states[:n] - rhos_cf[:n]), axis=(1, 2)).tolist()
-            dev_concs += np.abs(concurrence_wootters(states[:n]) - conc_cf[:n]).tolist()
+            dev_rhos[i - k:i + 1] = np.max(np.abs(states[:n] - rhos_cf[:n]), axis=(1, 2))
+            dev_concs[i - k:i + 1] = np.abs(concurrence_wootters(states[:n]) - conc_cf[:n])
         if i == 0:
             rep = (pair, t1, t2)
-    columns = {"draw": list(range(draws)), "t1": t1s, "t2": t2s, "sign": signs,
+    columns = {"draw": draw, "t1": t1s, "t2": t2s, "sign": signs,
                "max_dev_rho": dev_rhos, "dev_norm": dev_norms, "dev_concurrence": dev_concs}
     summary = {"draws": draws}
     for key, (column, _, _, _) in ORACLE_CHECKS.items():
-        summary[key] = max(columns[column])
+        summary[key] = float(columns[column].max())
     summary["tolerances"] = {tol_key: tol for _, _, tol_key, tol in ORACLE_CHECKS.values()}
     ok = summary["passed"] = all(passed for passed, *_ in oracle_verdicts(summary))
     return RecipeResult(columns, summary, rep, ok)
@@ -452,17 +452,15 @@ def describe_recipes() -> str:
 
 
 def _field(column, start, stop):
-    """Rows ``start`` to ``stop`` of one column as NUL-padded ASCII text: an
-    ``S`` array, or a uint8 matrix with one row of characters per row."""
+    """Rows ``start`` to ``stop`` of one column, an ``AxisColumn`` or a numpy
+    array (see ``_write_csv``), as NUL-padded ASCII text: an ``S`` array, or
+    a uint8 matrix with one row of characters per row."""
     if isinstance(column, AxisColumn):
         return column.texts[np.arange(start, stop) // column.inner % column.texts.size]
     block = column[start:stop]
-    if isinstance(block, np.ndarray) and block.dtype == np.float64:
-        if block.size >= FLOATFMT_MIN:
-            return format_floats(block)
-        # a float's repr is its str, and repr is the quicker call
-        return np.array(list(map(repr, block.tolist())), dtype=f"S{WIDTH}")
-    texts = list(map(str, block))
+    if block.dtype == np.float64 and block.size >= FLOATFMT_MIN:
+        return format_floats(block)
+    texts = list(map(str, block.tolist()))
     # with its width given, numpy encodes without a scan of its own
     return np.array(texts, dtype=f"S{max(map(len, texts))}")
 
@@ -487,13 +485,12 @@ def _csv_rows(columns, start, stop):
 def _write_csv(fh, columns):
     """Write the header, then one line per row, each field as ``str(value)``.
 
-    A column is one of three kinds. An ``AxisColumn`` (from ``_product``)
+    A column is one of two kinds. An ``AxisColumn`` (from ``_product``)
     holds each distinct text once, and a block of its rows is gathered by
-    index. A float64 array is formatted by ``floatfmt.format_floats``, which
-    gives the same text as ``str`` (the shortest repr) for a whole block at
-    once, in blocks of at least ``FLOATFMT_MIN`` values; a shorter block
-    goes through ``str`` value by value. Any other sequence (ints, tags, a
-    mix) is written as ``str`` of each value. The rows are written
+    index. A 1-D numpy array is written as ``str`` of each value of its
+    ``tolist()``; a float64 block of at least ``FLOATFMT_MIN`` values gets
+    that text (the shortest repr) from ``floatfmt.format_floats`` for the
+    whole block at once. The rows are written
     ``CSV_CHUNK`` at a time, one ``write`` of one string each, so the whole
     file is never held as one string.
     """

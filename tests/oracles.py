@@ -97,9 +97,10 @@ def naive_dilate(amps: np.ndarray, n_modes: int, pos: int, t: float, r: float) -
 def naive_values(column):
     """A column as a list of Python values, row by row.
 
-    A float64 array gives its ``tolist()``. An axis column gives its texts,
+    A numpy array gives its ``tolist()``. An axis column gives its texts,
     each repeated ``inner`` times, that run repeated until the column is
-    full: the repetition rule itself, not the writer's index arithmetic.
+    full: the repetition rule itself, not the writer's index arithmetic. A
+    list, such as a reference built one value at a time, is kept as it is.
     """
     if isinstance(column, np.ndarray):
         return column.tolist()

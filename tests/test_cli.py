@@ -293,6 +293,29 @@ def test_unallocatable_grid_exits_2_without_a_traceback(doc, err, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_draws_beyond_what_numpy_can_index_exit_2_at_once(command, tmp_path):
+    """numpy refuses the columns' shape before the first draw, so a huge
+    ``draws`` is one error line, not a run that goes on until it is killed."""
+    pytest.importorskip("resource")
+    draws = "100000000000000000000"
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"experiment = oracle-check\ndraws = {draws}\n")
+    argv = (["check", "--draws", draws] if command == "check"
+            else ["run", str(cfg), "--out", str(tmp_path / "new" / "out")])
+    # the child runs in tmp_path, so it finds the package by absolute path
+    src = str(Path(recipes.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "swapsim", *argv], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
+
+
 def test_largest_accepted_counts_run_theta_fringes(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"experiment = theta-fringes\ncounts = {MAX_MEAN_COUNTS!r}\n")

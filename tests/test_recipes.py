@@ -49,13 +49,23 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
+def assert_same_columns(got, want):
+    """The same header names in order, each ``got`` column a numpy array
+    equal value for value to ``want``'s."""
+    assert list(got) == list(want)
+    for name, column in got.items():
+        assert isinstance(column, np.ndarray), name
+        assert np.array_equal(column, want[name]), name
+
+
 class TestOracleDraws:
     def test_draws_pass_tolerances(self):
         result = run_oracle_draws(100, seed=5)
         assert result.ok
         assert [len(column) for column in result.columns.values()] == [100] * 7
-        # plain Python values, never numpy scalars
-        assert {type(x) for column in result.columns.values() for x in column} == {int, float}
+        # numpy arrays, never Python lists: the writer takes no list column
+        assert [column.dtype for column in result.columns.values()] == [
+            np.int64, np.float64, np.float64, np.int64, np.float64, np.float64, np.float64]
         assert result.summary["max_dev_rho"] < 1e-12
         assert result.summary["max_dev_norm"] < 1e-12
         assert result.summary["max_dev_concurrence"] < 1e-10
@@ -63,7 +73,7 @@ class TestOracleDraws:
     def test_deterministic_given_seed(self):
         a = run_oracle_draws(20, seed=9).columns
         b = run_oracle_draws(20, seed=9).columns
-        assert a == b
+        assert_same_columns(a, b)
 
     @staticmethod
     def per_draw_reference(draws, seed):
@@ -89,9 +99,20 @@ class TestOracleDraws:
     def test_chunked_draws_match_the_per_draw_reference(self, draws):
         for seed in (12, 31):
             columns = run_oracle_draws(draws, seed=seed).columns
-            want = self.per_draw_reference(draws, seed=seed)
-            assert list(columns) == list(want)
-            assert columns == want
+            assert_same_columns(columns, self.per_draw_reference(draws, seed=seed))
+
+    # every draw in blocks shorter than FLOATFMT_MIN; one full CSV_CHUNK block
+    # through floatfmt, then one row through str
+    @pytest.mark.parametrize("draws", [FLOATFMT_MIN - 1, CSV_CHUNK + 1])
+    def test_run_csv_matches_the_row_at_a_time_writer_on_the_reference(self, draws, tmp_path):
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text(f"experiment = oracle-check\ndraws = {draws}\nseed = 8\n")
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        naive = io.StringIO()
+        naive_write_csv(naive, self.per_draw_reference(draws, seed=8))
+        got = (tmp_path / "out" / "oracle-check.csv").read_text(encoding="utf-8")
+        _assert_same_lines(got, naive.getvalue())
+        assert got.count("\n") == draws + 1
 
     def test_two_swaps_and_four_dilations_per_draw(self, monkeypatch):
         per_draw = []  # one Counter per draw, opened by its random_input_pair call
@@ -395,49 +416,26 @@ class TestByteIdentity:
 
 
 def test_write_csv_writes_str_of_every_field():
-    columns = {
-        "x": [-0.0, 5e-324, 1e16, 1e-05, 0.1, 2.5],
-        "n": [0, -3, 2 ** 70, 7, 1, 10 ** 16],
-        "tag": ["Xp", "+", "-", "equal", "0.1", "1e-05"],
-    }
+    x = [-0.0, 5e-324, 1e16, 1e-05, 0.1, 2.5]
+    n = [0, -3, 2 ** 62, 7, 1, 10 ** 16]
+    tags = ["Xp", "+", "-", "equal", "0.1", "1e-05"]
     fh = io.StringIO()
-    _write_csv(fh, columns)
+    _write_csv(fh, {"x": np.array(x), "n": np.array(n), "tag": _axis(tags, 1, len(tags))})
     lines = fh.getvalue().split("\n")
     assert lines[0] == "x,n,tag" and lines[-1] == ""
-    assert lines[1:-1] == [",".join(map(str, row)) for row in zip(*columns.values())]
-    assert lines[1:4] == ["-0.0,0,Xp", "5e-324,-3,+", f"1e+16,{2 ** 70},-"]
+    assert lines[1:-1] == [",".join(map(str, row)) for row in zip(x, n, tags)]
+    assert lines[1:4] == ["-0.0,0,Xp", "5e-324,-3,+", f"1e+16,{2 ** 62},-"]
 
 
 # values whose text is easy to get wrong: signed zero, subnormal, exponent
-# form, ints beyond 64 bits, tags that look like numbers; the floats also
+# form, the int64 extremes, tags that look like numbers; the floats also
 # cover both routes of floatfmt.format_floats, its fast path (0.1, 1e-05,
 # -1234.5678, 1/3) and each kind it hands to repr (zero, subnormal,
 # non-finite, |x| >= 2**54, short mantissas)
 _FLOATS = [-0.0, 5e-324, 1e16, 0.1, 1e-05, 2.5, -7.0, math.inf, -math.inf, math.nan, 0.5,
            1.0, 2.0 ** 60, 1e22, 123456789012345680.0, -1234.5678, 1 / 3]
-_INTS = [0, -3, 2 ** 70, 7, 10 ** 16]
+_INTS = [0, -3, 2 ** 63 - 1, 7, 10 ** 16, -2 ** 63]
 _TAGS = ["Xp", "+", "-", "equal", "0.1"]
-# a column of floats, ints and a bool: str writes 1 as "1", never "1.0"
-_MIXED = [0.1, 1, -2.5, 10 ** 16, 1e-05, True]
-
-
-@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
-                                  2 * CSV_CHUNK + 1])
-def test_write_csv_matches_the_row_at_a_time_writer(rows):
-    def cycle(values):
-        return [values[i % len(values)] for i in range(rows)]
-
-    columns = {"tag": cycle(_TAGS), "x": cycle(_FLOATS), "n": cycle(_INTS),
-               "axis": [str(x) for x in cycle(_FLOATS[::-1])], "mixed": cycle(_MIXED)}
-    fast, naive = io.StringIO(), io.StringIO()
-    _write_csv(fast, columns)
-    naive_write_csv(naive, columns)
-    assert fast.getvalue() == naive.getvalue()
-    assert fast.getvalue().count("\n") == rows + 1
-
-
-# the longest text of any float64, 24 characters
-_LONGEST = -2.2250738585072014e-308
 
 
 def _assert_same_lines(got, want):
@@ -453,22 +451,40 @@ def _axis(values, inner, rows):
     return AxisColumn(np.array([str(x) for x in values], dtype=np.bytes_), inner, rows)
 
 
+def _cycle(values, rows):
+    return [values[i % len(values)] for i in range(rows)]
+
+
+@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1,
+                                  2 * CSV_CHUNK + 1])
+def test_write_csv_matches_the_row_at_a_time_writer(rows):
+    columns = {"tag": _axis(_TAGS, 1, rows), "x": np.array(_cycle(_FLOATS, rows)),
+               "n": np.array(_cycle(_INTS, rows), dtype=np.int64),
+               "axis": _axis(_FLOATS[::-1], 1, rows)}
+    fast, naive = io.StringIO(), io.StringIO()
+    _write_csv(fast, columns)
+    naive_write_csv(naive, columns)
+    _assert_same_lines(fast.getvalue(), naive.getvalue())
+    assert fast.getvalue().count("\n") == rows + 1
+
+
+# the longest text of any float64, 24 characters
+_LONGEST = -2.2250738585072014e-308
+
+
 @pytest.mark.parametrize("rows", [FLOATFMT_MIN - 1, FLOATFMT_MIN, CSV_CHUNK - 1,
                                   CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
 def test_write_csv_column_kinds_match_the_row_at_a_time_writer(rows):
     """float64 arrays (whole blocks through floatfmt or, when short, str per
     value), axis columns whose runs of one text cross the chunk edges, and
-    lists of ints, tags and a mix, side by side."""
-    def cycle(values):
-        return [values[i % len(values)] for i in range(rows)]
-
+    an int64 array, side by side."""
     floats = _FLOATS + [_LONGEST]
-    columns = {"x": np.array(cycle(floats)), "tag": cycle(_TAGS),
-               "long": np.full(rows, _LONGEST), "n": cycle(_INTS), "mixed": cycle(_MIXED),
+    columns = {"x": np.array(_cycle(floats, rows)), "long": np.full(rows, _LONGEST),
+               "n": np.array(_cycle(_INTS, rows), dtype=np.int64),
                # runs of 1000 and 3000 rows, so one text spans the edge at CSV_CHUNK
                "a1": _axis(floats, 1000, rows), "a2": _axis((0.5, _LONGEST), 3000, rows),
                "a3": _axis(floats[::-1], 1, rows), "a4": _axis(("+", "-", "equal"), 7, rows),
-               "y": np.array(cycle(floats[::-1]))}
+               "y": np.array(_cycle(floats[::-1], rows))}
     fast, naive = io.StringIO(), io.StringIO()
     _write_csv(fast, columns)
     naive_write_csv(naive, columns)
@@ -499,7 +515,7 @@ def test_write_csv_writes_bounded_chunks():
             return super().write(text)
 
     rows = 2 * CSV_CHUNK + 1
-    _write_csv(Recorder(), {"x": [0.5] * rows, "y": np.full(rows, 0.25),
+    _write_csv(Recorder(), {"x": np.arange(rows), "y": np.full(rows, 0.25),
                             "t": _axis((0.1, 0.2), CSV_CHUNK + 3, rows)})
     assert lines_per_write == [1, CSV_CHUNK, CSV_CHUNK, 1]
 
@@ -557,8 +573,9 @@ def test_summary_holds_plain_python_scalars(name, tmp_path, capsys):
 
 
 def test_recipes_hand_the_writer_axis_columns_and_float64_arrays():
-    """Grid axes are ``AxisColumn``s and computed float columns float64
-    arrays, so no value of them becomes a Python object before the writer."""
+    """Grid axes are ``AxisColumn``s, computed float columns float64 arrays
+    and every other column an int64 array, in every file a recipe writes, so
+    no value becomes a Python object before the writer."""
     floats = {
         "concurrence-surface": {"concurrence"},
         "concurrence-slices": {"concurrence", "visibility", "p_success"},
@@ -566,16 +583,29 @@ def test_recipes_hand_the_writer_axis_columns_and_float64_arrays():
         "scaling-balanced": {"t1", "p_success", "p_normalized"},
         "imbalance-restore": {"visibility", "concurrence", "bell_fidelity", "p_success",
                               "p_normalized"},
+        "oracle-check": {"t1", "t2", "max_dev_rho", "dev_norm", "dev_concurrence"},
     }
     axes = {"concurrence-surface": {"t1", "t2"}, "concurrence-slices": {"t1", "t2"},
             "theta-fringes": {"setting", "theta_rad", "outcome_sign"},
-            "scaling-balanced": {"t"}, "imbalance-restore": {"t1", "t2", "strategy"}}
+            "scaling-balanced": {"t"}, "imbalance-restore": {"t1", "t2", "strategy"},
+            "oracle-check": set()}
+    ints = {"theta-fringes": {"counts"}, "oracle-check": {"draw", "sign"}}
+
+    def kinds(columns):
+        return {k: "axis" if isinstance(c, AxisColumn) else (c.dtype, c.ndim)
+                for k, c in columns.items()}
+
+    assert set(floats) == set(RECIPES)
     for name in floats:
-        columns = RECIPES[name].runner(validate_config(f"experiment = {name}\n")).columns
-        assert {k for k, c in columns.items() if isinstance(c, AxisColumn)} == axes[name]
-        assert {k for k, c in columns.items()
-                if isinstance(c, np.ndarray) and c.dtype == np.float64 and c.ndim == 1
-                } == floats[name], name
+        result = RECIPES[name].runner(validate_config(f"experiment = {name}\n"))
+        columns = result.columns
+        assert kinds(columns) == {k: "axis" if k in axes[name] else
+                                  (np.int64, 1) if k in ints.get(name, ()) else (np.float64, 1)
+                                  for k in columns}, name
+        assert set(columns) == axes[name] | floats[name] | ints.get(name, set()), name
+        for _, extra in result.extra:
+            assert kinds(extra) == {"theta_rad": "axis", "outcome_sign": "axis",
+                                    "counts": (np.int64, 1)}
         assert len({len(column) for column in columns.values()}) == 1, name
 
 
