@@ -18,7 +18,7 @@ import functools
 import sys
 
 from . import __version__
-from .config import ConfigError, validate_config
+from .config import ConfigError, too_many_draws, validate_config
 from .recipes import describe_recipes, oracle_verdicts, run, run_oracle_draws
 
 USAGE_ERROR = 2
@@ -84,6 +84,9 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     if args.draws < 1 or args.seed < 0:
         raise ConfigError("check needs --draws >= 1 and --seed >= 0")
+    too_many = too_many_draws("--draws", args.draws)
+    if too_many:
+        raise ConfigError(too_many)
     result = run_oracle_draws(args.draws, args.seed)
     for passed, label, value, tol in oracle_verdicts(result.summary):
         status = "PASS" if passed else "FAIL"

@@ -21,9 +21,14 @@ from .experiment import MAX_MEAN_COUNTS
 from .metrics import TWO_PI
 from .recipes import RECIPES
 
-__all__ = ["ConfigError", "SweepConfig", "validate_config", "to_text"]
+__all__ = ["ConfigError", "SweepConfig", "validate_config", "to_text", "MAX_DRAWS",
+           "too_many_draws"]
 
 EXPERIMENTS = tuple(RECIPES)
+
+# the longest column of 8-byte values numpy can describe: the oracle keeps
+# one such entry per draw in each column, and numpy refuses a longer one
+MAX_DRAWS = np.iinfo(np.intp).max // 8
 
 
 def _closed(lo: float, hi: float):
@@ -58,6 +63,13 @@ _SCALARS = {
 
 class ConfigError(ValueError):
     """Invalid sweep configuration; maps to CLI exit code 2."""
+
+
+def too_many_draws(name: str, draws: int) -> str | None:
+    """The error text for a ``draws`` past ``MAX_DRAWS``, given by ``name``; else None."""
+    if draws > MAX_DRAWS:
+        return f"{name}: {draws} draws do not fit in a numpy array (at most {MAX_DRAWS})"
+    return None
 
 
 @dataclass(frozen=True)
@@ -207,6 +219,9 @@ def validate_config(raw: str) -> SweepConfig:
         else:
             errors.append(f"unknown key {key!r}")
     cfg = SweepConfig(**{k: v for k, v in values.items()})
+    too_many = too_many_draws("key 'draws'", cfg.draws)
+    if too_many:
+        errors.append(too_many)
     if not errors:
         _check_recipe(cfg, errors)
     if errors:

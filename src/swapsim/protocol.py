@@ -78,10 +78,12 @@ class InputPair:
     delta: complex
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma", "delta"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
-        na = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        nb = abs(self.gamma) ** 2 + abs(self.delta) ** 2
+        a, b = complex(self.alpha), complex(self.beta)
+        g, d = complex(self.gamma), complex(self.delta)
+        # straight into the instance dict: the frozen dataclass refuses setattr
+        self.__dict__.update(alpha=a, beta=b, gamma=g, delta=d)
+        na = abs(a) ** 2 + abs(b) ** 2
+        nb = abs(g) ** 2 + abs(d) ** 2
         if abs(na - 1.0) > 1e-12 or abs(nb - 1.0) > 1e-12:
             raise ValueError(
                 f"input amplitudes must be normalized per pair "
@@ -205,7 +207,7 @@ def bsm(psi: PureState, setting: BsmSetting) -> SwapOutcome:
         raise ValueError(f"state on {psi.labels!r} is missing the flying modes")
     if not psi.is_normalized(atol=1e-9):
         raise ValueError(f"input state must be normalized (norm^2 = {psi.norm2})")
-    out = partial_trace(project(psi, setting.projector_ket()), (E1, E2))
+    out = partial_trace(project(psi, _PROJECTOR_KETS[setting.name]), (E1, E2))
     if out.weight < WEIGHT_EPS:
         raise ValueError(
             f"impossible outcome: heralding probability {out.weight:.3e} for "
@@ -225,7 +227,9 @@ def _rho_entries(pair: InputPair, t1, t2):
     r22 = abs(a * d) ** 2 * (t2 * t2)
     r33 = abs(b * g) ** 2 * (t1 * t1)
     r44 = abs(b * d) ** 2 * (t1 * t1 * (1.0 - t2 * t2) + t2 * t2 * (1.0 - t1 * t1))
-    r23 = a * np.conj(b) * np.conj(g) * d * t1 * t2
+    # the amplitudes are Python complex numbers, whose own conjugate skips
+    # numpy's dispatch and gives the same bits as np.conj
+    r23 = a * b.conjugate() * g.conjugate() * d * t1 * t2
     return r22, r33, r44, r23
 
 
@@ -269,7 +273,7 @@ def closed_form_rho(
     rho[2, 2] = r33
     rho[3, 3] = r44
     rho[1, 2] = sign * r23
-    rho[2, 1] = sign * np.conj(r23)
+    rho[2, 1] = sign * r23.conjugate()
     rho /= norm
     if point:
         return rho, float(norm)
@@ -284,7 +288,7 @@ def success_probability(pair: InputPair, t1, t2):
     """
     r22, r33, r44, _ = _rho_entries(pair, t1, t2)
     total = r22 + r33 + r44
-    return float(total) if np.isscalar(total) else total
+    return float(total) if isinstance(total, float) else total
 
 
 def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
@@ -359,6 +363,8 @@ def asymptotic_state(
 def random_input_pair(rng: np.random.Generator) -> InputPair:
     """Haar-ish random complex amplitudes, normalized per pair."""
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
-    na = math.sqrt(abs(z[0]) ** 2 + abs(z[1]) ** 2)
-    nb = math.sqrt(abs(z[2]) ** 2 + abs(z[3]) ** 2)
-    return InputPair(z[0] / na, z[1] / na, z[2] / nb, z[3] / nb)
+    # numpy scalars, read once each: their abs, ** and / round as numpy's do
+    a, b, g, d = z[0], z[1], z[2], z[3]
+    na = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+    nb = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
+    return InputPair(a / na, b / na, g / nb, d / nb)

@@ -25,8 +25,12 @@ read-only.
 ``project``, ``partial_trace`` and ``reorder`` share one label plan,
 ``_split``, memoised per pair of registers; a repeated or unknown mode
 has no plan, and the caller builds its ``LabelError`` text anew. A ket's
-``norm2`` is computed on first use and kept with the (immutable) state,
-so checking a constant projector ket costs a lookup.
+``norm2``, and the conjugate amplitudes ``project`` contracts with, are
+computed on first use and kept with the (immutable) state, so a constant
+projector ket costs a lookup. A ket made by loss dilation carries its
+input's ``norm2``, the value that input's normalisation check read: the
+dilation is an isometry, so the squared norm is unchanged, and later
+checks of that ket sum no amplitudes.
 """
 
 from __future__ import annotations
@@ -85,36 +89,42 @@ class PureState:
                 f"amplitude vector of length {amps.size} does not fit "
                 f"{len(labels)} modes"
             )
-        self._own(labels, amps)
+        amps.setflags(write=False)
+        # straight into the instance dict: the frozen dataclass refuses setattr
+        self.__dict__.update(labels=labels, amps=amps)
 
     @classmethod
-    def _of(cls, labels: tuple[Label, ...], amps: np.ndarray) -> "PureState":
+    def _of(cls, labels: tuple[Label, ...], amps: np.ndarray, norm2: float | None = None
+            ) -> "PureState":
         """Library-built ket: ``labels`` already checked, ``amps`` a fresh
         complex vector of the right size that no caller holds. No copy, no
-        checks."""
-        return object.__new__(cls)._own(labels, amps)
-
-    def _own(self, labels, amps) -> "PureState":
+        checks. ``norm2``, if given, is the ket's squared norm, already
+        known (an isometry keeps its input's), and is kept as if computed."""
         amps.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amps", amps)
-        return self
+        ket = object.__new__(cls)
+        ket.__dict__.update(labels=labels, amps=amps)
+        if norm2 is not None:
+            ket.__dict__["norm2"] = norm2
+        return ket
 
     @property
     def num_modes(self) -> int:
         return len(self.labels)
 
-    @property
+    @functools.cached_property
     def norm2(self) -> float:
         """Squared norm; the weight carried by an unnormalized ket.
 
         Computed on first use and kept: the amplitudes never change.
         """
-        n2 = self.__dict__.get("_norm2")
-        if n2 is None:
-            n2 = float(np.vdot(self.amps, self.amps).real)
-            object.__setattr__(self, "_norm2", n2)
-        return n2
+        return float(np.vdot(self.amps, self.amps).real)
+
+    @functools.cached_property
+    def _bra(self) -> np.ndarray:
+        """The conjugate amplitudes, made on first use and kept read-only."""
+        bra = self.amps.conj()
+        bra.setflags(write=False)
+        return bra
 
     def is_normalized(self, atol: float = ATOL) -> bool:
         return abs(self.norm2 - 1.0) <= atol
@@ -176,16 +186,16 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix of shape {entries.shape} does not fit {len(labels)} modes"
             )
-        entries.setflags(write=False)
         weight = self.weight
         if weight is None:
-            weight = float(np.trace(entries).real)
+            weight = float(entries.trace().real)
         weight = float(weight)
         if weight < 0.0:
             if weight < -ATOL:
                 raise ValueError(f"negative weight {weight}")
             weight = 0.0
-        self._own(labels, entries, weight)
+        entries.setflags(write=False)
+        self.__dict__.update(labels=labels, entries=entries, weight=weight)
 
     @classmethod
     def _of(cls, labels: tuple[Label, ...], entries: np.ndarray, weight: float
@@ -193,14 +203,10 @@ class DensityMatrix:
         """Library-built state: ``labels`` already checked, ``entries`` a fresh
         complex matrix of the right shape that no caller holds, ``weight`` a
         nonnegative float. No copy, no checks."""
-        return object.__new__(cls)._own(labels, entries, weight)
-
-    def _own(self, labels, entries, weight) -> "DensityMatrix":
         entries.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "weight", weight)
-        return self
+        rho = object.__new__(cls)
+        rho.__dict__.update(labels=labels, entries=entries, weight=weight)
+        return rho
 
     @property
     def num_modes(self) -> int:
@@ -232,7 +238,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     labels = a.labels + b.labels
     if not set(a.labels).isdisjoint(b.labels):
         raise LabelError(f"duplicate mode labels in {labels!r}")
-    return PureState._of(labels, np.multiply.outer(a.amps, b.amps).ravel())
+    return PureState._of(labels, (a.amps[:, None] * b.amps).ravel())
 
 
 def partial_trace(
@@ -254,9 +260,9 @@ def partial_trace(
     keep, index = plan
     # w is the (discarded, kept) matrix, so rho = w^T w*
     w = psi.amps[index]
-    rho = w.T @ w.conj()
+    rho = np.dot(w.T, w.conj())
     # the diagonal holds sums of squares, so the weight is never negative
-    return DensityMatrix._of(keep, rho, float(np.trace(rho).real))
+    return DensityMatrix._of(keep, rho, float(rho.trace().real))
 
 
 def project(psi: PureState, projector_ket: PureState) -> PureState:
@@ -275,7 +281,7 @@ def project(psi: PureState, projector_ket: PureState) -> PureState:
         missing = set(projector_ket.labels) - set(psi.labels)
         raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
     keep, index = plan
-    return PureState._of(keep, projector_ket.amps.conj() @ psi.amps[index])
+    return PureState._of(keep, np.dot(projector_ket._bra, psi.amps[index]))
 
 
 @dataclass(frozen=True)

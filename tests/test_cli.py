@@ -10,6 +10,7 @@ import pytest
 from swapsim import DensityMatrix, __version__
 from swapsim import recipes
 from swapsim.cli import _build_parser, main
+from swapsim.config import MAX_DRAWS
 from swapsim.experiment import MAX_MEAN_COUNTS
 
 
@@ -295,8 +296,9 @@ def test_unallocatable_grid_exits_2_without_a_traceback(doc, err, tmp_path):
 
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_draws_beyond_what_numpy_can_index_exit_2_at_once(command, tmp_path):
-    """numpy refuses the columns' shape before the first draw, so a huge
-    ``draws`` is one error line, not a run that goes on until it is killed."""
+    """A ``draws`` no numpy column can hold is refused before the first
+    draw, as a configuration error naming the flag or key and the value,
+    not a run that goes on until it is killed."""
     pytest.importorskip("resource")
     draws = "100000000000000000000"
     cfg = tmp_path / "sweep.cfg"
@@ -310,8 +312,10 @@ def test_draws_beyond_what_numpy_can_index_exit_2_at_once(command, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "swapsim", *argv], capture_output=True,
                           text=True, env=env, cwd=tmp_path, timeout=60,
                           preexec_fn=_limit_address_space)
+    name = "--draws" if command == "check" else "key 'draws'"
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr == (f"configuration error:\n{name}: {draws} draws do not fit in a "
+                           f"numpy array (at most {MAX_DRAWS})\n"), proc.stderr
     assert proc.stdout == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 

@@ -6,7 +6,8 @@ interior values), grids of at most five points and at most 20 draws.
 Whatever the document, ``swapsim run`` must return 0, 2, 3 or 4 and
 print no traceback. A ``linspace``/``logspace`` may also ask for
 ``10**20`` points, a count numpy refuses before allocating anything; the
-run must then exit 2 and name the key.
+run must then exit 2 and name the key. So must a ``draws`` past the
+longest column numpy can hold, given as the key or as ``check --draws``.
 """
 
 import contextlib
@@ -15,11 +16,12 @@ import math
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim.cli import main
-from swapsim.config import EXPERIMENTS
+from swapsim.config import EXPERIMENTS, MAX_DRAWS
 from swapsim.recipes import RECIPES
 
 TINY = 5e-324  # smallest positive double
@@ -117,3 +119,22 @@ def test_run_exits_with_a_documented_code(doc):
         if value.endswith(f", {HUGE})"):
             assert code == 2, doc
             assert f"key {key!r}: cannot allocate a grid of {HUGE} points" in err.getvalue(), doc
+
+
+@pytest.mark.parametrize("draws", [HUGE, MAX_DRAWS + 1])
+def test_draws_past_numpy_exits_2_naming_the_key_or_flag(draws):
+    """A ``draws`` no numpy column can hold is a configuration error: the
+    message names the key or the flag and the value, and nothing is made."""
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "big.cfg"
+        cfg.write_text(f"experiment = oracle-check\ndraws = {draws}\n")
+        out = Path(work) / "out"
+        for argv, name in ((["run", str(cfg), "--out", str(out)], "key 'draws'"),
+                           (["check", "--draws", str(draws)], "--draws")):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            assert code == 2, argv
+            assert err.getvalue() == (f"configuration error:\n{name}: {draws} draws do not "
+                                      f"fit in a numpy array (at most {MAX_DRAWS})\n")
+        assert sorted(p.name for p in Path(work).iterdir()) == ["big.cfg"]

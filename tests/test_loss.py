@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,23 @@ class TestLossChannel:
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(ValueError, match="transmittivity"):
             LossChannel(bad)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0, math.nextafter(1.0, 0.0), 5e-324, 0.6])
+    def test_r_is_fixed_when_the_channel_is_built(self, t):
+        ch = LossChannel(t)
+        assert type(ch.r) is float
+        assert ch.r == math.sqrt(max(0.0, 1.0 - t * t))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.r = 0.5
+        moved = dataclasses.replace(ch, t=0.5)
+        assert moved.r == math.sqrt(0.75)
+
+    def test_equality_hash_and_repr_see_t_alone(self):
+        ch = LossChannel(0.6)
+        assert ch == LossChannel(np.float64(0.6)) and ch != LossChannel(0.5)
+        assert hash(ch) == hash(LossChannel(0.6)) == hash((0.6,))
+        assert repr(ch) == "LossChannel(t=0.6)"
+        assert {ch: 1}[LossChannel(0.6)] == 1
 
 
 class TestKrausOps:
@@ -131,6 +151,52 @@ class TestDilate:
         psi = PureState(("A",), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="normalized"):
             dilate(psi, "A", "E", LossChannel(0.5))
+
+    @pytest.mark.parametrize("off", [2e-9, -2e-9])
+    def test_a_caller_ket_just_past_the_tolerance_is_rejected(self, rng, off):
+        psi = random_pure(rng, ("A", "B"))
+        loose = PureState(psi.labels, math.sqrt(1.0 + off) * psi.amps)
+        with pytest.raises(ValueError) as info:
+            dilate(loose, "B", "E", LossChannel(0.5))
+        assert str(info.value) == f"input state must be normalized (norm^2 = {loose.norm2})"
+        near = PureState(psi.labels, math.sqrt(1.0 + off / 4) * psi.amps)
+        assert dilate(near, "B", "E", LossChannel(0.5)).norm2 == near.norm2
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    def test_carried_norm2_agrees_with_a_fresh_sum(self, n_modes):
+        """A dilated ket keeps its input's norm2; summing its amplitudes
+        again gives the same value to within 1e-15."""
+        rng = np.random.default_rng(60 + n_modes)
+        labels = tuple(f"m{i}" for i in range(n_modes))
+        for t in (0.0, 1.0, *rng.uniform(size=20)):
+            psi = random_pure(rng, labels)
+            out = dilate(psi, labels[int(rng.integers(n_modes))], "env", LossChannel(t))
+            assert out.norm2 == psi.norm2
+            assert abs(out.norm2 - float(np.vdot(out.amps, out.amps).real)) <= 1e-15
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    def test_fill_is_bit_identical_to_one_multiply_per_block(self, n_modes):
+        """Both photon blocks come out of one multiply; every bit, signed
+        zeros and subnormal products included, is what two separate
+        scalar multiplies would give."""
+        rng = np.random.default_rng(90 + n_modes)
+        labels = tuple(f"m{i}" for i in range(n_modes))
+        special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                   complex(5e-324, -1e-310)]
+        for t in (0.0, 1.0, 5e-324, 1e-160, math.nextafter(1.0, 0.0), *rng.uniform(size=4)):
+            ch = LossChannel(t)
+            amps = random_pure(rng, labels).amps.copy()
+            k = min(len(special), amps.size - 1)
+            amps[rng.choice(amps.size, size=k, replace=False)] = special[:k]
+            psi = PureState(labels, amps / math.sqrt(np.vdot(amps, amps).real))
+            for pos, mode in enumerate(labels):
+                a = psi.amps.reshape(2 ** pos, 2, -1)
+                want = np.zeros(a.shape + (2,), dtype=complex)
+                want[:, 0, :, 0] = a[:, 0, :]
+                np.multiply(ch.t, a[:, 1, :], out=want[:, 1, :, 0])
+                np.multiply(ch.r, a[:, 1, :], out=want[:, 0, :, 1])
+                got = dilate(psi, mode, "env", ch).amps
+                assert got.tobytes() == want.tobytes(), (t, pos)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,26 @@ class TestBsm:
                     out.rho_ab.entries, expected / weight, atol=1e-12
                 )
                 assert abs(out.p_success - weight) < 1e-12
+
+
+@pytest.mark.parametrize("off", [2e-9, -2e-9])
+def test_caller_kets_off_by_more_than_1e_9_are_rejected_at_every_entry(rng, off):
+    """Carrying the checked norm through ``dilate`` skips no check of a ket
+    a caller built: ``propagate`` and ``bsm`` reject one whose norm^2 is
+    off by more than 1e-9 with the message they always gave, and accept
+    one off by less."""
+    pair = random_input_pair(rng)
+    psi = build_inputs(pair)
+    ket = propagate(psi, 0.7, 0.4)
+    for call, state in ((lambda s: propagate(s, 0.7, 0.4), psi),
+                        (lambda s: bsm(s, BsmSetting.x(+1)), ket)):
+        loose = PureState(state.labels, math.sqrt(1.0 + off) * state.amps)
+        with pytest.raises(ValueError) as info:
+            call(loose)
+        assert str(info.value) == f"input state must be normalized (norm^2 = {loose.norm2})"
+        call(PureState(state.labels, math.sqrt(1.0 + off / 4) * state.amps))
+    carried = propagate(PureState(psi.labels, math.sqrt(1.0 + off / 4) * psi.amps), 0.7, 0.4)
+    assert abs(carried.norm2 - float(np.vdot(carried.amps, carried.amps).real)) <= 1e-15
 
 
 class TestClosedForm:
