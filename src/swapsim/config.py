@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .experiment import MAX_MEAN_COUNTS
+from .experiment import MAX_MEAN_COUNTS, MAX_XI
 from .metrics import TWO_PI
+from .protocol import MAX_EPSILON
 from .recipes import RECIPES
 
 __all__ = ["ConfigError", "SweepConfig", "validate_config", "to_text", "MAX_DRAWS",
@@ -42,8 +43,8 @@ _DOMAINS = {
     "t2": _closed(0.0, 1.0),
     "t": _closed(0.0, 1.0),
     "theta": (lambda x: 0.0 <= x < TWO_PI, "[0, 2*pi)"),
-    "epsilon": (lambda x: 0.0 < x <= 0.5, "(0, 0.5]"),
-    "xi": _closed(-0.5, 0.5),
+    "epsilon": (lambda x: 0.0 < x <= MAX_EPSILON, f"(0, {MAX_EPSILON}]"),
+    "xi": _closed(-MAX_XI, MAX_XI),
     "ratio": _closed(0.0, 1.0),
 }
 GRID_KEYS = tuple(_DOMAINS)

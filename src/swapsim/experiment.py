@@ -36,22 +36,24 @@ __all__ = [
 _POISSON_MEAN_MAX = float(np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10)
 MAX_MEAN_COUNTS = _POISSON_MEAN_MAX / (1.0 + ATOL)
 
+MAX_XI = 0.5  # the largest |xi| whose one-pair truncation is trusted
+
 
 @dataclass(frozen=True)
 class SpdcSource:
     """Weak two-mode squeezer truncated at one pair: |00> + xi |11>.
 
-    The truncation is only trustworthy for |xi| well below 1; |xi| > 0.5
-    is rejected.
+    The truncation is only trustworthy for |xi| well below 1; |xi| >
+    ``MAX_XI`` is rejected.
     """
 
     xi: complex
 
     def __post_init__(self):
         xi = complex(self.xi)
-        if abs(xi) > 0.5:
+        if abs(xi) > MAX_XI:
             raise ValueError(
-                f"|xi| = {abs(xi):.3f} > 0.5: single-pair truncation not valid"
+                f"|xi| = {abs(xi):.3f} > {MAX_XI}: single-pair truncation not valid"
             )
         object.__setattr__(self, "xi", xi)
 

@@ -1,13 +1,14 @@
-"""Shortest round-trip text of a float64 array, the same bytes as ``repr``.
+"""Text of computed values, the same bytes as ``repr``.
 
-``format_floats(a)`` returns the text of ``str(x)`` for each ``x`` of
-``a.tolist()`` as one ``(a.size, 24)`` uint8 array: row ``k`` holds the
-ASCII characters of value ``k`` from its first column on, padded with NULs
-(24 characters fit every float64, ``-2.2250738585072014e-308``). Most values
-take Ryū's common path (U. Adams, "Ryū: fast float-to-string conversion",
-PLDI 2018), run on the whole array in numpy ``uint64`` arithmetic, and are
-laid out by ``repr``'s rules: fixed notation when ``-4 < decpt <= 16``,
-otherwise ``d.ddde±XX``, where ``x = 0.<digits> * 10**decpt``.
+``format_values`` is the one place where a computed column becomes text.
+Its array kernel, ``format_floats``, runs most values through Ryū's common
+path (U. Adams, "Ryū: fast float-to-string conversion", PLDI 2018) in
+numpy ``uint64`` arithmetic and lays them out by ``repr``'s rules: fixed
+notation when ``-4 < decpt <= 16``, otherwise ``d.ddde±XX``, where
+``x = 0.<digits> * 10**decpt``. Row ``k`` of either's ``(a.size, WIDTH)``
+uint8 result holds the ASCII text of value ``k`` padded with NULs (24
+characters fit every float64, ``-2.2250738585072014e-308``, and every
+64-bit integer).
 
 The others are handed to ``repr`` itself, and its text is written into
 their rows. An integer test on the bits picks them out: zero, subnormal,
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["WIDTH", "format_floats"]
+__all__ = ["FLOATFMT_MIN", "WIDTH", "format_floats", "format_values"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -56,6 +57,11 @@ _QUADS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 1
 WIDTH = 24
 _GAP = 20
 _ROW = _GAP + WIDTH
+
+# the fewest floats in a block for which format_floats (about 0.3 ms fixed
+# cost, then about 0.2 us a value) beats repr into WIDTH slots (about 0.7 us
+# a value), timed block by block: 512 went either way, 576 was never slower
+FLOATFMT_MIN = 576
 
 
 def _plan(biased):
@@ -202,8 +208,14 @@ def _fast_digits(bits):
     return rows, d, nd, e, (bits >> _U64(63)).astype(np.intp)
 
 
+def _repr_rows(values) -> np.ndarray:
+    """``repr`` of each Python number of ``values``, as NUL-padded rows."""
+    texts = np.array(list(map(repr, values)), dtype=f"S{WIDTH}")
+    return texts.view(np.uint8).reshape(-1, WIDTH)
+
+
 def format_floats(a) -> np.ndarray:
-    """The text of ``str(x)`` for each ``x`` of a 1-D float64 array ``a``, one
+    """The text of ``repr(x)`` for each ``x`` of a 1-D float64 array ``a``, one
     NUL-padded ASCII row each: an ``(a.size, WIDTH)`` uint8 array."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 1:
@@ -218,6 +230,17 @@ def format_floats(a) -> np.ndarray:
     if rows.size < a.size:
         slow = np.ones(a.size, dtype=bool)
         slow[rows] = False
-        reprs = np.array(list(map(repr, a[slow].tolist())), dtype=f"S{WIDTH}")
-        text[slow] = reprs.view(np.uint8).reshape(-1, WIDTH)
+        text[slow] = _repr_rows(a[slow].tolist())
     return text
+
+
+def format_values(a: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of ``a.tolist()``, a 1-D integer or float64
+    array, as NUL-padded rows. A float64 array of at least ``FLOATFMT_MIN``
+    values goes through ``format_floats``, the rest through ``repr`` value
+    by value; any other dtype is a ``TypeError``."""
+    if a.dtype == np.float64 and a.size >= FLOATFMT_MIN:
+        return format_floats(a)
+    if a.dtype != np.float64 and a.dtype.kind not in "iu":
+        raise TypeError(f"cannot write a {a.dtype} column: only integers and float64")
+    return _repr_rows(a.tolist())

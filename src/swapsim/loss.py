@@ -84,8 +84,7 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
         raise LabelError(f"environment label {env!r} collides with {psi.labels!r}")
     if mode not in psi.labels:
         raise LabelError(f"mode {mode!r} not in register {psi.labels!r}")
-    if not psi.is_normalized(atol=1e-9):
-        raise ValueError(f"input state must be normalized (norm^2 = {psi.norm2})")
+    psi._require_normalized()
     pos = psi.labels.index(mode)
     # (before, mode, after) -> (before, mode, after, environment): the
     # environment bit is appended as the least-significant position

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import InputPair, _check_sign, _heralded, success_probability
-from .states import ATOL, DensityMatrix
+from .protocol import InputPair, _check_sign, _entangling, _heralded, success_probability
+from .states import ATOL, PSD_MIN_EIG, DensityMatrix
 
 __all__ = [
     "FringeScan",
@@ -97,7 +97,7 @@ def concurrence_wootters(rho) -> float | np.ndarray:
     if np.any(np.max(np.abs(m - h), axis=(1, 2)) > 1e-10):
         raise ValueError("input matrix is not Hermitian")
     ev, vec = np.linalg.eigh((m + h) / 2.0)
-    bad = np.flatnonzero(ev[:, 0] < -1e-10)
+    bad = np.flatnonzero(ev[:, 0] < PSD_MIN_EIG)
     if bad.size:
         raise ValueError(
             f"input matrix is not positive semidefinite (min eigenvalue {ev[bad[0], 0]:.3e})"
@@ -142,15 +142,11 @@ def optimal_t2(t1: float) -> float:
     return t1 / math.sqrt(1.0 - t1 * t1)
 
 
-def _bell_ket(sign: int, phase: float) -> np.ndarray:
-    return np.array([0.0, 1.0, sign * np.exp(1j * phase), 0.0]) / math.sqrt(2.0)
-
-
 def bell_fidelity(rho, sign: int = +1, phase: float = 0.0) -> float:
     """Overlap <Psi|rho|Psi> with (|01> + sign e^{i phase} |10>)/sqrt(2)."""
     _check_sign(sign)
     m = _two_qubit_matrix(rho)
-    k = _bell_ket(sign, phase)
+    k = np.array(_entangling(sign, phase))
     return float(np.real(k.conj() @ m @ k))
 
 

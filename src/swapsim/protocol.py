@@ -97,6 +97,7 @@ MAX_ENTANGLED_PAIR = InputPair(
 
 
 def _entangling(sign: int, phase: float) -> tuple:
+    """The amplitudes of (|01> + sign e^{i phase} |10>) / sqrt(2), a Bell ket."""
     # e^{i pi/2} as numpy rounds it, not 1j: the golden outputs pin it
     return (0.0, 1.0 / math.sqrt(2.0), sign * np.exp(1j * phase) / math.sqrt(2.0), 0.0)
 
@@ -205,8 +206,7 @@ def bsm(psi: PureState, setting: BsmSetting) -> SwapOutcome:
     """
     if C1 not in psi.labels or C2 not in psi.labels:
         raise ValueError(f"state on {psi.labels!r} is missing the flying modes")
-    if not psi.is_normalized(atol=1e-9):
-        raise ValueError(f"input state must be normalized (norm^2 = {psi.norm2})")
+    psi._require_normalized()
     out = partial_trace(project(psi, _PROJECTOR_KETS[setting.name]), (E1, E2))
     if out.weight < WEIGHT_EPS:
         raise ValueError(
@@ -291,6 +291,9 @@ def success_probability(pair: InputPair, t1, t2):
     return float(total) if isinstance(total, float) else total
 
 
+MAX_EPSILON = 0.5  # the largest photon-pair scale ``optimal_inputs`` takes
+
+
 def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
     """Input amplitudes that make the heralded state maximally entangled.
 
@@ -306,8 +309,8 @@ def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
     """
     if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
         raise ValueError(f"need 0 < t1, t2 <= 1, got t1 = {t1}, t2 = {t2}")
-    if not 0.0 < epsilon <= 0.5:
-        raise ValueError(f"epsilon must lie in (0, 0.5], got {epsilon}")
+    if not 0.0 < epsilon <= MAX_EPSILON:
+        raise ValueError(f"epsilon must lie in (0, {MAX_EPSILON}], got {epsilon}")
     s = epsilon ** 2 * 2.0 * t1 * t2 / (t1 ** 2 + t2 ** 2)  # = beta * delta
     # checked before forming t2 / t1: every ratio that would overflow lands here
     if s * s == 0.0:

@@ -5,18 +5,10 @@ and returns columns (header name -> values, in grid order) of two kinds.
 A grid axis column is an ``AxisColumn``: the ASCII text of ``str`` of each
 axis value, kept once, and the rule that says which text each row holds.
 Every computed column is a 1-D numpy array: float64 straight from the
-closed forms, int64 for counts, draw numbers and signs. One writer puts
-every field out as the text of ``str(value)`` of its Python value, which
-for a float is its shortest repr, so a given configuration always writes a
-byte-identical CSV; no field needs quoting. It writes ``CSV_CHUNK`` rows
-at a time, never one file-sized string, and builds each chunk as one byte
-matrix: every field in a NUL-padded slot of fixed width between ``,`` and
-newline columns, the NULs dropped in one step, the rest decoded and
-written once. An axis column's slot is gathered by row index from its
-texts. A float64 block of at least ``FLOATFMT_MIN`` values goes through
-``floatfmt.format_floats``, an exact array version of the shortest repr
-(values it cannot take on its fast path go to ``repr`` itself); shorter
-float blocks and int columns go through ``str`` value by value.
+closed forms, int64 for counts, draw numbers and signs. One writer,
+``_write_csv``, puts every field out as the text of ``str(value)`` of its
+Python value (a computed value's comes from ``floatfmt``), so a given
+configuration always writes a byte-identical CSV; no field needs quoting.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
 wall time, where that time went (``timings_s``: compute, write) and the
@@ -79,7 +71,7 @@ from .experiment import (
     synth_counts,
     SpdcSource,
 )
-from .floatfmt import format_floats
+from .floatfmt import format_values
 from .loss import LossChannel
 from .metrics import (
     TWO_PI,
@@ -124,12 +116,6 @@ _X_SETTINGS = {+1: BsmSetting.x(+1), -1: BsmSetting.x(-1)}
 # CSV rows joined into one string per write
 CSV_CHUNK = 4096
 
-# the fewest floats in a block for which format_floats (about 0.3 ms fixed
-# cost, then about 0.2 us a value) beats repr and encoding value by value
-# (about 0.7 us a value): blocks of 512 were as fast either way, blocks of
-# 576 faster with it
-FLOATFMT_MIN = 576
-
 
 @dataclass(frozen=True)
 class RecipeResult:
@@ -138,9 +124,8 @@ class RecipeResult:
     ``columns`` maps each header name, in order, to its column, one of
     two kinds: grid axis columns as ``AxisColumn`` (each value's text kept
     once, see ``_product``) and every computed column (floats, counts, the
-    oracle's per-draw values) as a 1-D numpy array. The writer writes the
-    text of ``str`` of each Python value of an array's ``tolist()`` and
-    builds each chunk of rows as one byte matrix.
+    oracle's per-draw values) as a 1-D integer or float64 numpy array
+    (see ``_write_csv``).
     ``rep`` is the representative grid point as data, ``(pair, t1, t2)``;
     ``run`` builds its X+ heralded state only for ``--dump-state``.
     ``extra`` holds one ``(filename, columns)`` pair per extra CSV file.
@@ -331,18 +316,17 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
 
     Each draw runs both routes; its two channels are built once and serve
     both signs. The columns are numpy arrays allocated before the first
-    draw: ``draw`` and ``sign`` int64, the rest float64. A draw's heralded
-    state, closed-form state and closed-form concurrence wait in
-    ``CHUNK``-sized buffers, and each full (or last) buffer fills its slice
-    of ``max_dev_rho`` from one stacked difference and of
-    ``dev_concurrence`` from one stacked ``concurrence_wootters`` call.
+    draw and filled draw by draw: ``draw`` and ``sign`` int64, the rest
+    float64. A draw's heralded state, closed-form state and closed-form
+    concurrence wait in ``CHUNK``-sized buffers, and each full (or last)
+    buffer fills its slice of ``max_dev_rho`` from one stacked difference
+    and of ``dev_concurrence`` from one stacked ``concurrence_wootters`` call.
     ``ok`` is False as soon as any draw exceeds a tolerance of
     ``ORACLE_CHECKS``; ``rep`` is the first draw's point.
     """
-    # allocated first: numpy refuses a count it cannot index before any draw runs
-    draw = np.arange(draws)
+    # allocated, not filled, first: a count no memory holds fails before any draw
+    draw, signs = np.empty(draws, dtype=np.int64), np.empty(draws, dtype=np.int64)
     t1s, t2s, dev_rhos, dev_norms, dev_concs = (np.empty(draws) for _ in range(5))
-    signs = np.empty(draws, dtype=np.int64)
     rng = np.random.default_rng(seed)
     states = np.empty((CHUNK, 4, 4), dtype=complex)
     rhos_cf = np.empty((CHUNK, 4, 4), dtype=complex)
@@ -358,7 +342,7 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         rhos_cf[k], norm = closed_form_rho(pair, t1, t2, sign)
         states[k] = brute.rho_ab.entries
         conc_cf[k] = concurrence_closed_form(pair, t1, t2)
-        t1s[i], t2s[i], signs[i] = t1, t2, sign
+        draw[i], t1s[i], t2s[i], signs[i] = i, t1, t2, sign
         dev_norms[i] = abs(brute.p_success + other.p_success - norm)
         if k == CHUNK - 1 or i == draws - 1:
             n = k + 1
@@ -452,17 +436,12 @@ def describe_recipes() -> str:
 
 
 def _field(column, start, stop):
-    """Rows ``start`` to ``stop`` of one column, an ``AxisColumn`` or a numpy
-    array (see ``_write_csv``), as NUL-padded ASCII text: an ``S`` array, or
-    a uint8 matrix with one row of characters per row."""
+    """Rows ``start`` to ``stop`` of one column (see ``_write_csv``) as
+    NUL-padded ASCII text: an ``AxisColumn``'s texts gathered by row index,
+    an ``S`` array, or ``floatfmt.format_values`` of a numpy array's rows."""
     if isinstance(column, AxisColumn):
         return column.texts[np.arange(start, stop) // column.inner % column.texts.size]
-    block = column[start:stop]
-    if block.dtype == np.float64 and block.size >= FLOATFMT_MIN:
-        return format_floats(block)
-    texts = list(map(str, block.tolist()))
-    # with its width given, numpy encodes without a scan of its own
-    return np.array(texts, dtype=f"S{max(map(len, texts))}")
+    return format_values(column[start:stop])
 
 
 def _csv_rows(columns, start, stop):
@@ -487,12 +466,12 @@ def _write_csv(fh, columns):
 
     A column is one of two kinds. An ``AxisColumn`` (from ``_product``)
     holds each distinct text once, and a block of its rows is gathered by
-    index. A 1-D numpy array is written as ``str`` of each value of its
-    ``tolist()``; a float64 block of at least ``FLOATFMT_MIN`` values gets
-    that text (the shortest repr) from ``floatfmt.format_floats`` for the
-    whole block at once. The rows are written
-    ``CSV_CHUNK`` at a time, one ``write`` of one string each, so the whole
-    file is never held as one string.
+    index. A 1-D integer or float64 numpy array is written as ``str`` of
+    each value of its ``tolist()``, its ``repr``, which
+    ``floatfmt.format_values`` gives for a whole block at once; any other
+    dtype is a ``TypeError``. The rows are written ``CSV_CHUNK`` at a time,
+    one ``write`` of one string each, so the whole file is never held as
+    one string.
     """
     fh.write(",".join(columns) + "\n")
     columns = list(columns.values())

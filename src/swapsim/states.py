@@ -17,14 +17,15 @@ Everything is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads. The
 public constructors copy the array they are given and validate the
 labels and shape; states the library builds itself (``tensor``,
-``project``, ``partial_trace``, ``normalized``, ``reorder``, loss
-dilation and the protocol's inputs) reuse the fresh array the library
-just made, over labels already known to be valid, and only mark it
-read-only.
+``project``, ``partial_trace``, ``normalized``, loss dilation and the
+protocol's inputs) reuse the fresh array the library just made, over
+labels already known to be valid, and only mark it read-only. A ket
+handed to ``loss.dilate`` or ``protocol.bsm`` passes one normalisation
+gate, ``PureState._require_normalized``.
 
-``project``, ``partial_trace`` and ``reorder`` share one label plan,
-``_split``, memoised per pair of registers; a repeated or unknown mode
-has no plan, and the caller builds its ``LabelError`` text anew. A ket's
+``project`` and ``partial_trace`` share one label plan, ``_split``,
+memoised per pair of registers; a repeated or unknown mode has no plan,
+and the caller builds its ``LabelError`` text anew. A ket's
 ``norm2``, and the conjugate amplitudes ``project`` contracts with, are
 computed on first use and kept with the (immutable) state, so a constant
 projector ket costs a lookup. A ket made by loss dilation carries its
@@ -135,16 +136,10 @@ class PureState:
             raise ValueError("cannot normalize a zero state")
         return PureState._of(self.labels, self.amps / np.sqrt(n2))
 
-    def reorder(self, labels: Iterable[Label]) -> "PureState":
-        """Permute the register so it reads ``labels``; the same order returns ``self``."""
-        labels = _as_labels(labels)
-        if set(labels) != set(self.labels):
-            raise LabelError(f"cannot reorder {self.labels!r} into {labels!r}")
-        if labels == self.labels:
-            return self
-        # indexing with an array copies, so the new ket owns its amplitudes
-        _, index = _split(self.labels, labels)
-        return PureState._of(labels, self.amps[index.ravel()])
+    def _require_normalized(self) -> None:
+        """The gate of ``loss.dilate`` and ``bsm``: ``norm2`` is 1 to within 1e-9."""
+        if not abs(self.norm2 - 1.0) <= 1e-9:
+            raise ValueError(f"input state must be normalized (norm^2 = {self.norm2})")
 
 
 @functools.lru_cache(maxsize=_PLANS)

@@ -61,9 +61,9 @@ def naive_partial_trace(entries: np.ndarray, n_modes: int, keep: list) -> np.nda
 def naive_project(rho: DensityMatrix, ket: PureState) -> np.ndarray:
     """Loop-based <k|rho|k> oracle on the remaining modes."""
     n = rho.num_modes
-    proj_pos = [i for i, lab in enumerate(rho.labels) if lab in set(ket.labels)]
+    # register positions of the ket's modes, in the ket's own order
+    proj_pos = [rho.labels.index(lab) for lab in ket.labels]
     keep = [i for i in range(n) if i not in proj_pos]
-    ket = ket.reorder(tuple(rho.labels[i] for i in proj_pos))
     bra = np.zeros((2 ** len(keep), 2 ** n), dtype=complex)
     for j in range(2 ** n):
         bits = [(j >> (n - 1 - k)) & 1 for k in range(n)]

@@ -320,6 +320,24 @@ def test_draws_beyond_what_numpy_can_index_exit_2_at_once(command, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.cfg"]
 
 
+@pytest.mark.parametrize("draws", [MAX_DRAWS, MAX_DRAWS - 63])
+def test_largest_accepted_draws_exit_2_out_of_memory_at_once(draws, tmp_path):
+    """A ``draws`` the validator accepts but no memory holds fails on its
+    first column, a MemoryError naming the shape ``(draws,)``, before any
+    draw runs."""
+    pytest.importorskip("resource")
+    src = str(Path(recipes.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "swapsim", "check", "--draws", str(draws)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+                          preexec_fn=_limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: "), proc.stderr
+    assert f"shape ({draws},)" in proc.stderr and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+
+
 def test_largest_accepted_counts_run_theta_fringes(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(f"experiment = theta-fringes\ncounts = {MAX_MEAN_COUNTS!r}\n")

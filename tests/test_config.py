@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from swapsim import ConfigError, SweepConfig, to_text, validate_config
-from swapsim.experiment import MAX_MEAN_COUNTS
+from swapsim.experiment import MAX_MEAN_COUNTS, SpdcSource
+from swapsim.protocol import optimal_inputs
 
 
 class TestDefaults:
@@ -115,6 +118,27 @@ class TestViolations:
     def test_xi_magnitude_bound(self):
         with pytest.raises(ConfigError, match="xi"):
             validate_config("experiment = scaling-balanced\nxi = 0.6\n")
+
+    def test_xi_and_epsilon_maxima_are_the_library_bounds(self):
+        """0.5 is accepted for xi and epsilon by the config and by
+        ``SpdcSource`` and ``optimal_inputs`` alike; the next float up is
+        refused by all three, each with its own message."""
+        doc = "experiment = imbalance-restore\nxi = {0!r}\nepsilon = {0!r}\n"
+        cfg = validate_config(doc.format(0.5))
+        assert cfg.xi == cfg.epsilon == (0.5,)
+        assert SpdcSource(0.5).xi == 0.5
+        assert optimal_inputs(1.0, 1.0, 0.5).delta == 0.5
+        past = math.nextafter(0.5, 1.0)
+        with pytest.raises(ConfigError) as info:
+            validate_config(doc.format(past))
+        assert str(info.value) == (f"key 'xi': value {past!r} outside [-0.5, 0.5]\n"
+                                   f"key 'epsilon': value {past!r} outside (0, 0.5]")
+        with pytest.raises(ValueError) as info:
+            SpdcSource(past)
+        assert str(info.value) == "|xi| = 0.500 > 0.5: single-pair truncation not valid"
+        with pytest.raises(ValueError) as info:
+            optimal_inputs(1.0, 1.0, past)
+        assert str(info.value) == f"epsilon must lie in (0, 0.5], got {past}"
 
     def test_logspace_rejects_nonpositive(self):
         with pytest.raises(ConfigError, match="logspace"):

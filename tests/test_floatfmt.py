@@ -1,4 +1,4 @@
-"""floatfmt.format_floats against repr, value by value."""
+"""floatfmt.format_floats and format_values against repr, value by value."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import floatfmt
-from swapsim.floatfmt import format_floats
+from swapsim.floatfmt import FLOATFMT_MIN, format_floats, format_values
 
 
 def _reprs(values):
@@ -121,3 +121,22 @@ def test_short_arrays(values):
 def test_two_dimensional_input_is_rejected():
     with pytest.raises(ValueError, match="1-D"):
         format_floats(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("size", [FLOATFMT_MIN - 1, FLOATFMT_MIN])
+def test_format_values_floats_match_repr_either_side_of_the_kernel_threshold(size):
+    values = _edges()[:size]
+    assert _texts(format_values(values)) == _reprs(values)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
+def test_format_values_integers_match_repr(dtype):
+    info = np.iinfo(dtype)
+    values = np.array([info.min, info.max, 0, 1, 7] * FLOATFMT_MIN, dtype=dtype)
+    assert _texts(format_values(values)) == _reprs(values)
+
+
+@pytest.mark.parametrize("values", [[True], np.float32([0.1]), ["0.1"], [1j]])
+def test_format_values_refuses_other_dtypes(values):
+    with pytest.raises(TypeError, match="cannot write a .* column: only integers and float64"):
+        format_values(np.array(values))

@@ -11,6 +11,7 @@ import pytest
 
 from swapsim import DensityMatrix, protocol, recipes, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input, synth_counts
+from swapsim.floatfmt import FLOATFMT_MIN
 from swapsim.metrics import (
     bell_fidelity,
     concurrence_closed_form,
@@ -30,7 +31,6 @@ from swapsim.cli import main
 from swapsim.recipes import (
     CHUNK,
     CSV_CHUNK,
-    FLOATFMT_MIN,
     RECIPES,
     AxisColumn,
     _product,

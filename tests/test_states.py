@@ -159,9 +159,10 @@ class TestProject:
     def test_ket_label_order_is_respected(self, rng):
         psi = random_pure(rng, ("A", "B", "C"))
         ket = random_pure(rng, ("C", "B"))
+        # the same ket on (B, C): |cb> sits at 2c + b, |bc> at 2b + c
+        transposed = PureState(("B", "C"), ket.amps[[0, 2, 1, 3]])
         out = project(psi, ket)
-        out_reordered = project(psi, ket.reorder(("B", "C")))
-        np.testing.assert_allclose(out.amps, out_reordered.amps, atol=1e-14)
+        np.testing.assert_allclose(out.amps, project(psi, transposed).amps, atol=1e-14)
 
 
 class TestValidate:
@@ -238,11 +239,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero-weight"):
             DensityMatrix(("A",), np.zeros((2, 2))).normalized()
 
-    def test_reorder_requires_same_label_set(self, rng):
-        psi = random_pure(rng, ("A", "B"))
-        with pytest.raises(LabelError, match="reorder"):
-            psi.reorder(("A", "C"))
-
     def test_normalized_helpers(self, rng):
         psi = PureState(("A",), np.array([3.0, 4.0]))
         assert not psi.is_normalized()
@@ -261,28 +257,10 @@ class TestJson:
         assert back.weight == rho.weight
 
 
-class TestReorder:
-    def test_pure_reorder_swaps_bits(self):
-        psi = PureState(("A", "B"), [0, 1, 0, 0])
-        np.testing.assert_allclose(psi.reorder(("B", "A")).amps, [0, 0, 1, 0])
-
-    def test_same_order_returns_the_state_itself(self, rng):
-        psi = random_pure(rng, ("A", "B", "C"))
-        assert psi.reorder(("A", "B", "C")) is psi
-        assert psi.reorder(["A", "B", "C"]) is psi
-
-    @pytest.mark.parametrize("labels", [("A", "A", "B"), ("A", "B"), ("A", "B", "C", "D"),
-                                        ("A", "B", "D")])
-    def test_bad_label_sets_still_rejected(self, rng, labels):
-        psi = random_pure(rng, ("A", "B", "C"))
-        with pytest.raises(LabelError):
-            psi.reorder(labels)
-
-
 class TestMemoisedBookkeeping:
-    """``project``, ``partial_trace`` and ``reorder`` look their label
-    bookkeeping up per label tuple; a repeated register must get the
-    answer a fresh one would."""
+    """``project`` and ``partial_trace`` look their label bookkeeping up
+    per label tuple; a repeated register must get the answer a fresh one
+    would."""
 
     ORDERS = [("A", "B", "C", "D"), ("D", "B", "A", "C"), ("C", "D", "B", "A"),
               ("B", "A", "D", "C")]
@@ -304,8 +282,6 @@ class TestMemoisedBookkeeping:
                 np.testing.assert_allclose(traced.entries,
                                            naive_partial_trace(rho.entries, 4, keep),
                                            atol=1e-13)
-                back = psi.reorder(self.ORDERS[0]).reorder(labels)
-                assert back.amps.tobytes() == psi.amps.tobytes()
 
     @pytest.mark.parametrize("discard", ["B", ["B"], ("B",), ["C", "A"], ("C", "A")])
     def test_discard_as_str_list_or_tuple(self, rng, discard):
@@ -325,8 +301,6 @@ class TestMemoisedBookkeeping:
         (lambda psi: partial_trace(psi, ["B", "B"]), "duplicate mode labels in ('B', 'B')"),
         (lambda psi: project(psi, PureState(("Q", "A"), [1, 0, 0, 0])),
          "projector acts on unknown modes ['Q']"),
-        (lambda psi: psi.reorder(("A", "Q", "C")),
-         "cannot reorder ('A', 'B', 'C') into ('A', 'Q', 'C')"),
     ])
     def test_label_error_text_is_the_same_on_a_repeated_call(self, rng, call, text):
         states._split.cache_clear()
@@ -392,11 +366,6 @@ def _density_normalized(rng):
     return DensityMatrix(("A", "B"), e).normalized(), [e]
 
 
-def _reorder(rng):
-    a, psi = _writable(rng, ("A", "B", "C"))
-    return psi.reorder(("C", "A", "B")), [a]
-
-
 def _build_inputs(rng):
     return build_inputs(random_input_pair(rng)), []
 
@@ -408,7 +377,7 @@ def _bsm(rng):
 
 
 @pytest.mark.parametrize("build", [_tensor, _dilate, _project, _partial_trace, _pure_normalized,
-                                   _density_normalized, _reorder, _build_inputs, _bsm])
+                                   _density_normalized, _build_inputs, _bsm])
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_library_built_state_is_owned_and_equals_its_public_rebuild(build, seed):
