@@ -1,14 +1,23 @@
 """Text of computed values, the same bytes as ``repr``.
 
-``format_values`` is the one place where a computed column becomes text.
-Its array kernel, ``format_floats``, runs most values through Ryū's common
-path (U. Adams, "Ryū: fast float-to-string conversion", PLDI 2018) in
-numpy ``uint64`` arithmetic and lays them out by ``repr``'s rules: fixed
-notation when ``-4 < decpt <= 16``, otherwise ``d.ddde±XX``, where
-``x = 0.<digits> * 10**decpt``. Row ``k`` of either's ``(a.size, WIDTH)``
-uint8 result holds the ASCII text of value ``k`` padded with NULs (24
-characters fit every float64, ``-2.2250738585072014e-308``, and every
-64-bit integer).
+``write_values`` is the one place where a computed column becomes text. Its
+array kernel runs most float64 values through Ryū's common path (U. Adams,
+"Ryū: fast float-to-string conversion", PLDI 2018) in numpy ``uint64``
+arithmetic and lays them out by ``repr``'s rules: fixed notation when
+``-4 < decpt <= 16``, otherwise ``d.ddde±XX``, where ``x = 0.<digits> *
+10**decpt``. Each value gets a row of ``WIDTH`` bytes (24 characters fit
+every float64, ``-2.2250738585072014e-308``, and every 64-bit integer) that
+holds its characters in order and NULs elsewhere; ``format_values`` and
+``format_floats`` give the same text left-aligned, NUL-padded.
+
+The kernel builds a row as three little-endian ``uint64`` words (``<u8``,
+whatever the machine's byte order), so that shifts move text. The digits
+go in right-aligned, ``0``-padded, with a ``0`` where the point goes; one
+word-wise addition per row, looked up by the row's shape (where its text
+starts, where its point is, its sign), then turns the padding left of the
+text into NULs, that ``0`` into the point and the byte before the text into
+any ``-``. Exponent form moves the text five bytes left to make room for
+``e±XX``.
 
 The others are handed to ``repr`` itself, and its text is written into
 their rows. An integer test on the bits picks them out: zero, subnormal,
@@ -22,15 +31,15 @@ exact, so the last digit dropped alone decides the rounding.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-__all__ = ["FLOATFMT_MIN", "WIDTH", "format_floats", "format_values"]
+__all__ = ["FLOATFMT_MIN", "WIDTH", "format_floats", "format_values", "write_values"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _FRACTION = _U64((1 << 52) - 1)
 _HIDDEN = _U64(1 << 52)
 _POW5_BITS = 125
+WIDTH = 24
 
 
 def _pow5_table():
@@ -49,19 +58,15 @@ def _pow5_table():
 
 _POW5, _POW5_LENGTH = _pow5_table()
 _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
-# the ASCII text of "0000" .. "9999", one row each
+# the ASCII text of "0000" .. "9999", one little-endian uint32 each
 _QUADS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
-          + ord("0")).astype(np.uint8)
-# a row of text: 20 bytes that take digits spilled left, then the text,
-# at most WIDTH characters
-WIDTH = 24
-_GAP = 20
-_ROW = _GAP + WIDTH
+          + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
-# the fewest floats in a block for which format_floats (about 0.3 ms fixed
-# cost, then about 0.2 us a value) beats repr into WIDTH slots (about 0.7 us
-# a value), timed block by block: 512 went either way, 576 was never slower
-FLOATFMT_MIN = 576
+# the fewest floats in a block for which the kernel (about 0.15 ms fixed
+# cost, then 0.1 to 0.3 us a value) beats repr into WIDTH slots (about 1 us
+# a value), timed block by block in 31 interleaved rounds: 384 and 416 went
+# either way, 448 was slower in at most one round
+FLOATFMT_MIN = 448
 
 
 def _plan(biased):
@@ -78,28 +83,115 @@ def _plan(biased):
     return q, i, q + _POW5_BITS - _POW5_LENGTH[i]
 
 
+def _exponent_table():
+    """Ryū's plan for each top 12 bits of a float64 (sign, biased exponent):
+    the four limbs of ``5**i``, ``j``, the decimal exponent ``q + e2`` of the
+    scaled ends, a mask whose overlap with ``mv`` marks the fast path, and
+    ``_ends``' ``step`` and ``frac``.
+
+    Exponents off the fast path borrow the plan of a fast one (biased 1000),
+    so the rows the kernel computes only to discard stay in its bounds.
+    """
+    biased = np.arange(4096) & 0x7FF
+    q, i, j = _plan(np.clip(biased, 1, 1076))
+    fast = (biased >= 1) & (biased <= 1076) & (q >= 2)
+    low = np.where(fast, (_U64(1) << np.minimum(q, 63).astype(np.uint64)) - _U64(1), _U64(0))
+    # Ryū's mmShift is 1 where the fraction is not 0 or the biased exponent
+    # is at most 1; the kernel reads it from the fraction alone, so the one
+    # value it would get wrong, 2**-1022, is left to repr
+    low[biased == 1] = (1 << 54) - 1
+    biased = np.where(fast, biased, 1000)
+    q, i, j = _plan(biased)
+    b = _POW5[:, i]
+    # 2 * b = step * 2**j + f, and frac is the top 64 of f's j bits (see _ends)
+    shift = (j - 97).astype(np.uint64)
+    step = b[3] >> shift
+    frac = (b[1] >> shift) | (b[2] << (_U64(32) - shift)) | (b[3] << (_U64(64) - shift))
+    return b, j, (q + biased - 1077).astype(np.int16), low, step, frac
+
+
+_EXP_LIMBS, _EXP_SHIFT, _EXP_E10, _EXP_LOW, _EXP_STEP, _EXP_FRAC = _exponent_table()
+
+
+def _shapes():
+    """The word-wise addition for each row shape ``(first * WIDTH + point) *
+    2 + negative``, as one ``V24`` item each.
+
+    ``first`` is the column of the text's first digit and ``point`` that of
+    the point; the digits are ``0``-padded and hold a ``0`` at the point.
+    The addition turns the padding into NULs, the point's ``0`` into ``.``
+    (or into a NUL at the last column, where exponent form with one digit
+    has no point) and, for a negative row, the byte before ``first`` into
+    ``-``. No byte borrows from its neighbour, so the words add on their own.
+    """
+    first, point, negative = (v[:, None] for v in np.unravel_index(
+        np.arange(WIDTH * WIDTH * 2), (WIDTH, WIDTH, 2)))
+    col = np.arange(WIDTH)
+    delta = np.where(col < first, -ord("0"), 0)
+    delta += np.where((col == first - 1) & (negative == 1), ord("-"), 0)
+    delta += np.where(col == point, np.where(point == WIDTH - 1, 0, ord(".")) - ord("0"), 0)
+    # sum delta[b] * 256**b word by word, modulo 2**64
+    weights = _U64(1) << (np.arange(8, dtype=np.uint64) * _U64(8))
+    words = (delta.reshape(-1, 3, 8).view(np.uint64) * weights).sum(axis=2, dtype=np.uint64)
+    return words.astype("<u8").view(f"V{WIDTH}").ravel()
+
+
+_SHAPES = _shapes()
+
+
+def _notations():
+    """Each row's layout by ``(clip(decpt, -4, 17) + 4) * 19 + nd``, where
+    -4 and 17 stand for exponent form: the power of 10 that gives
+    ``ddd000.0`` its zeros, the one at the point, and the row's shape
+    without its sign (see ``_shapes``)."""
+    dp, nd = np.divmod(np.arange(22 * 19), 19)
+    dp, nd = dp - 4, np.maximum(nd, 1)
+    sci = (dp == -4) | (dp == 17)
+    after = np.where(sci, nd - 1, np.maximum(nd - dp, 1))  # digits after the point
+    before = np.where(sci, 1, np.maximum(dp, 1))  # and before it
+    zeros = _POW10[np.where(sci, 0, np.maximum(dp - nd + 1, 0))]
+    point = WIDTH - 1 - after
+    return zeros, _POW10[np.minimum(after, 19)], ((point - before) * WIDTH + point) * 2
+
+
+_ZEROS, _POINT, _SHAPE = _notations()
+# "e-324" .. "e+308" in the last five bytes of a word, the exponent's place
+# (the last five columns) in a row's last word
+_EXPONENTS = np.frombuffer(b"".join(bytes(3) + f"e{x:+03d}".encode().ljust(5, b"\0")
+                                    for x in range(-324, 309)), dtype="<u8")
+
+
+def _product(mv, b):
+    """``mv * b`` for ``mv < 2**55`` and ``b`` four 32-bit limbs: its four low
+    32-bit limbs and the rest (the product ``>> 128``), as ``int64``.
+
+    The product is formed in 32-bit columns so that no ``uint64`` product
+    overflows: ``mv``'s low 32 bits times a limb is split at bit 32, its
+    high 23 bits times a limb (below ``2**55``) go whole into the next
+    column, and each column carries into the next.
+    """
+    s32 = _U64(32)
+    a0, a1 = mv & _MASK32, mv >> s32
+    p = a0 * b[0]
+    limbs = [p & _MASK32]
+    col = (p >> s32) + a1 * b[0]
+    for bk in b[1:]:
+        p = a0 * bk
+        col += p & _MASK32
+        limbs.append(col & _MASK32)
+        col = (col >> s32) + (p >> s32) + a1 * bk
+    return [limb.view(np.int64) for limb in limbs], col.view(np.int64)
+
+
 def _scaled(mv, mm_shift, b, j):
     """Ryū's ``(vr, vp, vm)``: ``floor((mv + k) * b / 2**j)`` for ``k = 0, 2,
     -1 - mm_shift``, where ``mv < 2**55``, ``b`` is four 32-bit limbs and
     ``96 <= j <= 128``.
 
-    ``mv * b`` is formed once, in 32-bit limbs so that no ``uint64`` product
-    overflows; ``k * b`` is then added limb by limb in ``int64``, where an
-    arithmetic shift carries or borrows.
+    ``mv * b`` is formed once (``_product``); ``k * b`` is then added limb by
+    limb in ``int64``, where an arithmetic shift carries or borrows.
     """
-    s32 = _U64(32)
-    col = [np.zeros_like(mv) for _ in range(6)]  # 32-bit columns, low first
-    for t, a in enumerate((mv & _MASK32, mv >> s32)):
-        for k, bk in enumerate(b):
-            p = a * bk
-            col[t + k] += p & _MASK32
-            col[t + k + 1] += p >> s32
-    for t in range(4):
-        col[t + 1] += col[t] >> s32
-        col[t] &= _MASK32
-    limbs = [c.view(np.int64) for c in col[:4]]
-    high = ((col[5] << s32) + col[4]).view(np.int64)  # the product >> 128
-    del col
+    limbs, high = _product(mv, b)
     b = [bk.view(np.int64) for bk in b]
     left, right = 128 - j, j - 96
     out = [(high << left) | (limbs[3] >> right)]
@@ -111,101 +203,97 @@ def _scaled(mv, mm_shift, b, j):
     return [v.view(np.uint64) for v in out]
 
 
-def _shortest(mv, mm_shift, b, j, e10):
+def _ends(mv, b, j, step, frac):
+    """``_scaled(mv, mv != 2**54, b, j)`` from the product alone, for
+    ``118 <= j <= 121``.
+
+    With ``2 * b = step * 2**j + f``, ``vp`` and ``vm`` are ``vr`` plus and
+    minus ``step``, and one more where the product's bits below bit ``j``
+    and ``f`` carry past it (``vp``) or borrow (``vm``). Their top 64 bits,
+    ``low`` and ``frac``, decide that but where ``low`` is ``frac`` or
+    ``~frac``; those rows, and the ones with a zero fraction (``mv ==
+    2**54``, where ``mm_shift`` is 0), go to ``_scaled``.
+    """
+    limbs, high = _product(mv, b)
+    left, right = 128 - j, j - 96
+    vr = ((high << left) | (limbs[3] >> right)).view(np.uint64)
+    low = ((limbs[1] >> right) | (limbs[2] << left) | (limbs[3] << (left + 32))).view(np.uint64)
+    vp = vr + step + (low > ~frac)
+    vm = vr - step - (low < frac)
+    rows = np.flatnonzero((low == frac) | (low == ~frac) | (mv == _U64(1 << 54)))
+    if rows.size:
+        exact = _scaled(mv[rows], mv[rows] != _U64(1 << 54), [bk[rows] for bk in b], j[rows])
+        vr[rows], vp[rows], vm[rows] = exact
+    return vr, vp, vm
+
+
+def _shortest(vr, vp, vm, e10):
     """Ryū's common path: the digits ``d``, their count and the exponent ``e``
-    of ``x = d * 10**e``."""
-    vr, vp, vm = _scaled(mv, mm_shift, b, j)
+    of ``x = d * 10**e``, from the scaled interval ``(vm, vp]`` around ``vr``
+    and its decimal exponent ``e10``."""
     # drop the most digits r for which a multiple of 10**r lies in (vm, vp],
-    # that is vp % 10**r < vp - vm. At every exponent the fast path takes,
-    # the width vp - vm is 30..399 and vr has 18 or 19 digits (see the
-    # tests): r is at least the width's digits less one, and one more digit
-    # goes wherever vp has a zero above them.
-    width = vp - vm
-    r = 1 + (width >= _U64(100)).astype(np.intp)
-    more = np.where(r == 1, vp % _U64(100), vp % _U64(1000)) < width
-    r += more
-    rows = np.flatnonzero(more)
+    # that is floor(vp / 10**r) > floor(vm / 10**r). At every exponent the
+    # fast path takes, the width vp - vm is 30..399 and vr has 18 or 19
+    # digits (see the tests): one digit always goes, and a further one only
+    # where the one before went
+    r = np.ones(vr.size, dtype=np.int8)
+    for k in (2, 3):
+        r += vp // _POW10[k] > vm // _POW10[k]
+    rows, k = np.flatnonzero(r == 3), 4
     while rows.size:
-        rows = rows[vp[rows] % _POW10[r[rows] + 1] < width[rows]]
-        r[rows] += 1
-    t = vr // _POW10[r - 1]
-    d = t // _U64(10)
-    # round up past a dropped 5 or more, or off vm (outside the interval).
-    # Rounding up never gains a digit, as 10**k with k >= 1 ends in a zero
-    # the loop would have dropped, except from 0 (every digit of vr dropped)
-    # to 1
-    d += (t % _U64(10) >= _U64(5)) | (vm >= d * _POW10[r])
-    return d, np.maximum(18 + (vr >= _POW10[18]) - r, 1), e10 + r
+        rows = rows[vp[rows] // _POW10[k] > vm[rows] // _POW10[k]]
+        r[rows] = k
+        k += 1
+    unit = _POW10[r]
+    d = vr // unit
+    kept = d * unit
+    # round up past a dropped 5 or more (vr at least kept + unit / 2), or off
+    # vm (outside the interval). Rounding up never gains a digit, as 10**k
+    # with k >= 1 ends in a zero the loop would have dropped, except from 0
+    # (every digit of vr dropped) to 1
+    d += (vr - kept >= unit >> _U64(1)) | (vm >= kept)
+    return d, np.maximum((vr >= _POW10[18]) + (18 - r), 1), e10 + r
 
 
-def _layout(size, rows, d, nd, e, sign):
-    """``size`` rows of text, ``d * 10**e`` (``nd`` digits) by ``repr``'s
-    rules at ``rows``; the other rows are empty."""
-    text = np.zeros((size, _ROW), dtype=np.uint8)
-    flat = text.reshape(-1)
-    n = d.size
+def _layout(d, nd, e, negative):
+    """Rows of text, three ``<u8`` words each, of ``d * 10**e`` (``nd``
+    digits) by ``repr``'s rules, their signs given by ``negative``."""
     dp = nd + e  # decpt
-    sci = (dp <= -4) | (dp > 16)
-    lead = ~sci & (dp <= 0)  # 0.000ddd
-    wide = ~sci & (dp >= nd)  # ddd000.0: the zeros are digits of d * 10**(dp - nd)
-    point = np.where(sci, 1, dp)  # digits before the point
-    inside = (point > 0) & (point < nd)  # the point falls between two digits
-    digits = np.where(wide, d * _POW10[np.maximum(dp - nd, 0)], d)
-    count = np.where(wide, dp, nd)
-    base = rows * _ROW + _GAP + sign  # the first character after any sign
-    first = base + np.where(lead, 2 - dp, 0)  # the first digit
-    # all digits as one block of 20, zero-padded, ending at the last digit
-    # (one further right where the point falls inside); its padding spills
-    # left, where it is either the zeros of 0.000ddd or overwritten below
-    groups = np.empty((n, 5), dtype=np.intp)
-    rest = digits
-    for g in range(4, 0, -1):
-        high = rest // _U64(10_000)
-        groups[:, g] = rest - high * _U64(10_000)
-        rest = high
-    groups[:, 0] = rest
-    block = np.take(_QUADS, groups, axis=0).reshape(n, 20)
-    as_strided(flat, (flat.size - 19, 20), (1, 1))[first + inside + count - 20] = block
-    # the digits before an inside point move one to the left
-    if inside.any():
-        window = as_strided(flat, (flat.size - 15, 16), (1, 1))
-        src = (first + point - 15)[inside]
-        window[src - 1] = window[src]
-    dot = np.where(lead, base + 1, first + point)
-    flat[dot[~sci | (nd > 1)]] = ord(".")
-    flat[np.where(lead, base, dot + 1)[lead | wide]] = ord("0")  # 0.ddd, ddd.0
-    flat[base[sign == 1] - 1] = ord("-")
-    if sci.any():
-        at = (first + inside + nd)[sci]
-        x = dp[sci] - 1
-        flat[at] = ord("e")
-        flat[at + 1] = np.where(x < 0, ord("-"), ord("+"))
-        x = np.abs(x)
-        three = x >= 100
-        chars = _QUADS[x]
-        flat[at[three] + 2] = chars[three, 1]
-        at = at + three
-        flat[at + 2] = chars[:, 2]
-        flat[at + 3] = chars[:, 3]
-    return text
+    key = (np.clip(dp, -4, 17) + 4) * 19 + nd
+    # ddd000.0 gets its zeros, then a 0 goes in at the point: the digits
+    # before it move one place up (in 0.000ddd no digit is before it)
+    x = d * np.take(_ZEROS, key)
+    unit = np.take(_POINT, key)
+    x += x // unit * _U64(9) * unit
+    groups = np.zeros((x.size, 6), dtype=np.intp)  # "0000" and five groups of four digits
+    for g in range(5, 1, -1):
+        high = x // _U64(10_000)
+        groups[:, g] = x - high * _U64(10_000)
+        x = high
+    groups[:, 1] = x
+    words = np.take(_QUADS, groups).view("<u8")
+    words += np.take(_SHAPES, np.take(_SHAPE, key) + negative).view("<u8").reshape(-1, 3)
+    rows = np.flatnonzero((dp <= -4) | (dp > 16))
+    if rows.size:
+        # exponent form: move the text five bytes left and put e±XX after it
+        w = words[rows]
+        s24, s40 = _U64(24), _U64(40)
+        words[rows] = np.stack([(w[:, 0] >> s40) | (w[:, 1] << s24),
+                                (w[:, 1] >> s40) | (w[:, 2] << s24),
+                                (w[:, 2] >> s40) | _EXPONENTS[dp[rows] + 323]], axis=1)
+    return words
 
 
 def _fast_digits(bits):
-    """The rows of ``bits`` that take the fast path, with their digits, digit
-    counts, exponents and signs."""
-    biased = ((bits >> _U64(52)) & _U64(0x7FF)).astype(np.int64)
-    fraction = bits & _FRACTION
-    q, i, j = _plan(np.clip(biased, 1, 1076))
-    mv = (fraction | _HIDDEN) << _U64(2)
-    low_bits = (_U64(1) << np.minimum(q, 63).astype(np.uint64)) - _U64(1)
-    fast = (biased >= 1) & (biased <= 1076) & (q >= 2) & ((mv & low_bits) != 0)
-    rows = np.flatnonzero(fast)
-    if rows.size < bits.size:
-        bits, biased, fraction, q, i, j, mv = (
-            v[rows] for v in (bits, biased, fraction, q, i, j, mv))
-    mm_shift = ((fraction != 0) | (biased <= 1)).astype(np.int64)
-    d, nd, e = _shortest(mv, mm_shift, [limbs[i] for limbs in _POW5], j, q + biased - 1077)
-    return rows, d, nd, e, (bits >> _U64(63)).astype(np.intp)
+    """Each value's digits, digit count, exponent and sign, and whether they
+    are right (the fast path); the other rows hold digits of no use."""
+    top = (bits >> _U64(52)).astype(np.intp)
+    mv = ((bits & _FRACTION) | _HIDDEN) << _U64(2)
+    fast = (mv & np.take(_EXP_LOW, top)) != 0
+    ends = _ends(mv, list(np.take(_EXP_LIMBS, top, axis=1)), np.take(_EXP_SHIFT, top),
+                 np.take(_EXP_STEP, top), np.take(_EXP_FRAC, top))
+    d, nd, e = _shortest(*ends, np.take(_EXP_E10, top))
+    return fast, d, nd, e, top >= 2048
 
 
 def _repr_rows(values) -> np.ndarray:
@@ -214,33 +302,59 @@ def _repr_rows(values) -> np.ndarray:
     return texts.view(np.uint8).reshape(-1, WIDTH)
 
 
+def _write_floats(out, a):
+    """The text of ``repr(x)`` for each ``x`` of a 1-D float64 array ``a``
+    into the rows of ``out`` (see ``write_values``)."""
+    # each step's temporaries are freed before the next one allocates
+    fast, *digits = _fast_digits(a.view(np.uint64))
+    out.view(f"V{WIDTH}")[...] = _layout(*digits).view(f"V{WIDTH}")
+    del digits
+    if not fast.all():
+        slow = ~fast
+        out[slow] = _repr_rows(a[slow].tolist())
+
+
+def write_values(out, a):
+    """Write ``repr`` of each value of ``a.tolist()``, a 1-D integer or
+    float64 array, into the rows of ``out``, an ``(a.size, WIDTH)`` uint8
+    array whose rows may lie apart: each row gets its value's characters in
+    order and NULs in every other byte.
+
+    A float64 array of at least ``FLOATFMT_MIN`` values goes through the
+    kernel, the rest through ``repr`` value by value; any other dtype is a
+    ``TypeError``.
+    """
+    if a.dtype == np.float64 and a.size >= FLOATFMT_MIN:
+        _write_floats(out, a)
+    elif a.dtype == np.float64 or a.dtype.kind in "iu":
+        out[...] = _repr_rows(a.tolist())
+    else:
+        raise TypeError(f"cannot write a {a.dtype} column: only integers and float64")
+
+
+def _left_aligned(text):
+    """``text``'s rows with their NULs moved to the end."""
+    keep = text != 0
+    out = np.zeros_like(text)
+    out[np.arange(WIDTH) < np.count_nonzero(keep, axis=1)[:, None]] = text[keep]
+    return out
+
+
 def format_floats(a) -> np.ndarray:
     """The text of ``repr(x)`` for each ``x`` of a 1-D float64 array ``a``, one
-    NUL-padded ASCII row each: an ``(a.size, WIDTH)`` uint8 array."""
+    NUL-padded ASCII row each, all through the kernel: an ``(a.size, WIDTH)``
+    uint8 array."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     if a.ndim != 1:
         raise ValueError("format_floats takes a 1-D array")
-    # each step's temporaries are freed before the next one allocates
-    rows, *digits = _fast_digits(a.view(np.uint64))
-    if rows.size:
-        text = _layout(a.size, rows, *digits)[:, _GAP:]
-    else:
-        text = np.zeros((a.size, WIDTH), dtype=np.uint8)
-    del digits
-    if rows.size < a.size:
-        slow = np.ones(a.size, dtype=bool)
-        slow[rows] = False
-        text[slow] = _repr_rows(a[slow].tolist())
-    return text
+    text = np.zeros((a.size, WIDTH), dtype=np.uint8)
+    _write_floats(text, a)
+    return _left_aligned(text)
 
 
 def format_values(a: np.ndarray) -> np.ndarray:
-    """``repr`` of each value of ``a.tolist()``, a 1-D integer or float64
-    array, as NUL-padded rows. A float64 array of at least ``FLOATFMT_MIN``
-    values goes through ``format_floats``, the rest through ``repr`` value
-    by value; any other dtype is a ``TypeError``."""
-    if a.dtype == np.float64 and a.size >= FLOATFMT_MIN:
-        return format_floats(a)
-    if a.dtype != np.float64 and a.dtype.kind not in "iu":
-        raise TypeError(f"cannot write a {a.dtype} column: only integers and float64")
-    return _repr_rows(a.tolist())
+    """``write_values`` of ``a`` as NUL-padded rows: an ``(a.size, WIDTH)``
+    uint8 array."""
+    text = np.zeros((a.size, WIDTH), dtype=np.uint8)
+    write_values(text, a)
+    return _left_aligned(text)

@@ -11,7 +11,8 @@ Python value (a computed value's comes from ``floatfmt``), so a given
 configuration always writes a byte-identical CSV; no field needs quoting.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
-wall time, where that time went (``timings_s``: compute, write) and the
+wall time, where that time went (``timings_s``: compute, write, and the
+part of write spent turning columns into text, format) and the
 compute rate (``points_per_s``: CSV rows over compute seconds).
 
 The closed-form recipes evaluate whole grids in array calls: the
@@ -71,7 +72,7 @@ from .experiment import (
     synth_counts,
     SpdcSource,
 )
-from .floatfmt import format_values
+from .floatfmt import WIDTH, write_values
 from .loss import LossChannel
 from .metrics import (
     TWO_PI,
@@ -435,49 +436,66 @@ def describe_recipes() -> str:
     return "\n".join(lines)
 
 
-def _field(column, start, stop):
-    """Rows ``start`` to ``stop`` of one column (see ``_write_csv``) as
-    NUL-padded ASCII text: an ``AxisColumn``'s texts gathered by row index,
-    an ``S`` array, or ``floatfmt.format_values`` of a numpy array's rows."""
-    if isinstance(column, AxisColumn):
-        return column.texts[np.arange(start, stop) // column.inner % column.texts.size]
-    return format_values(column[start:stop])
+def _fields(columns):
+    """``columns`` (see ``_write_csv``) as ``(column, end)`` pairs, where
+    ``end`` is the byte after the column's field: ``,``, or a newline for the
+    last column. An ``AxisColumn`` carries it at the end of each of its
+    texts instead (``end`` is None), so that a field and its separator are
+    one run of bytes for ``_csv_rows`` to keep."""
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
+    return [(AxisColumn(np.char.add(column.texts, end), column.inner, column.rows), None)
+            if isinstance(column, AxisColumn) else (column, end)
+            for column, end in zip(columns, ends)]
 
 
-def _csv_rows(columns, start, stop):
-    """Rows ``start`` to ``stop`` as CSV lines, each ended by a newline.
+def _csv_rows(fields, start, stop):
+    """Rows ``start`` to ``stop`` of ``fields`` (see ``_fields``) as CSV
+    lines, each ended by a newline.
 
-    The fields sit side by side in one ``uint8`` matrix, each in a slot of
-    fixed width padded with NULs and followed by a ``,`` column (the last
-    by a newline column); dropping every NUL leaves the lines.
+    The fields are written straight into one ``uint8`` matrix, a slot of
+    fixed width each: an ``AxisColumn``'s texts gathered by row index, a
+    numpy array's by ``floatfmt.write_values`` and followed by a column of
+    its ``end``. A slot holds its field's characters in order and NULs, so
+    dropping every NUL leaves the lines.
     """
-    n = stop - start
-    comma, newline = np.full((n, 1), ord(","), np.uint8), np.full((n, 1), ord("\n"), np.uint8)
-    parts = []
-    for column in columns:
-        parts += [_field(column, start, stop).view(np.uint8).reshape(n, -1), comma]
-    parts[-1] = newline
-    text = np.concatenate(parts, axis=1)
-    return text[text != 0].tobytes().decode("ascii")
+    widths = [WIDTH + 1 if end else column.texts.itemsize for column, end in fields]
+    text = np.zeros((stop - start, sum(widths)), dtype=np.uint8)
+    at = 0
+    for (column, end), width in zip(fields, widths):
+        if end:
+            write_values(text[:, at:at + WIDTH], column[start:stop])
+            text[:, at + WIDTH] = ord(end)
+        else:
+            rows = np.arange(start, stop) // column.inner
+            rows -= rows // column.texts.size * column.texts.size  # %=, in faster passes
+            text[:, at:at + width].view(column.texts.dtype)[:, 0] = np.take(column.texts, rows)
+        at += width
+    return str(text[text != 0], "ascii")  # decoded from the array's buffer, not a bytes copy
 
 
 def _write_csv(fh, columns):
-    """Write the header, then one line per row, each field as ``str(value)``.
+    """Write the header, then one line per row, each field as ``str(value)``;
+    return the seconds spent turning the columns into text.
 
     A column is one of two kinds. An ``AxisColumn`` (from ``_product``)
     holds each distinct text once, and a block of its rows is gathered by
     index. A 1-D integer or float64 numpy array is written as ``str`` of
     each value of its ``tolist()``, its ``repr``, which
-    ``floatfmt.format_values`` gives for a whole block at once; any other
+    ``floatfmt.write_values`` gives for a whole block at once; any other
     dtype is a ``TypeError``. The rows are written ``CSV_CHUNK`` at a time,
     one ``write`` of one string each, so the whole file is never held as
     one string.
     """
     fh.write(",".join(columns) + "\n")
-    columns = list(columns.values())
-    rows = min(map(len, columns), default=0)
+    fields = _fields(list(columns.values()))
+    rows = min((len(column) for column, _ in fields), default=0)
+    formatting = 0.0
     for start in range(0, rows, CSV_CHUNK):
-        fh.write(_csv_rows(columns, start, min(start + CSV_CHUNK, rows)))
+        began = time.monotonic()
+        chunk = _csv_rows(fields, start, min(start + CSV_CHUNK, rows))
+        formatting += time.monotonic() - began
+        fh.write(chunk)
+    return formatting
 
 
 def _environment() -> dict:
@@ -533,10 +551,10 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
     try:
         out.mkdir(parents=True, exist_ok=True)
         with stage(csv_path) as fh:
-            _write_csv(fh, result.columns)
+            formatting = _write_csv(fh, result.columns)
         for path, (_, columns) in zip(extra_files, result.extra):
             with stage(path) as fh:
-                _write_csv(fh, columns)
+                formatting += _write_csv(fh, columns)
 
         if dump_state is not None:
             state = swap(*result.rep, _X_SETTINGS[+1]).rho_ab
@@ -552,7 +570,8 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
             "library_version": __version__,
             "environment": _environment(),
             "wall_time_s": written - started,
-            "timings_s": {"compute": computed - started, "write": written - computed},
+            "timings_s": {"compute": computed - started, "write": written - computed,
+                          "format": formatting},
             "rows": rows,
             "points_per_s": rows / (computed - started) if computed > started else None,
             "summary": result.summary,

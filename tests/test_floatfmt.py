@@ -123,7 +123,9 @@ def test_two_dimensional_input_is_rejected():
         format_floats(np.zeros((2, 2)))
 
 
-@pytest.mark.parametrize("size", [FLOATFMT_MIN - 1, FLOATFMT_MIN])
+# either side of FLOATFMT_MIN, and either side of 576, the threshold of the
+# earlier byte-row kernel, which both now take the word-wise kernel
+@pytest.mark.parametrize("size", [FLOATFMT_MIN - 1, FLOATFMT_MIN, 575, 576])
 def test_format_values_floats_match_repr_either_side_of_the_kernel_threshold(size):
     values = _edges()[:size]
     assert _texts(format_values(values)) == _reprs(values)

@@ -101,9 +101,10 @@ class TestOracleDraws:
             columns = run_oracle_draws(draws, seed=seed).columns
             assert_same_columns(columns, self.per_draw_reference(draws, seed=seed))
 
-    # every draw in blocks shorter than FLOATFMT_MIN; one full CSV_CHUNK block
-    # through floatfmt, then one row through str
-    @pytest.mark.parametrize("draws", [FLOATFMT_MIN - 1, CSV_CHUNK + 1])
+    # every draw in blocks shorter than FLOATFMT_MIN; one block shorter than
+    # CSV_CHUNK through floatfmt; one full CSV_CHUNK block through floatfmt,
+    # then one row through str
+    @pytest.mark.parametrize("draws", [FLOATFMT_MIN - 1, 575, CSV_CHUNK + 1])
     def test_run_csv_matches_the_row_at_a_time_writer_on_the_reference(self, draws, tmp_path):
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text(f"experiment = oracle-check\ndraws = {draws}\nseed = 8\n")
@@ -224,9 +225,10 @@ class TestRecipeOutputs:
         assert meta["config"]["draws"] == 10
         assert "library_version" in meta
         assert meta["wall_time_s"] >= 0.0
-        assert sorted(meta["timings_s"]) == ["compute", "write"]
+        assert sorted(meta["timings_s"]) == ["compute", "format", "write"]
         for seconds in meta["timings_s"].values():
             assert isinstance(seconds, float) and seconds >= 0.0
+        assert meta["timings_s"]["format"] <= meta["timings_s"]["write"]
         assert meta["files"][0] == "oracle-check.csv"
 
     def test_meta_sidecar_reports_the_environment(self, tmp_path):
@@ -472,7 +474,7 @@ def test_write_csv_matches_the_row_at_a_time_writer(rows):
 _LONGEST = -2.2250738585072014e-308
 
 
-@pytest.mark.parametrize("rows", [FLOATFMT_MIN - 1, FLOATFMT_MIN, CSV_CHUNK - 1,
+@pytest.mark.parametrize("rows", [FLOATFMT_MIN - 1, FLOATFMT_MIN, 575, 576, CSV_CHUNK - 1,
                                   CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
 def test_write_csv_column_kinds_match_the_row_at_a_time_writer(rows):
     """float64 arrays (whole blocks through floatfmt or, when short, str per
@@ -491,6 +493,44 @@ def test_write_csv_column_kinds_match_the_row_at_a_time_writer(rows):
     _assert_same_lines(fast.getvalue(), naive.getvalue())
     assert fast.getvalue().count("\n") == rows + 1
     assert f"{_LONGEST},-,{_LONGEST}" in fast.getvalue()
+
+
+def _decimals_of_every_length(rng):
+    """One float per text length, form (fixed or exponent) and sign found
+    among 5000 random decimals ``m * 10**e``: lengths 3 (``0.5``) to 23."""
+    found = {}
+    for _ in range(5000):
+        digits, exponent = int(rng.integers(1, 18)), int(rng.integers(-25, 25))
+        x = float(rng.integers(1, 10 ** digits)) * 10.0 ** exponent * (-1.0) ** int(rng.integers(2))
+        found.setdefault((len(repr(x)), "e" in repr(x), x < 0), x)
+    return list(found.values())
+
+
+def test_write_csv_random_bit_patterns_match_the_row_at_a_time_writer():
+    """Random float64 bit patterns, decimals of every text length, and the
+    values floatfmt hands to repr (zeros, subnormals, infinities, NaNs), over
+    two full chunks and a short one, beside an axis column and an int64
+    column whose texts have every length from 1 to 20."""
+    rng = np.random.default_rng(21)
+    rows = 2 * CSV_CHUNK + 7
+    x = rng.integers(0, 2 ** 64, size=rows, dtype=np.uint64).view(np.float64)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf,
+               math.nan, -math.nan, _LONGEST, 1e16, 1e-05, 0.0001, 9999999999999998.0]
+    picked = _decimals_of_every_length(rng) + special
+    x[:len(picked)] = picked
+    rng.shuffle(x)
+    n = rng.integers(-2 ** 63, 2 ** 63 - 1, size=rows, dtype=np.int64, endpoint=True)
+    n[:38] = [sign * 10 ** k for k in range(19) for sign in (1, -1)]
+    texts = [repr(value) for value in x.tolist()]
+    assert {len(text) for text in texts} == set(range(3, 25))
+    assert {len(str(value)) for value in n.tolist()} == set(range(1, 21))
+    for form in (lambda t: "e" in t, lambda t: "e" not in t and "." in t):
+        assert {t[0] == "-" for t in texts if form(t)} == {True, False}
+    columns = {"x": x, "tag": _axis(_TAGS, 3, rows), "n": n}
+    fast, naive = io.StringIO(), io.StringIO()
+    _write_csv(fast, columns)
+    naive_write_csv(naive, columns)
+    _assert_same_lines(fast.getvalue(), naive.getvalue())
 
 
 def test_write_csv_axis_columns_from_product_match_the_repetition_rule():
