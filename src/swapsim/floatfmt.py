@@ -7,8 +7,7 @@ arithmetic and lays them out by ``repr``'s rules: fixed notation when
 ``-4 < decpt <= 16``, otherwise ``d.ddde±XX``, where ``x = 0.<digits> *
 10**decpt``. Each value gets a row of ``WIDTH`` bytes (24 characters fit
 every float64, ``-2.2250738585072014e-308``, and every 64-bit integer) that
-holds its characters in order and NULs elsewhere; ``format_values`` and
-``format_floats`` give the same text left-aligned, NUL-padded.
+holds its characters in order and NULs elsewhere.
 
 The kernel builds a row as three little-endian ``uint64`` words (``<u8``,
 whatever the machine's byte order), so that shifts move text. The digits
@@ -32,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["FLOATFMT_MIN", "WIDTH", "format_floats", "format_values", "write_values"]
+__all__ = ["FLOATFMT_MIN", "WIDTH", "write_values"]
 
 _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
@@ -322,39 +321,13 @@ def write_values(out, a):
 
     A float64 array of at least ``FLOATFMT_MIN`` values goes through the
     kernel, the rest through ``repr`` value by value; any other dtype is a
-    ``TypeError``.
+    ``TypeError``, and any other number of dimensions a ``ValueError``.
     """
+    if a.ndim != 1:
+        raise ValueError("write_values takes a 1-D array")
     if a.dtype == np.float64 and a.size >= FLOATFMT_MIN:
         _write_floats(out, a)
     elif a.dtype == np.float64 or a.dtype.kind in "iu":
         out[...] = _repr_rows(a.tolist())
     else:
         raise TypeError(f"cannot write a {a.dtype} column: only integers and float64")
-
-
-def _left_aligned(text):
-    """``text``'s rows with their NULs moved to the end."""
-    keep = text != 0
-    out = np.zeros_like(text)
-    out[np.arange(WIDTH) < np.count_nonzero(keep, axis=1)[:, None]] = text[keep]
-    return out
-
-
-def format_floats(a) -> np.ndarray:
-    """The text of ``repr(x)`` for each ``x`` of a 1-D float64 array ``a``, one
-    NUL-padded ASCII row each, all through the kernel: an ``(a.size, WIDTH)``
-    uint8 array."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    if a.ndim != 1:
-        raise ValueError("format_floats takes a 1-D array")
-    text = np.zeros((a.size, WIDTH), dtype=np.uint8)
-    _write_floats(text, a)
-    return _left_aligned(text)
-
-
-def format_values(a: np.ndarray) -> np.ndarray:
-    """``write_values`` of ``a`` as NUL-padded rows: an ``(a.size, WIDTH)``
-    uint8 array."""
-    text = np.zeros((a.size, WIDTH), dtype=np.uint8)
-    write_values(text, a)
-    return _left_aligned(text)

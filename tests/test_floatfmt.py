@@ -1,4 +1,5 @@
-"""floatfmt.format_floats and format_values against repr, value by value."""
+"""floatfmt.write_values, and its kernel on short arrays, against repr,
+value by value."""
 
 import math
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import floatfmt
-from swapsim.floatfmt import FLOATFMT_MIN, format_floats, format_values
+from swapsim.floatfmt import FLOATFMT_MIN, write_values
 
 
 def _reprs(values):
@@ -16,10 +17,25 @@ def _reprs(values):
 
 
 def _texts(rows):
-    """format_floats' NUL-padded ASCII rows as str; S drops the trailing NULs."""
+    """Each row of written text as str: its characters in order, its NULs
+    dropped."""
     assert rows.dtype == np.uint8 and rows.shape[1:] == (floatfmt.WIDTH,)
-    rows = np.ascontiguousarray(rows).view(f"S{floatfmt.WIDTH}")[:, 0]
-    return [text.decode("ascii") for text in rows.tolist()]
+    return [row.replace(b"\0", b"").decode("ascii") for row in map(bytes, rows)]
+
+
+def _written(values):
+    """``write_values`` of ``values`` into rows of NULs."""
+    rows = np.zeros((values.size, floatfmt.WIDTH), dtype=np.uint8)
+    write_values(rows, values)
+    return rows
+
+
+def _kernel(values):
+    """The kernel's rows for ``values``, also for fewer than
+    ``FLOATFMT_MIN``, where ``write_values`` would use ``repr``."""
+    rows = np.zeros((values.size, floatfmt.WIDTH), dtype=np.uint8)
+    floatfmt._write_floats(rows, values)
+    return rows
 
 
 def _edges():
@@ -37,7 +53,8 @@ def _edges():
 
 def test_edge_values_match_repr():
     values = _edges()
-    assert _texts(format_floats(values)) == _reprs(values)
+    assert values.size >= FLOATFMT_MIN
+    assert _texts(_written(values)) == _reprs(values)
 
 
 def test_random_bit_patterns_match_repr():
@@ -49,7 +66,7 @@ def test_random_bit_patterns_match_repr():
     exponents = np.repeat(np.uint64([0x7FF, 0, 0x7FF + 0x800, 0x800]), 500)
     bits[:2_000] = (exponents << np.uint64(52)) | special
     values = bits.view(np.float64)
-    assert _texts(format_floats(values)) == _reprs(values)
+    assert _texts(_written(values)) == _reprs(values)
 
 
 def test_decimal_grids_match_repr():
@@ -63,7 +80,7 @@ def test_decimal_grids_match_repr():
         rng.random(5_000) * 10.0 ** rng.integers(-30, 30, 5_000),
         rng.integers(-2 ** 53, 2 ** 53, 5_000).astype(np.float64),
     ])
-    assert _texts(format_floats(values)) == _reprs(values)
+    assert _texts(_written(values)) == _reprs(values)
 
 
 @settings(max_examples=100, deadline=None)
@@ -71,7 +88,7 @@ def test_decimal_grids_match_repr():
                 max_size=20))
 def test_any_floats_match_repr(values):
     array = np.array(values, dtype=np.float64)
-    assert _texts(format_floats(array)) == _reprs(array)
+    assert _texts(_kernel(array)) == _reprs(array)
 
 
 def test_fast_path_exponents_keep_their_bounds():
@@ -115,12 +132,12 @@ def test_scaled_ends_are_exact_floors():
 @pytest.mark.parametrize("values", [[], [1.0], [0.1], [-0.0, 1e300]])
 def test_short_arrays(values):
     array = np.array(values, dtype=np.float64)
-    assert _texts(format_floats(array)) == _reprs(array)
+    assert _texts(_kernel(array)) == _reprs(array)
 
 
 def test_two_dimensional_input_is_rejected():
     with pytest.raises(ValueError, match="1-D"):
-        format_floats(np.zeros((2, 2)))
+        write_values(np.zeros((4, floatfmt.WIDTH), dtype=np.uint8), np.zeros((2, 2)))
 
 
 # either side of FLOATFMT_MIN, and either side of 576, the threshold of the
@@ -128,17 +145,17 @@ def test_two_dimensional_input_is_rejected():
 @pytest.mark.parametrize("size", [FLOATFMT_MIN - 1, FLOATFMT_MIN, 575, 576])
 def test_format_values_floats_match_repr_either_side_of_the_kernel_threshold(size):
     values = _edges()[:size]
-    assert _texts(format_values(values)) == _reprs(values)
+    assert _texts(_written(values)) == _reprs(values)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
 def test_format_values_integers_match_repr(dtype):
     info = np.iinfo(dtype)
     values = np.array([info.min, info.max, 0, 1, 7] * FLOATFMT_MIN, dtype=dtype)
-    assert _texts(format_values(values)) == _reprs(values)
+    assert _texts(_written(values)) == _reprs(values)
 
 
 @pytest.mark.parametrize("values", [[True], np.float32([0.1]), ["0.1"], [1j]])
 def test_format_values_refuses_other_dtypes(values):
     with pytest.raises(TypeError, match="cannot write a .* column: only integers and float64"):
-        format_values(np.array(values))
+        _written(np.array(values))

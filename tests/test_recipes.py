@@ -30,6 +30,7 @@ from swapsim.protocol import (
 from swapsim.cli import main
 from swapsim.recipes import (
     CHUNK,
+    CSV_BLOCK,
     CSV_CHUNK,
     RECIPES,
     AxisColumn,
@@ -102,8 +103,8 @@ class TestOracleDraws:
             assert_same_columns(columns, self.per_draw_reference(draws, seed=seed))
 
     # every draw in blocks shorter than FLOATFMT_MIN; one block shorter than
-    # CSV_CHUNK through floatfmt; one full CSV_CHUNK block through floatfmt,
-    # then one row through str
+    # CSV_CHUNK through floatfmt; one block of CSV_CHUNK + 1 rows through
+    # floatfmt, written as one full chunk and one row
     @pytest.mark.parametrize("draws", [FLOATFMT_MIN - 1, 575, CSV_CHUNK + 1])
     def test_run_csv_matches_the_row_at_a_time_writer_on_the_reference(self, draws, tmp_path):
         cfg = tmp_path / "oracle.cfg"
@@ -431,7 +432,7 @@ def test_write_csv_writes_str_of_every_field():
 
 # values whose text is easy to get wrong: signed zero, subnormal, exponent
 # form, the int64 extremes, tags that look like numbers; the floats also
-# cover both routes of floatfmt.format_floats, its fast path (0.1, 1e-05,
+# cover both routes of floatfmt.write_values' kernel, its fast path (0.1, 1e-05,
 # -1234.5678, 1/3) and each kind it hands to repr (zero, subnormal,
 # non-finite, |x| >= 2**54, short mantissas)
 _FLOATS = [-0.0, 5e-324, 1e16, 0.1, 1e-05, 2.5, -7.0, math.inf, -math.inf, math.nan, 0.5,
@@ -475,11 +476,12 @@ _LONGEST = -2.2250738585072014e-308
 
 
 @pytest.mark.parametrize("rows", [FLOATFMT_MIN - 1, FLOATFMT_MIN, 575, 576, CSV_CHUNK - 1,
-                                  CSV_CHUNK + 1, 2 * CSV_CHUNK + 1])
+                                  CSV_CHUNK + 1, 2 * CSV_CHUNK + 1, CSV_BLOCK - 1, CSV_BLOCK,
+                                  CSV_BLOCK + 1, CSV_BLOCK + CSV_CHUNK + 7])
 def test_write_csv_column_kinds_match_the_row_at_a_time_writer(rows):
     """float64 arrays (whole blocks through floatfmt or, when short, str per
-    value), axis columns whose runs of one text cross the chunk edges, and
-    an int64 array, side by side."""
+    value), axis columns whose runs of one text cross the chunk and block
+    edges, and an int64 array, side by side."""
     floats = _FLOATS + [_LONGEST]
     columns = {"x": np.array(_cycle(floats, rows)), "long": np.full(rows, _LONGEST),
                "n": np.array(_cycle(_INTS, rows), dtype=np.int64),
@@ -509,28 +511,29 @@ def _decimals_of_every_length(rng):
 def test_write_csv_random_bit_patterns_match_the_row_at_a_time_writer():
     """Random float64 bit patterns, decimals of every text length, and the
     values floatfmt hands to repr (zeros, subnormals, infinities, NaNs), over
-    two full chunks and a short one, beside an axis column and an int64
-    column whose texts have every length from 1 to 20."""
-    rng = np.random.default_rng(21)
-    rows = 2 * CSV_CHUNK + 7
-    x = rng.integers(0, 2 ** 64, size=rows, dtype=np.uint64).view(np.float64)
-    special = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf,
-               math.nan, -math.nan, _LONGEST, 1e16, 1e-05, 0.0001, 9999999999999998.0]
-    picked = _decimals_of_every_length(rng) + special
-    x[:len(picked)] = picked
-    rng.shuffle(x)
-    n = rng.integers(-2 ** 63, 2 ** 63 - 1, size=rows, dtype=np.int64, endpoint=True)
-    n[:38] = [sign * 10 ** k for k in range(19) for sign in (1, -1)]
-    texts = [repr(value) for value in x.tolist()]
-    assert {len(text) for text in texts} == set(range(3, 25))
-    assert {len(str(value)) for value in n.tolist()} == set(range(1, 21))
-    for form in (lambda t: "e" in t, lambda t: "e" not in t and "." in t):
-        assert {t[0] == "-" for t in texts if form(t)} == {True, False}
-    columns = {"x": x, "tag": _axis(_TAGS, 3, rows), "n": n}
-    fast, naive = io.StringIO(), io.StringIO()
-    _write_csv(fast, columns)
-    naive_write_csv(naive, columns)
-    _assert_same_lines(fast.getvalue(), naive.getvalue())
+    two full chunks and a short one, then over a full block and a short one
+    (through repr), beside an axis column and an int64 column whose texts
+    have every length from 1 to 20."""
+    for rows in (2 * CSV_CHUNK + 7, CSV_BLOCK + 7):
+        rng = np.random.default_rng(21)
+        x = rng.integers(0, 2 ** 64, size=rows, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, math.inf, -math.inf,
+                   math.nan, -math.nan, _LONGEST, 1e16, 1e-05, 0.0001, 9999999999999998.0]
+        picked = _decimals_of_every_length(rng) + special
+        x[:len(picked)] = picked
+        rng.shuffle(x)
+        n = rng.integers(-2 ** 63, 2 ** 63 - 1, size=rows, dtype=np.int64, endpoint=True)
+        n[:38] = [sign * 10 ** k for k in range(19) for sign in (1, -1)]
+        texts = [repr(value) for value in x.tolist()]
+        assert {len(text) for text in texts} == set(range(3, 25))
+        assert {len(str(value)) for value in n.tolist()} == set(range(1, 21))
+        for form in (lambda t: "e" in t, lambda t: "e" not in t and "." in t):
+            assert {t[0] == "-" for t in texts if form(t)} == {True, False}
+        columns = {"x": x, "tag": _axis(_TAGS, 3, rows), "n": n}
+        fast, naive = io.StringIO(), io.StringIO()
+        _write_csv(fast, columns)
+        naive_write_csv(naive, columns)
+        _assert_same_lines(fast.getvalue(), naive.getvalue())
 
 
 def test_write_csv_axis_columns_from_product_match_the_repetition_rule():
@@ -558,6 +561,15 @@ def test_write_csv_writes_bounded_chunks():
     _write_csv(Recorder(), {"x": np.arange(rows), "y": np.full(rows, 0.25),
                             "t": _axis((0.1, 0.2), CSV_CHUNK + 3, rows)})
     assert lines_per_write == [1, CSV_CHUNK, CSV_CHUNK, 1]
+
+    # across a block edge: each block is squeezed and written a chunk at a
+    # time, so no write holds more than CSV_CHUNK lines
+    lines_per_write.clear()
+    rows = CSV_BLOCK + CSV_CHUNK + 7
+    _write_csv(Recorder(), {"x": np.arange(rows), "y": np.full(rows, 0.25),
+                            "t": _axis((0.1, 0.2), CSV_CHUNK + 3, rows)})
+    assert max(lines_per_write) <= CSV_CHUNK
+    assert lines_per_write == [1] + [CSV_CHUNK] * (CSV_BLOCK // CSV_CHUNK + 1) + [7]
 
 
 def test_surface_run_matches_the_row_at_a_time_writer(tmp_path):
