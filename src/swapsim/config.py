@@ -1,12 +1,13 @@
-"""Plain-text sweep configuration: parsing, validation, serialization.
+"""Plain-text sweep configuration: parsing and validation.
 
 The format is one ``key = value`` pair per line; blank lines and lines
 starting with ``#`` are ignored. Grid-valued keys accept a comma list
 (``t1 = 0.3, 0.6, 1.0``), a single number, ``linspace(a, b, n)``, or
 ``logspace(a, b, n)`` (geometric spacing between the two VALUES a and
 b). Unknown keys are rejected and every violation is reported at once.
-
-``validate_config(to_text(cfg)) == cfg`` holds for any valid config.
+The package has no writer of this format: the inverse of
+``validate_config``, ``to_text``, is a test oracle in ``tests/oracles.py``,
+and the tests hold ``validate_config(to_text(cfg)) == cfg``.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .metrics import TWO_PI
 from .protocol import MAX_EPSILON
 from .recipes import RECIPES
 
-__all__ = ["ConfigError", "SweepConfig", "validate_config", "to_text", "MAX_DRAWS",
-           "too_many_draws"]
+__all__ = ["ConfigError", "SweepConfig", "validate_config", "MAX_DRAWS", "too_many_draws"]
 
 EXPERIMENTS = tuple(RECIPES)
 
@@ -229,20 +229,3 @@ def validate_config(raw: str) -> SweepConfig:
         raise ConfigError("\n".join(errors))
     return cfg
 
-
-def to_text(cfg: SweepConfig) -> str:
-    """Canonical document form; parsing it reproduces ``cfg`` exactly."""
-    lines = [
-        f"experiment = {cfg.experiment}",
-        f"seed = {cfg.seed}",
-        f"normalize = {'true' if cfg.normalize else 'false'}",
-        f"draws = {cfg.draws}",
-        f"counts = {cfg.counts!r}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    for key in GRID_KEYS:
-        grid = getattr(cfg, key)
-        if grid is not None:
-            lines.append(f"{key} = " + ", ".join(repr(x) for x in grid))
-    return "\n".join(lines) + "\n"

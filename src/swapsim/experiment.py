@@ -51,7 +51,8 @@ class SpdcSource:
 
     def __post_init__(self):
         xi = complex(self.xi)
-        if abs(xi) > MAX_XI:
+        # also refuses NaN, which fails every comparison
+        if not abs(xi) <= MAX_XI:
             raise ValueError(
                 f"|xi| = {abs(xi):.3f} > {MAX_XI}: single-pair truncation not valid"
             )

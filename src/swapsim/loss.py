@@ -1,13 +1,13 @@
 """Pure-loss channel on one photon-number qubit mode.
 
 A channel with amplitude transmittivity t (power transmission t^2) acts
-on a photon-number qubit as amplitude damping. Two independent
-implementations live here: ``dilate``, a beamsplitter-style unitary that
-moves the lost photon into a fresh environment mode of the ket (the
-brute-force pipeline uses it), and ``apply_loss``, Kraus-operator action
-on a density matrix, kept as the independent loss oracle. Tracing the
-environment out of the dilated ket must give the Kraus result, and the
-test suite holds the two routes to 1e-12 entrywise.
+on a photon-number qubit as amplitude damping. ``dilate`` models it as a
+beamsplitter-style unitary that moves the lost photon into a fresh
+environment mode of the ket; the brute-force pipeline uses it. The
+independent Kraus route, which acts on a density matrix, is a test
+oracle in ``tests/oracles.py``: tracing the environment out of the
+dilated ket must give the Kraus result, and the test suite holds the two
+routes to 1e-12 entrywise.
 
 Throughout the package t is the AMPLITUDE transmittivity; the power
 transmission is t^2.
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import DensityMatrix, Label, LabelError, PureState
+from .states import Label, LabelError, PureState
 
-__all__ = ["LossChannel", "kraus_ops", "apply_loss", "dilate"]
+__all__ = ["LossChannel", "dilate"]
 
 
 @dataclass(frozen=True)
@@ -47,27 +47,6 @@ class LossChannel:
         factors = np.array((r, t), dtype=complex)
         factors.setflags(write=False)
         self.__dict__.update(t=t, r=r, _factors=factors.reshape(2, 1, 1))
-
-
-def kraus_ops(ch: LossChannel) -> tuple[np.ndarray, np.ndarray]:
-    """Kraus pair K0 = |0><0| + t|1><1| and K1 = r|0><1|."""
-    k0 = np.array([[1.0, 0.0], [0.0, ch.t]], dtype=complex)
-    k1 = np.array([[0.0, ch.r], [0.0, 0.0]], dtype=complex)
-    return k0, k1
-
-
-def apply_loss(rho: DensityMatrix, mode: Label, ch: LossChannel) -> DensityMatrix:
-    """Damp one mode: photon population scales by t^2, coherences by t."""
-    if mode not in rho.labels:
-        raise LabelError(f"mode {mode!r} not in register {rho.labels!r}")
-    pos = rho.labels.index(mode)
-    left = np.eye(2 ** pos)
-    right = np.eye(2 ** (rho.num_modes - 1 - pos))
-    out = np.zeros_like(rho.entries)
-    for k in kraus_ops(ch):
-        full = np.kron(np.kron(left, k), right)
-        out = out + full @ rho.entries @ full.conj().T
-    return DensityMatrix(rho.labels, out, weight=rho.weight)
 
 
 def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureState:

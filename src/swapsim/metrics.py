@@ -17,7 +17,6 @@ trace.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "VisibilityReport",
     "concurrence_wootters",
     "concurrence_closed_form",
-    "optimal_t2",
     "bell_fidelity",
     "fringe_scan",
     "visibility_analytic",
@@ -120,26 +118,6 @@ def concurrence_closed_form(pair: InputPair, t1, t2):
     num = 2.0 * abs(pair.alpha * pair.beta * pair.gamma * pair.delta) * t1 * t2
     c = num / norm
     return float(c) if np.isscalar(c) else c
-
-
-def optimal_t2(t1: float) -> float:
-    """Transmittivity t2 maximizing concurrence for maximally entangled inputs.
-
-    For t1 < 1/sqrt(2) the maximum sits at t1 / sqrt(1 - t1^2), strictly
-    inside (0, 1); losing MORE of Bob's photons than a lossless channel
-    would can pay off. For larger t1 the concurrence is increasing on
-    (0, 1] and the boundary value 1.0 is returned with a warning.
-    """
-    if not 0.0 < t1 <= 1.0:
-        raise ValueError(f"need 0 < t1 <= 1, got {t1}")
-    if t1 >= math.sqrt(0.5):
-        warnings.warn(
-            f"t1 = {t1} >= 1/sqrt(2): concurrence is increasing in t2, "
-            "returning the boundary t2 = 1",
-            stacklevel=2,
-        )
-        return 1.0
-    return t1 / math.sqrt(1.0 - t1 * t1)
 
 
 def bell_fidelity(rho, sign: int = +1, phase: float = 0.0) -> float:

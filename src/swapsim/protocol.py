@@ -50,7 +50,6 @@ __all__ = [
     "closed_form_rho",
     "success_probability",
     "optimal_inputs",
-    "asymptotic_state",
     "random_input_pair",
 ]
 
@@ -84,7 +83,8 @@ class InputPair:
         self.__dict__.update(alpha=a, beta=b, gamma=g, delta=d)
         na = abs(a) ** 2 + abs(b) ** 2
         nb = abs(g) ** 2 + abs(d) ** 2
-        if abs(na - 1.0) > 1e-12 or abs(nb - 1.0) > 1e-12:
+        # also refuses NaN, which fails every comparison
+        if not (abs(na - 1.0) <= 1e-12 and abs(nb - 1.0) <= 1e-12):
             raise ValueError(
                 f"input amplitudes must be normalized per pair "
                 f"(got {na!r} and {nb!r})"
@@ -124,8 +124,8 @@ _PROJECTOR_KETS = {
 class BsmSetting:
     """Middle-station measurement setting, one of the names in ``SETTINGS``.
 
-    Build it by name (``BsmSetting("Y-")``) or with ``x(sign)``,
-    ``y(sign)`` or ``z(which)``.
+    Build it by name (``BsmSetting("Y-")``), or an X setting with
+    ``x(sign)``.
     """
 
     name: str
@@ -139,17 +139,8 @@ class BsmSetting:
 
     @classmethod
     def x(cls, sign: int = +1) -> "BsmSetting":
-        return cls("X" + _sign_char(sign))
-
-    @classmethod
-    def y(cls, sign: int = +1) -> "BsmSetting":
-        return cls("Y" + _sign_char(sign))
-
-    @classmethod
-    def z(cls, which: str = "01") -> "BsmSetting":
-        if which not in ("01", "10"):
-            raise ValueError(f"separable outcome must be '01' or '10', got {which!r}")
-        return cls("Z+" if which == "01" else "Z-")
+        _check_sign(sign)
+        return cls("X+" if sign > 0 else "X-")
 
     def projector_ket(self) -> PureState:
         return _PROJECTOR_KETS[self.name]
@@ -159,11 +150,6 @@ def _check_sign(sign: int) -> None:
     """Reject any sign but +1 and -1; every entry point that takes one calls this."""
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-
-
-def _sign_char(sign: int) -> str:
-    _check_sign(sign)
-    return "+" if sign > 0 else "-"
 
 
 @dataclass(frozen=True)
@@ -335,32 +321,6 @@ def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
     alpha = math.sqrt(1.0 - beta * beta)
     gamma = math.sqrt(1.0 - delta2)
     return InputPair(alpha, beta, gamma, delta)
-
-
-def asymptotic_state(
-    pair: InputPair, t1: float, t2: float, sign: int = +1
-) -> PureState:
-    """Unnormalized pure-state limit of the heralded state for weak pairs.
-
-    When |alpha|, |gamma| >> |beta|, |delta| the double-emission term is
-    negligible and the heralded state approaches
-
-        alpha delta t2 |01>  +/-  beta gamma t1 |10>
-
-    whose squared norm (available as ``.norm2``) carries the success
-    scaling: for balanced channels t1 = t2 = sqrt(t) it is linear in t.
-    """
-    _check_sign(sign)
-    amps = np.array(
-        [
-            0.0,
-            pair.alpha * pair.delta * t2,
-            sign * pair.beta * pair.gamma * t1,
-            0.0,
-        ],
-        dtype=complex,
-    )
-    return PureState((A, B), amps)
 
 
 def random_input_pair(rng: np.random.Generator) -> InputPair:

@@ -464,10 +464,11 @@ def _csv_rows(fields, start, stop):
     each: an ``AxisColumn``'s texts gathered by row index, a numpy array's
     by ``floatfmt.write_values`` and followed by a column of its ``end``. A
     slot holds its field's characters in order and NULs, so dropping every
-    NUL of a run of rows leaves their lines, each ended by a newline.
+    NUL of a run of rows leaves their lines, each ended by a newline. Every
+    byte of every slot is written, so the matrix starts uninitialised.
     """
     widths = [WIDTH + 1 if end else column.texts.itemsize for column, end in fields]
-    text = np.zeros((stop - start, sum(widths)), dtype=np.uint8)
+    text = np.empty((stop - start, sum(widths)), dtype=np.uint8)
     at = 0
     for (column, end), width in zip(fields, widths):
         if end:

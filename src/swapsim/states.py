@@ -108,10 +108,6 @@ class PureState:
             ket.__dict__["norm2"] = norm2
         return ket
 
-    @property
-    def num_modes(self) -> int:
-        return len(self.labels)
-
     @functools.cached_property
     def norm2(self) -> float:
         """Squared norm; the weight carried by an unnormalized ket.
@@ -202,10 +198,6 @@ class DensityMatrix:
         rho = object.__new__(cls)
         rho.__dict__.update(labels=labels, entries=entries, weight=weight)
         return rho
-
-    @property
-    def num_modes(self) -> int:
-        return len(self.labels)
 
     def normalized(self) -> "DensityMatrix":
         if self.weight <= 0.0:

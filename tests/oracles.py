@@ -3,13 +3,26 @@
 The oracles here deliberately avoid the library's vectorized paths:
 partial traces and projections are re-derived with explicit index loops
 so the fast implementations are checked against something dumber.
+
+The reference routes that no library code calls live here too, each the
+second route of something the library computes: the Kraus loss route
+(``kraus_ops``, ``apply_loss``) that ``loss.dilate`` is held to, the
+weak-pair limit of the heralded state (``asymptotic_state``), the
+analytic concurrence optimum (``optimal_t2``) and the text form of a
+config (``to_text``), the inverse of ``validate_config``.
 """
+
+import math
+import warnings
 
 import numpy as np
 from hypothesis import strategies as st
 
-from swapsim import DensityMatrix, PureState
+from swapsim import DensityMatrix, InputPair, LossChannel, PureState, SweepConfig
+from swapsim.config import GRID_KEYS
+from swapsim.protocol import A, B, _check_sign
 from swapsim.recipes import AxisColumn
+from swapsim.states import Label, LabelError
 
 
 def random_pure(rng: np.random.Generator, labels) -> PureState:
@@ -60,7 +73,7 @@ def naive_partial_trace(entries: np.ndarray, n_modes: int, keep: list) -> np.nda
 
 def naive_project(rho: DensityMatrix, ket: PureState) -> np.ndarray:
     """Loop-based <k|rho|k> oracle on the remaining modes."""
-    n = rho.num_modes
+    n = len(rho.labels)
     # register positions of the ket's modes, in the ket's own order
     proj_pos = [rho.labels.index(lab) for lab in ket.labels]
     keep = [i for i in range(n) if i not in proj_pos]
@@ -92,6 +105,91 @@ def naive_dilate(amps: np.ndarray, n_modes: int, pos: int, t: float, r: float) -
         else:
             out[2 * i] += amps[i]
     return out
+
+
+def kraus_ops(ch: LossChannel) -> tuple[np.ndarray, np.ndarray]:
+    """Kraus pair K0 = |0><0| + t|1><1| and K1 = r|0><1|."""
+    k0 = np.array([[1.0, 0.0], [0.0, ch.t]], dtype=complex)
+    k1 = np.array([[0.0, ch.r], [0.0, 0.0]], dtype=complex)
+    return k0, k1
+
+
+def apply_loss(rho: DensityMatrix, mode: Label, ch: LossChannel) -> DensityMatrix:
+    """Damp one mode: photon population scales by t^2, coherences by t."""
+    if mode not in rho.labels:
+        raise LabelError(f"mode {mode!r} not in register {rho.labels!r}")
+    pos = rho.labels.index(mode)
+    left = np.eye(2 ** pos)
+    right = np.eye(2 ** (len(rho.labels) - 1 - pos))
+    out = np.zeros_like(rho.entries)
+    for k in kraus_ops(ch):
+        full = np.kron(np.kron(left, k), right)
+        out = out + full @ rho.entries @ full.conj().T
+    return DensityMatrix(rho.labels, out, weight=rho.weight)
+
+
+def asymptotic_state(
+    pair: InputPair, t1: float, t2: float, sign: int = +1
+) -> PureState:
+    """Unnormalized pure-state limit of the heralded state for weak pairs.
+
+    When |alpha|, |gamma| >> |beta|, |delta| the double-emission term is
+    negligible and the heralded state approaches
+
+        alpha delta t2 |01>  +/-  beta gamma t1 |10>
+
+    whose squared norm (available as ``.norm2``) carries the success
+    scaling: for balanced channels t1 = t2 = sqrt(t) it is linear in t.
+    """
+    _check_sign(sign)
+    amps = np.array(
+        [
+            0.0,
+            pair.alpha * pair.delta * t2,
+            sign * pair.beta * pair.gamma * t1,
+            0.0,
+        ],
+        dtype=complex,
+    )
+    return PureState((A, B), amps)
+
+
+def optimal_t2(t1: float) -> float:
+    """Transmittivity t2 maximizing concurrence for maximally entangled inputs.
+
+    For t1 < 1/sqrt(2) the maximum sits at t1 / sqrt(1 - t1^2), strictly
+    inside (0, 1); losing MORE of Bob's photons than a lossless channel
+    would can pay off. For larger t1 the concurrence is increasing on
+    (0, 1] and the boundary value 1.0 is returned with a warning.
+    """
+    if not 0.0 < t1 <= 1.0:
+        raise ValueError(f"need 0 < t1 <= 1, got {t1}")
+    if t1 >= math.sqrt(0.5):
+        warnings.warn(
+            f"t1 = {t1} >= 1/sqrt(2): concurrence is increasing in t2, "
+            "returning the boundary t2 = 1",
+            stacklevel=2,
+        )
+        return 1.0
+    return t1 / math.sqrt(1.0 - t1 * t1)
+
+
+def to_text(cfg: SweepConfig) -> str:
+    """Canonical document form; parsing it reproduces ``cfg`` exactly."""
+    lines = [
+        f"experiment = {cfg.experiment}",
+        f"seed = {cfg.seed}",
+        f"normalize = {'true' if cfg.normalize else 'false'}",
+        f"draws = {cfg.draws}",
+        f"counts = {cfg.counts!r}",
+    ]
+    if cfg.out is not None:
+        lines.append(f"out = {cfg.out}")
+    for key in GRID_KEYS:
+        grid = getattr(cfg, key)
+        if grid is not None:
+            lines.append(f"{key} = " + ", ".join(repr(x) for x in grid))
+    return "\n".join(lines) + "\n"
 
 
 def naive_values(column):

@@ -21,13 +21,14 @@ from swapsim import (
     estimate_visibility,
     normalized_success,
     optimal_inputs,
-    optimal_t2,
     random_input_pair,
     spdc_input,
     swap,
     synth_counts,
     visibility_analytic,
 )
+
+from oracles import optimal_t2
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
@@ -180,12 +181,12 @@ def test_criterion_6_imbalance_restoration():
 def test_criterion_7_separable_setting_null():
     pair = spdc_input(SpdcSource(0.1), SpdcSource(0.1))
     coherences = []
-    for which in ("01", "10"):
-        out = swap(pair, 0.9, 0.7, BsmSetting.z(which))
+    for name in ("Z+", "Z-"):
+        out = swap(pair, 0.9, 0.7, BsmSetting(name))
         coherences.append(abs(out.rho_ab.entries[1, 2]))
     ok = max(coherences) < 1e-14
 
-    counts = synth_counts(pair, 1.0, 1.0, BsmSetting.z("01"), GRID16,
+    counts = synth_counts(pair, 1.0, 1.0, BsmSetting("Z+"), GRID16,
                           CountModel(1e5, seed=20260809))
     fit = estimate_visibility(GRID16, counts.counts_plus)
     ok = ok and abs(fit.v) <= 3.0 * fit.sigma
@@ -232,7 +233,7 @@ def test_criterion_9_ideal_model_bounds():
         worst_balanced = max(worst_balanced,
                              abs(visibility_analytic(rho).v - 1.0))
     ok = ok and worst_balanced <= 1e-12
-    y_out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting.y(+1))
+    y_out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting("Y+"))
     f_y = bell_fidelity(y_out.rho_ab, +1, -np.pi / 2.0)
     ok = ok and abs(f_y - 1.0) <= 1e-12
     report(

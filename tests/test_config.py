@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from swapsim import ConfigError, SweepConfig, to_text, validate_config
+from swapsim import ConfigError, SweepConfig, validate_config
 from swapsim.experiment import MAX_MEAN_COUNTS, SpdcSource
 from swapsim.protocol import optimal_inputs
+
+from oracles import to_text
 
 
 class TestDefaults:

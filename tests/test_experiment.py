@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,11 @@ class TestSpdcSource:
             SpdcSource(0.51)
         with pytest.raises(ValueError, match="truncation"):
             SpdcSource(0.4 + 0.4j)
+
+    @pytest.mark.parametrize("xi", [math.nan, complex(0.1, math.nan)])
+    def test_nan_rejected(self, xi):
+        with pytest.raises(ValueError, match="truncation"):
+            SpdcSource(xi)
 
     def test_input_pair_normalization(self):
         pair = spdc_input(SpdcSource(0.1), SpdcSource(0.1))
@@ -140,7 +147,7 @@ class TestEstimateVisibility:
         assert abs(rep.v - 0.8) <= 3.0 * rep.sigma
         assert rep.sigma < 0.02
 
-    @pytest.mark.parametrize("setting", [BsmSetting.x(-1), BsmSetting.y(+1)])
+    @pytest.mark.parametrize("setting", [BsmSetting.x(-1), BsmSetting("Y+")])
     @pytest.mark.parametrize("mean", [1e17, 1e18, MAX_MEAN_COUNTS])
     def test_huge_counts_fit_with_a_poisson_sigma(self, setting, mean):
         # one empty bin among ~1e18 counts: the normal matrix of the fit is
@@ -260,10 +267,10 @@ class TestNormalizedSuccess:
 
 def test_fringe_experiment_separable_setting_is_flat():
     pair = spdc_input(SpdcSource(0.1), SpdcSource(0.1))
-    out = swap(pair, 1.0, 1.0, BsmSetting.z("01"))
+    out = swap(pair, 1.0, 1.0, BsmSetting("Z+"))
     scan = fringe_scan(out.rho_ab, GRID16)
     assert np.max(scan.p_plus) - np.min(scan.p_plus) < 1e-14
-    counts = synth_counts(pair, 1.0, 1.0, BsmSetting.z("01"), GRID16,
+    counts = synth_counts(pair, 1.0, 1.0, BsmSetting("Z+"), GRID16,
                           CountModel(1e5, seed=123))
     rep = estimate_visibility(GRID16, counts.counts_plus)
     assert abs(rep.v) <= 3.0 * rep.sigma

@@ -10,13 +10,18 @@ from swapsim import (
     LabelError,
     LossChannel,
     PureState,
-    apply_loss,
     dilate,
-    kraus_ops,
     partial_trace,
 )
 
-from oracles import finite_floats, naive_dilate, random_density, random_pure
+from oracles import (
+    apply_loss,
+    finite_floats,
+    kraus_ops,
+    naive_dilate,
+    random_density,
+    random_pure,
+)
 
 
 class TestLossChannel:

@@ -14,7 +14,6 @@ from swapsim import (
     concurrence_wootters,
     estimate_visibility,
     fringe_scan,
-    optimal_t2,
     partial_trace,
     random_input_pair,
     swap,
@@ -22,7 +21,7 @@ from swapsim import (
 )
 from swapsim.metrics import FringeScan, VisibilityReport
 
-from oracles import bell_psi, finite_floats
+from oracles import bell_psi, finite_floats, optimal_t2
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -570,6 +571,36 @@ def test_write_csv_writes_bounded_chunks():
                             "t": _axis((0.1, 0.2), CSV_CHUNK + 3, rows)})
     assert max(lines_per_write) <= CSV_CHUNK
     assert lines_per_write == [1] + [CSV_CHUNK] * (CSV_BLOCK // CSV_CHUNK + 1) + [7]
+
+
+def test_write_csv_writes_every_byte_of_a_dirty_block(monkeypatch):
+    """The block matrix of ``_csv_rows`` starts as 0xFF bytes, and every
+    recipe's default columns and every column kind across a block edge
+    still give the row-at-a-time text: each byte of each slot is written.
+    Only that matrix is dirtied."""
+    empty, dirtied = np.empty, []
+
+    def dirty_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if sys._getframe(1).f_code is recipes._csv_rows.__code__:
+            out.fill(0xFF)
+            dirtied.append(out.shape)
+        return out
+
+    rows = CSV_BLOCK + CSV_CHUNK + 7
+    floats = _FLOATS + [_LONGEST]
+    tables = [RECIPES[name].runner(validate_config(f"experiment = {name}")).columns
+              for name in RECIPES]
+    tables.append({"x": np.array(_cycle(floats, rows)), "tag": _axis(_TAGS, 3, rows),
+                   "n": np.array(_cycle(_INTS, rows), dtype=np.int64),
+                   "a": _axis((0.5, _LONGEST), 3000, rows)})
+    monkeypatch.setattr(np, "empty", dirty_empty)
+    for columns in tables:
+        fast, naive = io.StringIO(), io.StringIO()
+        _write_csv(fast, columns)
+        naive_write_csv(naive, columns)
+        _assert_same_lines(fast.getvalue(), naive.getvalue())
+    assert len(dirtied) == len(RECIPES) + 2
 
 
 def test_surface_run_matches_the_row_at_a_time_writer(tmp_path):
