@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import TWO_PI, FringeScan, VisibilityReport, fringe_scan
-from .protocol import WEIGHT_EPS, BsmSetting, InputPair, success_probability, swap
+from .protocol import BsmSetting, InputPair, Pairs, _heralded, success_probability, swap
 from .states import ATOL
 
 __all__ = [
@@ -181,12 +181,12 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
     return VisibilityReport(vis, sigma=float(np.linalg.norm(np.linalg.solve(r.T, grad))))
 
 
-def normalized_success(pair: InputPair, t1, t2):
+def normalized_success(pair: Pairs, t1, t2):
     """Heralding probability relative to the same inputs on lossless channels.
 
-    Accepts scalar or array t1, t2, as ``success_probability`` does.
+    ``pair`` (one ``InputPair``, or a sequence of them as an axis), ``t1``
+    and ``t2`` broadcast as in ``success_probability``.
     """
     baseline = success_probability(pair, 1.0, 1.0)
-    if baseline < 2.0 * WEIGHT_EPS:
-        raise ValueError("degenerate inputs: lossless baseline probability is zero")
+    _heralded(baseline, "lossless baseline probability")
     return success_probability(pair, t1, t2) / baseline

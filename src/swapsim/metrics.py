@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import InputPair, _check_sign, _entangling, _heralded, success_probability
+from .protocol import Pairs, _check_sign, _entangling, _heralded, _products, success_probability
 from .states import ATOL, PSD_MIN_EIG, DensityMatrix
 
 __all__ = [
@@ -107,15 +107,17 @@ def concurrence_wootters(rho) -> float | np.ndarray:
     return c if stack else float(c[0])
 
 
-def concurrence_closed_form(pair: InputPair, t1, t2):
+def concurrence_closed_form(pair: Pairs, t1, t2):
     """Concurrence of the heralded state, directly from the input amplitudes.
 
-    C = 2 |alpha beta gamma delta| t1 t2 / norm. Accepts scalar or array
-    t1, t2 (broadcast).
+    C = 2 |alpha beta gamma delta| t1 t2 / norm. ``pair`` (one
+    ``InputPair``, or a sequence of them as an axis), ``t1`` and ``t2``
+    broadcast as in ``closed_form_rho``, each member equal bit for bit to
+    the scalar call at its point.
     """
     norm = success_probability(pair, t1, t2)
     _heralded(norm)
-    num = 2.0 * abs(pair.alpha * pair.beta * pair.gamma * pair.delta) * t1 * t2
+    num = _products(pair)[4] * t1 * t2
     c = num / norm
     return float(c) if np.isscalar(c) else c
 

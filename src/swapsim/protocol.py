@@ -24,7 +24,8 @@ closed form must equal the summed projection weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -69,12 +70,19 @@ class InputPair:
 
     Both pairs must be normalized: |alpha|^2 + |beta|^2 = 1 and
     |gamma|^2 + |delta|^2 = 1, each to within 1e-12.
+
+    The amplitude products the closed forms read are formed once, when
+    the pair is built; equality, hashing and the repr see the four
+    amplitudes alone.
     """
 
     alpha: complex
     beta: complex
     gamma: complex
     delta: complex
+    # |alpha delta|^2, |beta gamma|^2, |beta delta|^2,
+    # alpha conj(beta) conj(gamma) delta and 2 |alpha beta gamma delta|
+    _products: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = complex(self.alpha), complex(self.beta)
@@ -89,6 +97,14 @@ class InputPair:
                 f"input amplitudes must be normalized per pair "
                 f"(got {na!r} and {nb!r})"
             )
+        # Python arithmetic, not numpy's, so that a stack of pairs gives each
+        # member the bits of its scalar call: abs(z) ** 2 is hypot then libm
+        # pow, which differ from numpy's complex abs and x * x at times; the
+        # complex conjugate skips numpy's dispatch with the same bits as np.conj
+        self.__dict__["_products"] = (
+            abs(a * d) ** 2, abs(b * g) ** 2, abs(b * d) ** 2,
+            a * b.conjugate() * g.conjugate() * d, 2.0 * abs(a * b * g * d),
+        )
 
 
 MAX_ENTANGLED_PAIR = InputPair(
@@ -146,10 +162,15 @@ class BsmSetting:
         return _PROJECTOR_KETS[self.name]
 
 
-def _check_sign(sign: int) -> None:
-    """Reject any sign but +1 and -1; every entry point that takes one calls this."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+def _check_sign(sign) -> None:
+    """Reject any sign but +1 and -1; every entry point that takes one calls this.
+
+    An array of signs is held to the same rule member by member, and its
+    first bad member, in C order, raises the error a lone sign would.
+    """
+    for s in sign.ravel().tolist() if isinstance(sign, np.ndarray) else (sign,):
+        if s not in (+1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -207,27 +228,36 @@ def swap(pair: InputPair, ch1, ch2, setting: BsmSetting) -> SwapOutcome:
     return bsm(propagate(build_inputs(pair), ch1, ch2), setting)
 
 
-def _rho_entries(pair: InputPair, t1, t2):
-    a, b, g, d = pair.alpha, pair.beta, pair.gamma, pair.delta
+Pairs = InputPair | Sequence[InputPair]  # one pair, or a stack of them as an axis
+
+
+def _products(pair: Pairs):
+    """The kept amplitude products of one pair, or of a sequence of pairs
+    one array of each, along the pair axis."""
+    if isinstance(pair, InputPair):
+        return pair._products
+    return tuple(np.array([p._products[k] for p in pair]) for k in range(5))
+
+
+def _rho_entries(pair: Pairs, t1, t2):
+    ad2, bg2, bd2, cross, _ = _products(pair)
     # t * t, not t ** 2: on a Python float ** calls libm pow, one ulp off at times
-    r22 = abs(a * d) ** 2 * (t2 * t2)
-    r33 = abs(b * g) ** 2 * (t1 * t1)
-    r44 = abs(b * d) ** 2 * (t1 * t1 * (1.0 - t2 * t2) + t2 * t2 * (1.0 - t1 * t1))
-    # the amplitudes are Python complex numbers, whose own conjugate skips
-    # numpy's dispatch and gives the same bits as np.conj
-    r23 = a * b.conjugate() * g.conjugate() * d * t1 * t2
+    r22 = ad2 * (t2 * t2)
+    r33 = bg2 * (t1 * t1)
+    r44 = bd2 * (t1 * t1 * (1.0 - t2 * t2) + t2 * t2 * (1.0 - t1 * t1))
+    r23 = cross * t1 * t2
     return r22, r33, r44, r23
 
 
-def _heralded(norm) -> None:
+def _heralded(norm, what: str = "heralding probability") -> None:
     """Reject a total heralding probability that vanishes at any point of ``norm``."""
     # a float is one point: ndarray calls on it would cost more than the rest of a scalar call
     if norm < 2.0 * WEIGHT_EPS if isinstance(norm, float) else (norm < 2.0 * WEIGHT_EPS).any():
-        raise ValueError("degenerate inputs: heralding probability is zero")
+        raise ValueError(f"degenerate inputs: {what} is zero")
 
 
 def closed_form_rho(
-    pair: InputPair, t1, t2, sign: int = +1
+    pair: Pairs, t1, t2, sign: int | np.ndarray = +1
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """Closed form of the post-selected state for an entangling X outcome.
 
@@ -240,11 +270,14 @@ def closed_form_rho(
     which is the total heralding probability summed over both signs (each
     sign occurs with probability norm / 2).
 
-    ``t1`` and ``t2`` broadcast: arrays of broadcast shape ``S`` give a
-    stack of shape ``S + (4, 4)`` and ``norm`` of shape ``S``, each member
-    equal bit for bit to the scalar call at its point. Scalars give one
-    4x4 matrix and a float. Any grid point with a vanishing heralding
-    probability rejects the whole call.
+    ``pair`` is one ``InputPair`` or a sequence of N of them, which acts
+    as an array of shape (N,). It, ``t1`` and ``t2`` broadcast: a broadcast
+    shape ``S`` gives a stack of shape ``S + (4, 4)`` and ``norm`` of shape
+    ``S``, each member equal bit for bit to the scalar call at its point.
+    ``sign`` is +1, -1 or an array of them that broadcasts to ``S``. One
+    pair with scalar ``t1``, ``t2`` and ``sign`` gives one 4x4 matrix and a
+    float. Any point with a vanishing heralding probability, or any sign
+    but +1 and -1, rejects the whole call.
     """
     _check_sign(sign)
     r22, r33, r44, r23 = _rho_entries(pair, t1, t2)
@@ -266,11 +299,12 @@ def closed_form_rho(
     return np.moveaxis(rho, (0, 1), (-2, -1)), norm
 
 
-def success_probability(pair: InputPair, t1, t2):
+def success_probability(pair: Pairs, t1, t2):
     """Total probability of an entangling heralding event, both signs summed.
 
     Equals the sum of the two per-sign projection weights of the
-    brute-force pipeline. Accepts scalar or array t1, t2.
+    brute-force pipeline. ``pair`` (one pair, or a sequence of them as an
+    axis), ``t1`` and ``t2`` broadcast as in ``closed_form_rho``.
     """
     r22, r33, r44, _ = _rho_entries(pair, t1, t2)
     total = r22 + r33 + r44
@@ -325,7 +359,8 @@ def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
 
 def random_input_pair(rng: np.random.Generator) -> InputPair:
     """Haar-ish random complex amplitudes, normalized per pair."""
-    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    n = rng.normal(size=8)
+    z = n[:4] + 1j * n[4:]
     # numpy scalars, read once each: their abs, ** and / round as numpy's do
     a, b, g, d = z[0], z[1], z[2], z[3]
     na = math.sqrt(abs(a) ** 2 + abs(b) ** 2)

@@ -37,11 +37,14 @@ Column contracts:
                         bell_fidelity, p_success [, p_normalized]
   oracle-check          draw, t1, t2, sign, max_dev_rho, dev_norm,
                         dev_concurrence
-                        (draw by draw through both routes; both
-                        deviation columns are taken ``CHUNK`` draws at a
-                        time: max_dev_rho from one stacked difference of
-                        heralded and closed-form states, dev_concurrence
-                        from one stacked Wootters call)
+                        (the brute-force route draw by draw; the closed
+                        forms and all three deviation columns ``CHUNK``
+                        draws at a time: one ``closed_form_rho`` and one
+                        ``concurrence_closed_form`` call over the stack
+                        of pairs, dev_norm from one difference with the
+                        summed weights, max_dev_rho from one stacked
+                        difference of heralded and closed-form states,
+                        dev_concurrence from one stacked Wootters call)
 
 Success probabilities are absolute heralding probabilities summed over
 both entangling outcomes; ``p_normalized`` divides by the same inputs on
@@ -110,7 +113,7 @@ ORACLE_CHECKS = {
                             1e-10),
 }
 
-# oracle-check draws per stacked concurrence_wootters call and max_dev_rho difference
+# oracle-check draws per stacked closed-form and concurrence_wootters call
 CHUNK = 128
 
 # oracle-check's two settings, by sign
@@ -323,13 +326,16 @@ def _run_imbalance(cfg: SweepConfig):
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
-    Each draw runs both routes; its two channels are built once and serve
-    both signs. The columns are numpy arrays allocated before the first
-    draw and filled draw by draw: ``draw`` and ``sign`` int64, the rest
-    float64. A draw's heralded state, closed-form state and closed-form
-    concurrence wait in ``CHUNK``-sized buffers, and each full (or last)
-    buffer fills its slice of ``max_dev_rho`` from one stacked difference
-    and of ``dev_concurrence`` from one stacked ``concurrence_wootters`` call.
+    Each draw runs the brute-force route for both signs; its two channels
+    are built once and serve both. The columns are numpy arrays allocated
+    before the first draw and filled draw by draw: ``draw`` and ``sign``
+    int64, the rest float64. A draw's pair, heralded state and summed
+    weights wait in ``CHUNK``-sized buffers. Each full (or last) buffer
+    makes one ``closed_form_rho`` and one ``concurrence_closed_form`` call
+    over its stack of pairs, and fills its slice of ``dev_norm`` from one
+    difference, of ``max_dev_rho`` from one stacked difference of heralded
+    and closed-form states, and of ``dev_concurrence`` from one stacked
+    ``concurrence_wootters`` call.
     ``ok`` is False as soon as any draw exceeds a tolerance of
     ``ORACLE_CHECKS``; ``rep`` is the first draw's point.
     """
@@ -338,8 +344,8 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     t1s, t2s, dev_rhos, dev_norms, dev_concs = (np.empty(draws) for _ in range(5))
     rng = np.random.default_rng(seed)
     states = np.empty((CHUNK, 4, 4), dtype=complex)
-    rhos_cf = np.empty((CHUNK, 4, 4), dtype=complex)
-    conc_cf = np.empty(CHUNK)
+    weights = np.empty(CHUNK)
+    pairs = []
     for i in range(draws):
         pair = random_input_pair(rng)
         t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
@@ -348,15 +354,18 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         brute = swap(pair, ch1, ch2, _X_SETTINGS[sign])
         other = swap(pair, ch1, ch2, _X_SETTINGS[-sign])
         k = i % CHUNK
-        rhos_cf[k], norm = closed_form_rho(pair, t1, t2, sign)
+        pairs.append(pair)
         states[k] = brute.rho_ab.entries
-        conc_cf[k] = concurrence_closed_form(pair, t1, t2)
+        weights[k] = brute.p_success + other.p_success
         draw[i], t1s[i], t2s[i], signs[i] = i, t1, t2, sign
-        dev_norms[i] = abs(brute.p_success + other.p_success - norm)
         if k == CHUNK - 1 or i == draws - 1:
-            n = k + 1
-            dev_rhos[i - k:i + 1] = np.max(np.abs(states[:n] - rhos_cf[:n]), axis=(1, 2))
-            dev_concs[i - k:i + 1] = np.abs(concurrence_wootters(states[:n]) - conc_cf[:n])
+            at, n = slice(i - k, i + 1), k + 1
+            rhos_cf, norms = closed_form_rho(pairs, t1s[at], t2s[at], signs[at])
+            dev_norms[at] = np.abs(weights[:n] - norms)
+            dev_rhos[at] = np.max(np.abs(states[:n] - rhos_cf), axis=(1, 2))
+            dev_concs[at] = np.abs(concurrence_wootters(states[:n])
+                                   - concurrence_closed_form(pairs, t1s[at], t2s[at]))
+            pairs = []
         if i == 0:
             rep = (pair, t1, t2)
     columns = {"draw": draw, "t1": t1s, "t2": t2s, "sign": signs,

@@ -20,6 +20,7 @@ from swapsim import (
     closed_form_rho,
     concurrence_closed_form,
     concurrence_wootters,
+    normalized_success,
     optimal_inputs,
     partial_trace,
     project,
@@ -55,6 +56,41 @@ class TestInputPair:
     def test_nan_amplitude_rejected(self, field):
         with pytest.raises(ValueError, match="normalized"):
             dataclasses.replace(MAX_ENTANGLED_PAIR, **{field: math.nan})
+
+    def test_kept_products_stay_out_of_equality_and_repr(self, rng):
+        pair = random_input_pair(rng)
+        again = InputPair(pair.alpha, pair.beta, pair.gamma, pair.delta)
+        assert again == pair and hash(again) == hash(pair)
+        assert repr(pair) == (f"InputPair(alpha={pair.alpha!r}, beta={pair.beta!r}, "
+                              f"gamma={pair.gamma!r}, delta={pair.delta!r})")
+        # a replaced amplitude forms its products again
+        swapped = dataclasses.replace(pair, alpha=pair.beta, beta=pair.alpha)
+        assert swapped._products[1] == abs(pair.alpha * pair.gamma) ** 2
+
+
+class TestRandomInputPair:
+    @staticmethod
+    def two_call_pair(rng):
+        """The pair as drawn from two ``normal(size=4)`` calls."""
+        z = rng.normal(size=4) + 1j * rng.normal(size=4)
+        a, b, g, d = z[0], z[1], z[2], z[3]
+        na = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        nb = math.sqrt(abs(g) ** 2 + abs(d) ** 2)
+        return InputPair(a / na, b / na, g / nb, d / nb)
+
+    def test_one_normal_call_draws_the_two_call_stream(self):
+        def draws(rng, make_pair):
+            for _ in range(200):
+                pair = make_pair(rng)
+                # the oracle's own draws after each pair
+                yield (pair.alpha, pair.beta, pair.gamma, pair.delta,
+                       *rng.uniform(0.05, 1.0, size=2).tolist(), int(rng.integers(0, 2)))
+
+        for seed in range(50):
+            got = list(draws(np.random.default_rng(seed), random_input_pair))
+            want = list(draws(np.random.default_rng(seed), self.two_call_pair))
+            # repr shows every bit, and the sign of zero, of each value
+            assert repr(got) == repr(want), seed
 
 
 class TestBsmSetting:
@@ -340,6 +376,71 @@ class TestBroadcastClosedForm:
         with pytest.raises(ValueError) as grid:
             closed_form_rho(MAX_ENTANGLED_PAIR, np.array([[0.5], [0.0]]), np.array([0.0, 0.5]))
         assert str(grid.value) == str(single.value)
+
+    @staticmethod
+    def pair_stack(rng):
+        """The maximally entangled pair, weak loss-matched pairs and 1000
+        random pairs, with (t1, t2, sign) per pair. The edge transmissions
+        0, 1e-12 and 1 each meet a partner drawn from [0.05, 1]."""
+        pairs = [MAX_ENTANGLED_PAIR, optimal_inputs(1.0, 0.1, 0.01),
+                 optimal_inputs(0.3, 0.9, 1e-3), optimal_inputs(0.05, 1.0, 0.01)]
+        pairs += [random_input_pair(rng) for _ in range(1000)]
+        t1, t2 = rng.uniform(0.05, 1.0, size=(2, len(pairs)))
+        edges = (0.0, 1e-12, 1.0)
+        t1[0::10] = np.resize(edges, t1[0::10].size)
+        t2[5::10] = np.resize(edges, t2[5::10].size)
+        t1[1] = t2[1] = 1.0
+        sign = np.where(rng.integers(0, 2, size=len(pairs)) == 0, 1, -1)
+        return pairs, t1, t2, sign
+
+    def test_pair_stack_equals_scalar_calls(self, rng):
+        pairs, t1, t2, sign = self.pair_stack(rng)
+        assert len(set(sign.tolist())) == 2
+        rho, norm = closed_form_rho(pairs, t1, t2, sign)
+        assert rho.shape == (len(pairs), 4, 4) and norm.shape == (len(pairs),)
+        p = success_probability(pairs, t1, t2)
+        c = concurrence_closed_form(pairs, t1, t2)
+        q = normalized_success(pairs, t1, t2)
+        # Python floats and ints per member, as the oracle draws them
+        for i, (pair, a, b, s) in enumerate(zip(pairs, t1.tolist(), t2.tolist(), sign.tolist())):
+            rho_i, norm_i = closed_form_rho(pair, a, b, s)
+            assert (rho[i] == rho_i).all(), i
+            assert norm[i] == norm_i, i
+            assert p[i] == success_probability(pair, a, b), i
+            assert c[i] == concurrence_closed_form(pair, a, b), i
+            assert q[i] == normalized_success(pair, a, b), i
+
+    def test_pair_axis_broadcasts_against_a_grid(self, rng):
+        pairs = [MAX_ENTANGLED_PAIR, *(random_input_pair(rng) for _ in range(2))]
+        rho, norm = closed_form_rho(pairs, self.T1[:, None], 0.5, -1)
+        c = concurrence_closed_form(pairs, self.T1[:, None], 0.5)
+        assert rho.shape == (6, 3, 4, 4) and norm.shape == c.shape == (6, 3)
+        for i, t1 in enumerate(self.T1.tolist()):
+            for j, pair in enumerate(pairs):
+                rho_ij, norm_ij = closed_form_rho(pair, t1, 0.5, -1)
+                assert (rho[i, j] == rho_ij).all() and norm[i, j] == norm_ij
+                assert c[i, j] == concurrence_closed_form(pair, t1, 0.5)
+
+    @pytest.mark.parametrize("call", [closed_form_rho, concurrence_closed_form,
+                                      normalized_success])
+    def test_one_degenerate_pair_rejects_the_stack(self, rng, call):
+        dead = InputPair(1.0, 0.0, 1.0, 0.0)  # no photon ever reaches the station
+        with pytest.raises(ValueError) as single:
+            call(dead, 0.5, 0.5)
+        pairs = [random_input_pair(rng), dead, MAX_ENTANGLED_PAIR]
+        with pytest.raises(ValueError) as stack:
+            call(pairs, np.full(3, 0.5), np.full(3, 0.5))
+        assert str(stack.value) == str(single.value)
+
+    @pytest.mark.parametrize("bad", [0, 2, -2, "+"])
+    def test_a_bad_sign_array_is_refused(self, bad):
+        with pytest.raises(ValueError) as single:
+            closed_form_rho(MAX_ENTANGLED_PAIR, 0.5, 0.5, bad)
+        # the first bad member names itself, as a lone sign does
+        with pytest.raises(ValueError) as stack:
+            closed_form_rho([MAX_ENTANGLED_PAIR] * 4, 0.5, 0.5,
+                            np.array([1, -1, bad, 0], dtype=object))
+        assert str(stack.value) == str(single.value)
 
 
 class TestSharedRules:

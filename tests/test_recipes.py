@@ -137,6 +137,25 @@ class TestOracleDraws:
         run_oracle_draws(2 * CHUNK + 5, seed=14)
         assert per_draw == [Counter(swap=2, dilate=4)] * (2 * CHUNK + 5)
 
+    def test_one_closed_form_call_of_each_per_chunk(self, monkeypatch):
+        stacks = Counter()  # (name, stack length) -> calls
+
+        def spy(name):
+            real = getattr(recipes, name)
+
+            def wrapper(pair, *args):
+                stacks[name, len(pair) if isinstance(pair, list) else None] += 1
+                return real(pair, *args)
+            monkeypatch.setattr(recipes, name, wrapper)
+
+        for name in ("closed_form_rho", "concurrence_closed_form", "swap"):
+            spy(name)
+        draws = 2 * CHUNK + 5
+        run_oracle_draws(draws, seed=15)
+        assert stacks == {("closed_form_rho", CHUNK): 2, ("closed_form_rho", 5): 1,
+                          ("concurrence_closed_form", CHUNK): 2,
+                          ("concurrence_closed_form", 5): 1, ("swap", None): 2 * draws}
+
     def test_one_stacked_wootters_call_per_chunk(self, monkeypatch):
         stacks = []
 
