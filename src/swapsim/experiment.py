@@ -185,7 +185,8 @@ def normalized_success(pair: Pairs, t1, t2):
     """Heralding probability relative to the same inputs on lossless channels.
 
     ``pair`` (one ``InputPair``, or a sequence of them as an axis), ``t1``
-    and ``t2`` broadcast as in ``success_probability``.
+    and ``t2`` broadcast as in ``success_probability``; a lone point gives
+    a float.
     """
     baseline = success_probability(pair, 1.0, 1.0)
     _heralded(baseline, "lossless baseline probability")

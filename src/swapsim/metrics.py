@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Pairs, _check_sign, _entangling, _heralded, _products, success_probability
+from .protocol import (
+    Pairs, _check_sign, _entangling, _heralded, _point, _products, success_probability,
+)
 from .states import ATOL, PSD_MIN_EIG, DensityMatrix
 
 __all__ = [
@@ -80,17 +82,16 @@ def concurrence_wootters(rho) -> float | np.ndarray:
     but avoids taking square roots of roundoff-sized eigenvalues.
 
     ``rho`` is one state (a DensityMatrix or a 4x4 array), which gives a
-    float, or a stack of shape (N, 4, 4), which gives an array of N
-    concurrences. There is one body: a single state runs as a stack of one,
-    through one stacked ``eigh`` and one stacked ``svd``, which treat each
-    member exactly as a lone call would. Every member must pass the
-    finiteness, trace, Hermiticity and positivity checks; the first that
-    fails raises the error a single call on it would raise.
+    float, or a stack of shape (..., 4, 4), which gives an array of shape
+    (...). There is one body: the states run as a stack (N, 4, 4), through
+    one stacked ``eigh`` and one stacked ``svd``, which treat each member
+    exactly as a lone call would. Every member must pass the finiteness,
+    trace, Hermiticity and positivity checks; the first that fails, in C
+    order, raises the error a single call on it would raise.
     """
-    stack = not isinstance(rho, DensityMatrix) and np.ndim(rho) == 3
-    m = _two_qubit_matrix(rho, stack=stack)
-    if not stack:
-        m = m[None]
+    m = _two_qubit_matrix(rho, stack=True)
+    shape = m.shape[:-2]
+    m = m.reshape(-1, 4, 4)
     h = m.conj().transpose(0, 2, 1)
     if np.any(np.max(np.abs(m - h), axis=(1, 2)) > 1e-10):
         raise ValueError("input matrix is not Hermitian")
@@ -104,7 +105,7 @@ def concurrence_wootters(rho) -> float | np.ndarray:
     a = vec * np.sqrt(np.clip(ev, 0.0, None))[:, None, :]
     lam = np.linalg.svd(a.transpose(0, 2, 1) @ _YY @ a, compute_uv=False)
     c = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
-    return c if stack else float(c[0])
+    return _point(c.reshape(shape))
 
 
 def concurrence_closed_form(pair: Pairs, t1, t2):
@@ -113,13 +114,11 @@ def concurrence_closed_form(pair: Pairs, t1, t2):
     C = 2 |alpha beta gamma delta| t1 t2 / norm. ``pair`` (one
     ``InputPair``, or a sequence of them as an axis), ``t1`` and ``t2``
     broadcast as in ``closed_form_rho``, each member equal bit for bit to
-    the scalar call at its point.
+    the call at its point alone; a lone point gives a float.
     """
     norm = success_probability(pair, t1, t2)
     _heralded(norm)
-    num = _products(pair)[4] * t1 * t2
-    c = num / norm
-    return float(c) if np.isscalar(c) else c
+    return _point(_products(pair)[4] * t1 * t2 / norm)
 
 
 def bell_fidelity(rho, sign: int = +1, phase: float = 0.0) -> float:

@@ -251,9 +251,14 @@ def _rho_entries(pair: Pairs, t1, t2):
 
 def _heralded(norm, what: str = "heralding probability") -> None:
     """Reject a total heralding probability that vanishes at any point of ``norm``."""
-    # a float is one point: ndarray calls on it would cost more than the rest of a scalar call
-    if norm < 2.0 * WEIGHT_EPS if isinstance(norm, float) else (norm < 2.0 * WEIGHT_EPS).any():
+    if np.any(norm < 2.0 * WEIGHT_EPS):
         raise ValueError(f"degenerate inputs: {what} is zero")
+
+
+def _point(x):
+    """The one return-type rule of the closed forms: a 0-d result is a
+    Python float, and any other shape stays the array it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def closed_form_rho(
@@ -271,32 +276,27 @@ def closed_form_rho(
     sign occurs with probability norm / 2).
 
     ``pair`` is one ``InputPair`` or a sequence of N of them, which acts
-    as an array of shape (N,). It, ``t1`` and ``t2`` broadcast: a broadcast
-    shape ``S`` gives a stack of shape ``S + (4, 4)`` and ``norm`` of shape
-    ``S``, each member equal bit for bit to the scalar call at its point.
-    ``sign`` is +1, -1 or an array of them that broadcasts to ``S``. One
-    pair with scalar ``t1``, ``t2`` and ``sign`` gives one 4x4 matrix and a
-    float. Any point with a vanishing heralding probability, or any sign
-    but +1 and -1, rejects the whole call.
+    as an array of shape (N,). It, ``t1`` and ``t2`` broadcast to a shape
+    ``S``, and ``sign`` (+1, -1 or an array of them) broadcasts to ``S``.
+    There is one body: the result is a C-contiguous stack of shape
+    ``S + (4, 4)`` and ``norm`` of shape ``S``, each member equal bit for
+    bit to the call at its point alone. A lone point is the case ``S = ()``:
+    one 4x4 matrix, and ``norm`` as a float. Any point with a vanishing
+    heralding probability, or any sign but +1 and -1, rejects the whole
+    call.
     """
     _check_sign(sign)
     r22, r33, r44, r23 = _rho_entries(pair, t1, t2)
     norm = r22 + r33 + r44
     _heralded(norm)
-    # a float norm is one point, returned as the float it is: ndarray calls
-    # on it would cost more than the rest of a scalar call
-    point = isinstance(norm, float)
-    # entry axes first, so that plain indexing fills them and norm broadcasts
-    rho = np.zeros((4, 4) if point else (4, 4) + norm.shape, dtype=complex)
-    rho[1, 1] = r22
-    rho[2, 2] = r33
-    rho[3, 3] = r44
-    rho[1, 2] = sign * r23
-    rho[2, 1] = sign * r23.conjugate()
-    rho /= norm
-    if point:
-        return rho, float(norm)
-    return np.moveaxis(rho, (0, 1), (-2, -1)), norm
+    rho = np.zeros(np.shape(norm) + (4, 4), dtype=complex)
+    rho[..., 1, 1] = r22
+    rho[..., 2, 2] = r33
+    rho[..., 3, 3] = r44
+    rho[..., 1, 2] = sign * r23
+    rho[..., 2, 1] = sign * r23.conjugate()
+    rho /= np.asarray(norm)[..., None, None]
+    return rho, _point(norm)
 
 
 def success_probability(pair: Pairs, t1, t2):
@@ -304,11 +304,11 @@ def success_probability(pair: Pairs, t1, t2):
 
     Equals the sum of the two per-sign projection weights of the
     brute-force pipeline. ``pair`` (one pair, or a sequence of them as an
-    axis), ``t1`` and ``t2`` broadcast as in ``closed_form_rho``.
+    axis), ``t1`` and ``t2`` broadcast as in ``closed_form_rho``; a lone
+    point gives a float.
     """
     r22, r33, r44, _ = _rho_entries(pair, t1, t2)
-    total = r22 + r33 + r44
-    return float(total) if isinstance(total, float) else total
+    return _point(r22 + r33 + r44)
 
 
 MAX_EPSILON = 0.5  # the largest photon-pair scale ``optimal_inputs`` takes

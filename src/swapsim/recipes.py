@@ -20,9 +20,10 @@ compute rate (``points_per_s``: CSV rows over compute seconds).
 The closed-form recipes evaluate whole grids in array calls: the
 surface and the slices each make one call per closed form on the
 broadcast grid ``(t1[:, None], t2)``, and ``imbalance-restore``, whose
-input amplitudes change from point to point, builds its states one by
-one and takes their visibilities and concurrences in one stacked call
-each. Array and scalar calls agree bit for bit.
+input amplitudes change from point to point, builds its stack of input
+pairs first and makes one call per closed form over it (its Bell
+fidelities alone are taken state by state). Every member of a stacked
+call equals the call at its point alone, bit for bit.
 
 Column contracts:
 
@@ -299,28 +300,23 @@ def _run_imbalance(cfg: SweepConfig):
     epsilon = _grid(cfg, "epsilon")[0]
     equal = spdc_input(SpdcSource(xi), SpdcSource(xi))
     strategies = ("equal", "optimal")
-    rhos, fidelities, p_success, p_normalized = [], [], [], []
-    for t2 in g2:
-        for strategy in strategies:
-            pair = equal if strategy == "equal" else optimal_inputs(t1, t2, epsilon)
-            rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
-            rhos.append(rho)
-            fidelities.append(bell_fidelity(rho, sign=+1, phase=0.0))
-            p_success.append(norm)
-            if cfg.normalize:
-                p_normalized.append(normalized_success(pair, t1, t2))
-    rhos = np.array(rhos)
+    # rows run t2 by t2, the equal inputs before the loss-matched ones
+    pairs = [pair for t2 in g2 for pair in (equal, optimal_inputs(t1, t2, epsilon))]
+    t2s = np.repeat(g2, len(strategies))
+    rhos, norms = closed_form_rho(pairs, t1, t2s, sign=+1)
     columns = {**_product(t1=(t1,), t2=g2, strategy=strategies),
                "visibility": visibility_analytic(rhos), "concurrence": concurrence_wootters(rhos),
-               "bell_fidelity": np.array(fidelities), "p_success": np.array(p_success)}
+               # row by row: a stacked product rounds differently at times
+               "bell_fidelity": np.array([bell_fidelity(rho, sign=+1, phase=0.0) for rho in rhos]),
+               "p_success": norms}
     if cfg.normalize:
-        columns["p_normalized"] = np.array(p_normalized)
+        columns["p_normalized"] = normalized_success(pairs, t1, t2s)
     summary = {
         "t1": t1,
         "equal_visibility_shape": "2*t1*t2/(t1^2+t2^2)",
         "optimal_success_shape": "2*t1^2*t2^2/(t1^2+t2^2)",
     }
-    return RecipeResult(columns, summary, (optimal_inputs(t1, g2[0], epsilon), t1, g2[0]))
+    return RecipeResult(columns, summary, (pairs[1], t1, g2[0]))
 
 
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:

@@ -138,3 +138,19 @@ def test_draws_past_numpy_exits_2_naming_the_key_or_flag(draws):
             assert err.getvalue() == (f"configuration error:\n{name}: {draws} draws do not "
                                       f"fit in a numpy array (at most {MAX_DRAWS})\n")
         assert sorted(p.name for p in Path(work).iterdir()) == ["big.cfg"]
+
+
+def test_imbalance_inputs_are_checked_before_any_closed_form():
+    """``imbalance-restore`` builds every input pair before its closed forms
+    run, so of two faults the underflowing loss-matched pair at t2 = 1e-200
+    is reported, not the vanishing heralding probability of the weak
+    equal inputs at the first t2."""
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "imbalance.cfg"
+        cfg.write_text("experiment = imbalance-restore\nt1 = 1.0\nt2 = 0.5, 1e-200\n"
+                       "xi = 1e-10\nepsilon = 0.5\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", str(cfg), "--out", str(Path(work) / "out")])
+    assert code == 2
+    assert err.getvalue() == "error: degenerate inputs: photon-pair scale underflows to zero\n"

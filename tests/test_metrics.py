@@ -111,6 +111,12 @@ class TestStackedWootters:
         assert concurrence_wootters(rho).tolist() == [concurrence_wootters(rho[0])]
         assert concurrence_wootters(np.empty((0, 4, 4))).shape == (0,)
 
+    def test_grid_stack_keeps_its_shape(self):
+        stack = self.heralded_states(6, seed=35)
+        got = concurrence_wootters(stack.reshape(2, 3, 4, 4))
+        assert got.shape == (2, 3)
+        assert got.ravel().tolist() == concurrence_wootters(stack).tolist()
+
     @pytest.mark.parametrize("bad", [
         np.eye(4, dtype=complex),                                       # trace 4
         np.eye(4, dtype=complex) / 4.0 + 0.3 * np.eye(4, k=1),          # not Hermitian

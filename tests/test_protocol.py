@@ -365,10 +365,49 @@ class TestBroadcastClosedForm:
                     assert (rho[i, j] == rho_ij).all()
                     assert norm[i, j] == norm_ij
 
+    # each closed form, and concurrence_wootters of the closed-form state;
+    # closed_form_rho gives its matrix and its norm
+    PAIR = InputPair(0.6, 0.8j, 0.8, -0.6)
+    AT_ONE_POINT = {
+        "closed_form_rho": closed_form_rho,
+        "success_probability": success_probability,
+        "concurrence_closed_form": concurrence_closed_form,
+        "normalized_success": normalized_success,
+        "concurrence_wootters": lambda *point: concurrence_wootters(closed_form_rho(*point)[0]),
+    }
+
     def test_scalar_call_gives_a_matrix_and_a_float(self):
-        rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, 0.4, 0.6)
-        assert rho.shape == (4, 4)
-        assert type(norm) is float
+        for name, at in self.AT_ONE_POINT.items():
+            # a Python float, a numpy float64 and a 0-d array are each one point
+            for lone in (0.6, np.float64(0.6), np.array(0.6)):
+                got = at(self.PAIR, 0.4, lone)
+                if name == "closed_form_rho":
+                    rho, got = got
+                    assert type(rho) is np.ndarray and rho.shape == (4, 4)
+                assert type(got) is float, (name, type(lone))
+
+    # bits, not ==, so that a signed zero would show
+    @pytest.mark.parametrize("name", AT_ONE_POINT)
+    def test_stack_of_one_stays_an_array_with_the_scalar_bits(self, name):
+        at = self.AT_ONE_POINT[name]
+        lone, stack = at(self.PAIR, 0.4, 0.6), at(self.PAIR, 0.4, np.array([0.6]))
+        if name == "closed_form_rho":
+            (rho, lone), (rhos, stack) = lone, stack
+            assert rhos.shape == (1, 4, 4)
+            assert (rhos[0].view(np.uint64) == rho.view(np.uint64)).all()
+        assert type(stack) is np.ndarray and stack.shape == (1,)
+        assert stack.view(np.uint64)[0] == np.float64(lone).view(np.uint64)
+
+    def test_stack_is_c_contiguous_with_the_scalar_bell_fidelity_per_row(self, rng):
+        pairs, t1, t2, sign = self.pair_stack(rng)
+        rho, _ = closed_form_rho(pairs, t1, t2, sign)
+        grid, _ = closed_form_rho(pairs[:3], self.T1[:, None], 0.5, -1)
+        assert rho.shape == (len(pairs), 4, 4) and grid.shape == (6, 3, 4, 4)
+        assert rho.flags.c_contiguous and grid.flags.c_contiguous
+        for i, (pair, a, b, s) in enumerate(zip(pairs, t1.tolist(), t2.tolist(), sign.tolist())):
+            want = bell_fidelity(closed_form_rho(pair, a, b, s)[0], s)
+            assert np.float64(bell_fidelity(rho[i], s)).view(np.uint64) == \
+                np.float64(want).view(np.uint64), i
 
     def test_one_degenerate_point_rejects_the_grid(self):
         with pytest.raises(ValueError) as single:

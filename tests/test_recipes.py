@@ -314,6 +314,23 @@ class TestRecipeOutputs:
         run(cfg, out_dir=tmp_path)
         assert calls == [(20, 4, 4)]
 
+    def test_imbalance_makes_one_call_of_each_closed_form(self, tmp_path, monkeypatch):
+        calls = Counter()  # (name, stack length, shape of t2) -> calls
+
+        def spy(name):
+            real = getattr(recipes, name)
+
+            def wrapper(pair, t1, t2, *args, **kwargs):
+                calls[name, len(pair), np.shape(t2)] += 1
+                return real(pair, t1, t2, *args, **kwargs)
+            monkeypatch.setattr(recipes, name, wrapper)
+
+        for name in ("closed_form_rho", "normalized_success"):
+            spy(name)
+        cfg = validate_config("experiment = imbalance-restore\nt2 = linspace(0.1, 1, 10)\n")
+        run(cfg, out_dir=tmp_path)
+        assert calls == {("closed_form_rho", 20, (20,)): 1, ("normalized_success", 20, (20,)): 1}
+
     def test_meta_sidecar_reports_points_per_second(self, tmp_path):
         cfg = validate_config("experiment = concurrence-slices\nt1 = 0.5\nt2 = 0.5\n")
         meta = json.loads(run(cfg, out_dir=tmp_path).meta_path.read_text())
