@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import TWO_PI, FringeScan, VisibilityReport, fringe_scan
-from .protocol import BsmSetting, InputPair, Pairs, _heralded, success_probability, swap
+from .protocol import InputPair, Pairs, _heralded, success_probability, swap
 from .states import ATOL
 
 __all__ = [
@@ -122,16 +122,18 @@ def synth_counts(
     pair: InputPair,
     t1: float,
     t2: float,
-    setting: BsmSetting,
+    setting: str,
     thetas,
     model: CountModel,
 ) -> SynthCounts:
     """Poisson coincidence counts for a phase scan of the heralded state.
 
-    Expected counts are ``mean_total_counts * p_pm(theta)`` from the
-    fringe scan of the swap output; realized counts are Poisson draws
-    from a generator seeded with ``model.seed``, so identical inputs give
-    bit-identical counts. The scan is returned with the counts.
+    ``setting`` names the middle-station setting, ``"X+"`` ... ``"Z-"``,
+    as ``swap`` takes it. Expected counts are ``mean_total_counts *
+    p_pm(theta)`` from the fringe scan of the swap output; realized
+    counts are Poisson draws from a generator seeded with ``model.seed``,
+    so identical inputs give bit-identical counts. The scan is returned
+    with the counts.
     """
     outcome = swap(pair, t1, t2, setting)
     scan = fringe_scan(outcome.rho_ab, thetas)

@@ -167,10 +167,10 @@ class FringeScan:
 
 @dataclass(frozen=True)
 class VisibilityReport:
-    """Fringe contrast and, for a fit, its uncertainty."""
+    """A fitted fringe contrast and its 1-sigma uncertainty."""
 
     v: float
-    sigma: float | None = None
+    sigma: float
 
 
 def fringe_scan(rho, thetas) -> FringeScan:
@@ -187,14 +187,14 @@ def fringe_scan(rho, thetas) -> FringeScan:
     return FringeScan(thetas, base + osc, base - osc)
 
 
-def visibility_analytic(rho) -> VisibilityReport | np.ndarray:
+def visibility_analytic(rho) -> float | np.ndarray:
     """Visibility straight from the state: V = 2|rho23| / (rho22 + rho33).
 
-    One state (a DensityMatrix or a 4x4 array) gives a ``VisibilityReport``;
-    a stack (..., 4, 4) gives an array of its visibilities, bit-identical to
-    per-state calls. Each check runs over the whole stack, in the order a
-    single call makes them, and the first member that fails one raises the
-    error a single call on it would raise.
+    One state (a DensityMatrix or a 4x4 array) gives a float, by the
+    closed forms' return rule; a stack (..., 4, 4) gives an array of its
+    visibilities, bit-identical to per-state calls. Each check runs over
+    the whole stack, in the order a single call makes them, and the first
+    member that fails one raises the error a single call on it would raise.
     """
     m = _two_qubit_matrix(rho, stack=True)
     denom = m[..., 1, 1].real + m[..., 2, 2].real
@@ -204,4 +204,4 @@ def visibility_analytic(rho) -> VisibilityReport | np.ndarray:
     # differently at times
     r23 = m[..., 1, 2]
     v = 2.0 * np.hypot(r23.real, r23.imag) / denom
-    return VisibilityReport(float(v)) if m.ndim == 2 else v
+    return _point(v)

@@ -6,10 +6,10 @@ Alice and Bob each prepare a two-mode entangled pair
     |psi>_B = gamma|00> + delta|11>  on (C2, B),
 
 send the flying modes C1, C2 through lossy channels to a middle station,
-and keep A, B. The station projects (C1, C2) onto one of six kets, named
-in ``SETTINGS``: the entangling X+, X-, Y+, Y- and the separable Z+, Z-.
-A successful entangling outcome leaves Alice and Bob sharing a two-qubit
-state.
+and keep A, B. The station projects (C1, C2) onto one of six kets, which
+``bsm`` and ``swap`` take by name from ``SETTINGS``: the entangling X+,
+X-, Y+, Y- and the separable Z+, Z-. A successful entangling outcome
+leaves Alice and Bob sharing a two-qubit state.
 
 The module computes that state two independent ways: the brute-force
 pipeline and a closed form. The brute force dilates each loss onto an
@@ -42,7 +42,7 @@ __all__ = [
     "E2",
     "InputPair",
     "MAX_ENTANGLED_PAIR",
-    "BsmSetting",
+    "SETTINGS",
     "SwapOutcome",
     "build_inputs",
     "propagate",
@@ -118,48 +118,19 @@ def _entangling(sign: int, phase: float) -> tuple:
     return (0.0, 1.0 / math.sqrt(2.0), sign * np.exp(1j * phase) / math.sqrt(2.0), 0.0)
 
 
-# setting -> projector amplitudes on (C1, C2), basis |00>, |01>, |10>, |11>:
-# X+- and Y+- are (|01> +- e^{i phase} |10>) / sqrt(2) with phase 0 and
-# pi/2; the separable Z+ and Z- are |01> and |10>
+# setting name -> projector ket on (C1, C2), basis |00>, |01>, |10>, |11>,
+# built once: X+- and Y+- are (|01> +- e^{i phase} |10>) / sqrt(2) with
+# phase 0 and pi/2; the separable Z+ and Z- are |01> and |10>
 SETTINGS = MappingProxyType({
-    "X+": _entangling(+1, 0.0),
-    "X-": _entangling(-1, 0.0),
-    "Y+": _entangling(+1, math.pi / 2.0),
-    "Y-": _entangling(-1, math.pi / 2.0),
-    "Z+": (0.0, 1.0, 0.0, 0.0),
-    "Z-": (0.0, 0.0, 1.0, 0.0),
+    name: PureState((C1, C2), np.array(amps, dtype=complex)) for name, amps in (
+        ("X+", _entangling(+1, 0.0)),
+        ("X-", _entangling(-1, 0.0)),
+        ("Y+", _entangling(+1, math.pi / 2.0)),
+        ("Y-", _entangling(-1, math.pi / 2.0)),
+        ("Z+", (0.0, 1.0, 0.0, 0.0)),
+        ("Z-", (0.0, 0.0, 1.0, 0.0)),
+    )
 })
-
-# the same kets as immutable states, built once
-_PROJECTOR_KETS = {
-    name: PureState((C1, C2), np.array(amps, dtype=complex)) for name, amps in SETTINGS.items()
-}
-
-
-@dataclass(frozen=True)
-class BsmSetting:
-    """Middle-station measurement setting, one of the names in ``SETTINGS``.
-
-    Build it by name (``BsmSetting("Y-")``), or an X setting with
-    ``x(sign)``.
-    """
-
-    name: str
-
-    def __post_init__(self):
-        if not isinstance(self.name, str) or self.name not in SETTINGS:
-            raise ValueError(
-                f"unknown measurement setting {self.name!r} "
-                f"(choose from {', '.join(SETTINGS)})"
-            )
-
-    @classmethod
-    def x(cls, sign: int = +1) -> "BsmSetting":
-        _check_sign(sign)
-        return cls("X+" if sign > 0 else "X-")
-
-    def projector_ket(self) -> PureState:
-        return _PROJECTOR_KETS[self.name]
 
 
 def _check_sign(sign) -> None:
@@ -203,27 +174,32 @@ def propagate(psi: PureState, ch1, ch2) -> PureState:
     return dilate(dilate(psi, C1, E1, ch1), C2, E2, ch2)
 
 
-def bsm(psi: PureState, setting: BsmSetting) -> SwapOutcome:
+def bsm(psi: PureState, setting: str) -> SwapOutcome:
     """Project the flying modes onto the setting's ket and herald the outcome.
 
+    ``setting`` is a name in ``SETTINGS``, checked before anything else.
     ``psi`` is the normalized ket from ``propagate``. The projection
     leaves a ket on (A, B, E1, E2); tracing the environments out gives
     the normalized state on (A, B) and the absolute probability of this
     particular outcome.
     """
+    if not isinstance(setting, str) or setting not in SETTINGS:
+        raise ValueError(
+            f"unknown measurement setting {setting!r} (choose from {', '.join(SETTINGS)})"
+        )
     if C1 not in psi.labels or C2 not in psi.labels:
         raise ValueError(f"state on {psi.labels!r} is missing the flying modes")
     psi._require_normalized()
-    out = partial_trace(project(psi, _PROJECTOR_KETS[setting.name]), (E1, E2))
+    out = partial_trace(project(psi, SETTINGS[setting]), (E1, E2))
     if out.weight < WEIGHT_EPS:
         raise ValueError(
             f"impossible outcome: heralding probability {out.weight:.3e} for "
-            f"setting {setting.name}"
+            f"setting {setting}"
         )
     return SwapOutcome(out.normalized(), out.weight)
 
 
-def swap(pair: InputPair, ch1, ch2, setting: BsmSetting) -> SwapOutcome:
+def swap(pair: InputPair, ch1, ch2, setting: str) -> SwapOutcome:
     """Full brute-force pipeline: build inputs, propagate, measure."""
     return bsm(propagate(build_inputs(pair), ch1, ch2), setting)
 

@@ -38,9 +38,10 @@ Column contracts:
                         bell_fidelity, p_success [, p_normalized]
   oracle-check          draw, t1, t2, sign, max_dev_rho, dev_norm,
                         dev_concurrence
-                        (the brute-force route draw by draw; the closed
-                        forms and all three deviation columns ``CHUNK``
-                        draws at a time: one ``closed_form_rho`` and one
+                        (the brute-force route draw by draw, at the
+                        settings "X+" and "X-"; the closed forms and all
+                        three deviation columns ``CHUNK`` draws at a
+                        time: one ``closed_form_rho`` and one
                         ``concurrence_closed_form`` call over the stack
                         of pairs, dev_norm from one difference with the
                         summed weights, max_dev_rho from one stacked
@@ -90,7 +91,6 @@ from .metrics import (
 from .protocol import (
     MAX_ENTANGLED_PAIR,
     SETTINGS,
-    BsmSetting,
     _heralded,
     closed_form_rho,
     optimal_inputs,
@@ -116,9 +116,6 @@ ORACLE_CHECKS = {
 
 # oracle-check draws per stacked closed-form and concurrence_wootters call
 CHUNK = 128
-
-# oracle-check's two settings, by sign
-_X_SETTINGS = {+1: BsmSetting.x(+1), -1: BsmSetting.x(-1)}
 
 # CSV rows joined into one string per write
 CSV_CHUNK = 4096
@@ -251,7 +248,7 @@ def _run_fringes(cfg: SweepConfig):
     probs, hits, fits = [], [], {}
     for name, tag, child in zip(SETTINGS, tags, children):
         model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
-        counts = synth_counts(pair, t1, t2, BsmSetting(name), thetas, model)
+        counts = synth_counts(pair, t1, t2, name, thetas, model)
         scan = counts.scan
         probs.append(np.stack((scan.p_plus, scan.p_minus), axis=1).ravel())
         hits.append(np.stack((counts.counts_plus, counts.counts_minus), 1).ravel())
@@ -322,10 +319,10 @@ def _run_imbalance(cfg: SweepConfig):
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
-    Each draw runs the brute-force route for both signs; its two channels
-    are built once and serve both. The columns are numpy arrays allocated
-    before the first draw and filled draw by draw: ``draw`` and ``sign``
-    int64, the rest float64. A draw's pair, heralded state and summed
+    Each draw runs the brute-force route for both X settings, "X+" and
+    "X-"; its two channels are built once and serve both. The columns are
+    numpy arrays allocated before the first draw and filled draw by draw:
+    ``draw`` and ``sign`` int64, the rest float64. A draw's pair, heralded state and summed
     weights wait in ``CHUNK``-sized buffers. Each full (or last) buffer
     makes one ``closed_form_rho`` and one ``concurrence_closed_form`` call
     over its stack of pairs, and fills its slice of ``dev_norm`` from one
@@ -347,8 +344,8 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
         t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
         sign = +1 if rng.integers(0, 2) == 0 else -1
         ch1, ch2 = LossChannel(t1), LossChannel(t2)
-        brute = swap(pair, ch1, ch2, _X_SETTINGS[sign])
-        other = swap(pair, ch1, ch2, _X_SETTINGS[-sign])
+        brute = swap(pair, ch1, ch2, "X+" if sign > 0 else "X-")
+        other = swap(pair, ch1, ch2, "X-" if sign > 0 else "X+")
         k = i % CHUNK
         pairs.append(pair)
         states[k] = brute.rho_ab.entries
@@ -577,7 +574,7 @@ def run(cfg: SweepConfig, out_dir=None, dump_state=None) -> RunReport:
                 formatting += _write_csv(fh, columns)
 
         if dump_state is not None:
-            state = swap(*result.rep, _X_SETTINGS[+1]).rho_ab
+            state = swap(*result.rep, "X+").rho_ab
             with stage(dump_state) as fh:
                 fh.write(json.dumps(state.to_json_dict(), indent=1) + "\n")
 

@@ -212,13 +212,6 @@ class DensityMatrix:
             "entries": [[[z.real, z.imag] for z in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DensityMatrix":
-        entries = np.array(
-            [[complex(re, im) for re, im in row] for row in data["entries"]]
-        )
-        return cls(tuple(data["labels"]), entries, weight=data.get("weight"))
-
 
 def tensor(a: PureState, b: PureState) -> PureState:
     """Tensor product of two kets; labels concatenate and must not overlap."""
@@ -252,23 +245,21 @@ def partial_trace(
     return DensityMatrix._of(keep, rho, float(rho.trace().real))
 
 
-def project(psi: PureState, projector_ket: PureState) -> PureState:
-    """Contract a sub-register of ``psi`` with a normalized bra <k|.
+def project(psi: PureState, ket: PureState) -> PureState:
+    """Contract a sub-register of ``psi`` with the bra <k| of a normalized ``ket``.
 
     Returns the unnormalized ket on the remaining modes, in their order.
     Its ``norm2`` is the post-selection probability, never larger than
     ``psi.norm2``.
     """
-    if not projector_ket.is_normalized():
-        raise ValueError(
-            f"projector ket must be normalized (norm^2 = {projector_ket.norm2})"
-        )
-    plan = _split(psi.labels, projector_ket.labels)
+    if not ket.is_normalized():
+        raise ValueError(f"projector ket must be normalized (norm^2 = {ket.norm2})")
+    plan = _split(psi.labels, ket.labels)
     if plan is None:
-        missing = set(projector_ket.labels) - set(psi.labels)
+        missing = set(ket.labels) - set(psi.labels)
         raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
     keep, index = plan
-    return PureState._of(keep, np.dot(projector_ket._bra, psi.amps[index]))
+    return PureState._of(keep, np.dot(ket._bra, psi.amps[index]))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ The reference routes that no library code calls live here too, each the
 second route of something the library computes: the Kraus loss route
 (``kraus_ops``, ``apply_loss``) that ``loss.dilate`` is held to, the
 weak-pair limit of the heralded state (``asymptotic_state``), the
-analytic concurrence optimum (``optimal_t2``) and the text form of a
-config (``to_text``), the inverse of ``validate_config``.
+analytic concurrence optimum (``optimal_t2``), the text form of a
+config (``to_text``), the inverse of ``validate_config``, and the reader
+of a ``--dump-state`` file (``from_json_dict``), the inverse of
+``DensityMatrix.to_json_dict``.
 """
 
 import math
@@ -23,6 +25,17 @@ from swapsim.config import GRID_KEYS
 from swapsim.protocol import A, B, _check_sign
 from swapsim.recipes import AxisColumn
 from swapsim.states import Label, LabelError
+
+
+# the entangling X setting's name for each sign
+X_BY_SIGN = {+1: "X+", -1: "X-"}
+
+
+def from_json_dict(data: dict) -> DensityMatrix:
+    entries = np.array(
+        [[complex(re, im) for re, im in row] for row in data["entries"]]
+    )
+    return DensityMatrix(tuple(data["labels"]), entries, weight=data.get("weight"))
 
 
 def random_pure(rng: np.random.Generator, labels) -> PureState:

@@ -11,7 +11,6 @@ import pytest
 
 from swapsim import (
     MAX_ENTANGLED_PAIR,
-    BsmSetting,
     CountModel,
     SpdcSource,
     bell_fidelity,
@@ -28,7 +27,7 @@ from swapsim import (
     visibility_analytic,
 )
 
-from oracles import optimal_t2
+from oracles import X_BY_SIGN, optimal_t2
 
 GRID16 = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
 
@@ -55,8 +54,8 @@ def oracle_draws():
         pair = random_input_pair(rng)
         t1, t2 = rng.uniform(0.05, 1.0, size=2)
         sign = +1 if rng.integers(0, 2) == 0 else -1
-        brute = swap(pair, t1, t2, BsmSetting.x(sign))
-        other = swap(pair, t1, t2, BsmSetting.x(-sign))
+        brute = swap(pair, t1, t2, X_BY_SIGN[sign])
+        other = swap(pair, t1, t2, X_BY_SIGN[-sign])
         rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
         dev_rho = max(dev_rho, float(np.max(np.abs(brute.rho_ab.entries - rho_cf))))
         dev_norm = max(dev_norm, abs(brute.p_success + other.p_success - norm))
@@ -156,12 +155,12 @@ def test_criterion_6_imbalance_restoration():
     t1, t2 = 1.0, 0.2
     equal_pair = spdc_input(SpdcSource(0.05), SpdcSource(0.05))
     rho_eq, _ = closed_form_rho(equal_pair, t1, t2)
-    v_equal = visibility_analytic(rho_eq).v
+    v_equal = visibility_analytic(rho_eq)
     ok = abs(v_equal - 0.3846) <= 1e-3
 
     pair = optimal_inputs(t1, t2, 0.01)
     rho_opt, _ = closed_form_rho(pair, t1, t2)
-    v_opt = visibility_analytic(rho_opt).v
+    v_opt = visibility_analytic(rho_opt)
     f_opt = bell_fidelity(rho_opt, +1, 0.0)
     ok = ok and v_opt >= 0.999 and f_opt >= 0.999
 
@@ -182,11 +181,11 @@ def test_criterion_7_separable_setting_null():
     pair = spdc_input(SpdcSource(0.1), SpdcSource(0.1))
     coherences = []
     for name in ("Z+", "Z-"):
-        out = swap(pair, 0.9, 0.7, BsmSetting(name))
+        out = swap(pair, 0.9, 0.7, name)
         coherences.append(abs(out.rho_ab.entries[1, 2]))
     ok = max(coherences) < 1e-14
 
-    counts = synth_counts(pair, 1.0, 1.0, BsmSetting("Z+"), GRID16,
+    counts = synth_counts(pair, 1.0, 1.0, "Z+", GRID16,
                           CountModel(1e5, seed=20260809))
     fit = estimate_visibility(GRID16, counts.counts_plus)
     ok = ok and abs(fit.v) <= 3.0 * fit.sigma
@@ -201,10 +200,10 @@ def test_criterion_7_separable_setting_null():
 
 def test_criterion_8_estimator_calibration():
     rho, _ = closed_form_rho(MAX_ENTANGLED_PAIR, 1.0, 0.5)
-    v_true = visibility_analytic(rho).v
+    v_true = visibility_analytic(rho)
     pulls = []
     for seed in range(100):
-        counts = synth_counts(MAX_ENTANGLED_PAIR, 1.0, 0.5, BsmSetting.x(+1),
+        counts = synth_counts(MAX_ENTANGLED_PAIR, 1.0, 0.5, "X+",
                               GRID16, CountModel(1e5, seed=seed))
         fit = estimate_visibility(GRID16, counts.counts_plus)
         pulls.append((fit.v - v_true) / fit.sigma)
@@ -223,17 +222,17 @@ def test_criterion_9_ideal_model_bounds():
     # hardware-limited laboratory numbers are out of reach by construction;
     # the ideal model must instead saturate V = F = 1 for lossless and for
     # balanced channels
-    out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting.x(+1))
-    v_lossless = visibility_analytic(out.rho_ab).v
+    out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, "X+")
+    v_lossless = visibility_analytic(out.rho_ab)
     f_lossless = bell_fidelity(out.rho_ab, +1, 0.0)
     ok = abs(v_lossless - 1.0) <= 1e-12 and abs(f_lossless - 1.0) <= 1e-12
     worst_balanced = 0.0
     for tau in (0.3, 0.7):
         rho, _ = closed_form_rho(MAX_ENTANGLED_PAIR, tau, tau)
         worst_balanced = max(worst_balanced,
-                             abs(visibility_analytic(rho).v - 1.0))
+                             abs(visibility_analytic(rho) - 1.0))
     ok = ok and worst_balanced <= 1e-12
-    y_out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting("Y+"))
+    y_out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, "Y+")
     f_y = bell_fidelity(y_out.rho_ab, +1, -np.pi / 2.0)
     ok = ok and abs(f_y - 1.0) <= 1e-12
     report(

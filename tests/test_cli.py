@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from swapsim import DensityMatrix, __version__
+from swapsim import __version__
 from swapsim import recipes
 from swapsim.cli import _build_parser, main
 from swapsim.config import MAX_DRAWS
 from swapsim.experiment import MAX_MEAN_COUNTS
+
+from oracles import from_json_dict
 
 
 @pytest.fixture
@@ -40,7 +42,7 @@ class TestRun:
         code = main(["run", str(oracle_cfg), "--out", str(tmp_path / "out"),
                      "--dump-state", str(dump)])
         assert code == 0
-        rho = DensityMatrix.from_json_dict(json.loads(dump.read_text()))
+        rho = from_json_dict(json.loads(dump.read_text()))
         assert rho.labels == ("A", "B")
 
     def test_invalid_config_exits_2(self, tmp_path, capsys):
@@ -120,7 +122,7 @@ class TestRun:
         assert code == 0
         assert not (out / "oracle-check.csv").is_symlink()
         assert (out / "oracle-check.csv").read_text().startswith("draw,t1,t2,")
-        assert DensityMatrix.from_json_dict(json.loads(dump.read_text())).labels == ("A", "B")
+        assert from_json_dict(json.loads(dump.read_text())).labels == ("A", "B")
 
     def test_negative_seed_exits_2(self, oracle_cfg, tmp_path):
         assert main(["run", str(oracle_cfg), "--out", str(tmp_path),

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from swapsim import (
     MAX_ENTANGLED_PAIR,
-    BsmSetting,
     DensityMatrix,
     InputPair,
     bell_fidelity,
@@ -19,7 +18,7 @@ from swapsim import (
     swap,
     visibility_analytic,
 )
-from swapsim.metrics import FringeScan, VisibilityReport
+from swapsim.metrics import FringeScan
 
 from oracles import bell_psi, finite_floats, optimal_t2
 
@@ -92,7 +91,7 @@ class TestStackedWootters:
             if i % 2:
                 states.append(heralded_matrix(pair, t1, t2, sign=-1))
             else:
-                states.append(swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab.entries)
+                states.append(swap(pair, t1, t2, "X+").rho_ab.entries)
         return np.array(states)
 
     def test_stack_equals_per_state_calls(self):
@@ -196,7 +195,7 @@ class TestStackedVisibility:
         stack = TestStackedWootters.heralded_states(300, seed=41)
         got = visibility_analytic(stack)
         assert isinstance(got, np.ndarray) and got.shape == (300,)
-        assert got.tolist() == [visibility_analytic(rho).v for rho in stack]
+        assert got.tolist() == [visibility_analytic(rho) for rho in stack]
 
     def test_values_are_the_scalar_formula_bit_for_bit(self):
         stack = TestStackedWootters.heralded_states(300, seed=44)
@@ -208,13 +207,14 @@ class TestStackedVisibility:
         rho, _ = closed_form_rho(MAX_ENTANGLED_PAIR, t[:, None], np.append(t, 0.0))
         got = visibility_analytic(rho)
         assert got.shape == (4, 5)
-        assert got.ravel().tolist() == [visibility_analytic(m).v for m in rho.reshape(-1, 4, 4)]
+        assert got.ravel().tolist() == [visibility_analytic(m) for m in rho.reshape(-1, 4, 4)]
 
-    def test_single_state_still_gives_a_report(self):
+    def test_single_state_still_gives_a_float(self):
         rho = TestStackedWootters.heralded_states(1, seed=42)[0]
-        report = visibility_analytic(rho)
-        assert isinstance(report, VisibilityReport) and type(report.v) is float
-        assert visibility_analytic(rho[None]).tolist() == [report.v]
+        v = visibility_analytic(rho)
+        assert type(v) is float
+        assert visibility_analytic(rho[None]).tolist() == [v]
+        assert visibility_analytic(DensityMatrix(("A", "B"), rho)) == v
 
     @pytest.mark.parametrize("where", [0, 3, 6])
     def test_no_signal_member_raises_the_single_state_error(self, where):
@@ -345,7 +345,7 @@ class TestBellFidelity:
         assert bell_fidelity(rho, -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_ideal_swap_output(self):
-        out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting.x(+1))
+        out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, "X+")
         assert bell_fidelity(out.rho_ab, +1) == pytest.approx(1.0, abs=1e-12)
 
     def test_bad_sign_rejected(self):
@@ -404,7 +404,7 @@ class TestVisibility:
     def test_bell_state_is_one(self):
         scan = fringe_scan(partial_trace(bell_psi(), ()), GRID16)
         assert estimate_visibility(GRID16, scan.p_plus).v == pytest.approx(1.0, abs=1e-12)
-        assert visibility_analytic(partial_trace(bell_psi(), ())).v == pytest.approx(
+        assert visibility_analytic(partial_trace(bell_psi(), ())) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -415,18 +415,18 @@ class TestVisibility:
             m = heralded_matrix(pair, *rng.uniform(0.2, 1.0, size=2))
             scan = fringe_scan(m, GRID16)
             assert estimate_visibility(GRID16, scan.p_plus).v == pytest.approx(
-                visibility_analytic(m).v, abs=1e-12
+                visibility_analytic(m), abs=1e-12
             )
 
     def test_unbalanced_equal_inputs_value(self):
         # amplitudes (t2, t1) = (0.5, 1) -> V = 2 * 0.5 / 1.25 = 0.8
         m = heralded_matrix(MAX_ENTANGLED_PAIR, 1.0, 0.5)
-        assert visibility_analytic(m).v == pytest.approx(0.8, abs=1e-12)
+        assert visibility_analytic(m) == pytest.approx(0.8, abs=1e-12)
 
     def test_balanced_losses_keep_full_visibility(self):
         for tau in (0.1, 0.4, 0.9):
             m = heralded_matrix(MAX_ENTANGLED_PAIR, tau, tau)
-            assert visibility_analytic(m).v == pytest.approx(1.0, abs=1e-12)
+            assert visibility_analytic(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_no_signal_rejected(self):
         rho = DensityMatrix(("a", "b"), np.diag([1.0, 0.0, 0.0, 0.0]))
@@ -440,6 +440,6 @@ class TestVisibility:
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.05, 1.0, size=2)
             m = heralded_matrix(pair, t1, t2)
-            v = visibility_analytic(m).v
+            v = visibility_analytic(m)
             c = concurrence_closed_form(pair, t1, t2)
             assert v >= c - 1e-12

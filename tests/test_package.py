@@ -37,22 +37,37 @@ def _is_all(node):
         isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
 
 
-def _used_names(node, inside=()):
-    """Every name read in ``node``, as a variable or an attribute, except
-    inside the ``def`` or ``class`` that binds it and in ``__all__`` lists."""
+def _used_names(node, attributes_only=False, inside=()):
+    """Every name read in ``node``, as a variable or an attribute (or as an
+    attribute alone), except inside the ``def`` or ``class`` that binds it
+    and in ``__all__`` lists."""
     if _is_all(node):
         return set()
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         inside = inside + (node.name,)
     used = set()
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not attributes_only:
         used.add(node.id)
     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         used.add(node.attr)
     used -= set(inside)
     for child in ast.iter_child_nodes(node):
-        used |= _used_names(child, inside)
+        used |= _used_names(child, attributes_only, inside)
     return used
+
+
+def _library():
+    """The parsed modules of ``src/swapsim``, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(swapsim.__file__).parent.glob("*.py"))}
+
+
+def _public(trees):
+    """(module file, name) for each name in a module's literal ``__all__``."""
+    return {(module, element.value)
+            for module, tree in trees.items() for node in tree.body
+            if _is_all(node) and isinstance(node.value, ast.List)
+            for element in node.value.elts}
 
 
 def test_every_public_name_is_used_by_the_library():
@@ -60,14 +75,28 @@ def test_every_public_name_is_used_by_the_library():
     built from them) must be read somewhere in ``src/swapsim`` outside its
     own definition; reference routes only the tests call belong in
     ``tests/oracles.py``."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(swapsim.__file__).parent.glob("*.py"))}
+    trees = _library()
     used = set().union(*map(_used_names, trees.values()))
-    public = {(module, element.value)
-              for module, tree in trees.items() for node in tree.body
-              if _is_all(node) and isinstance(node.value, ast.List)
-              for element in node.value.elts}
+    public = _public(trees)
     assert {"recipes.py", "floatfmt.py"} <= {module for module, _ in public}
     unused = {(module, name) for module, name in public
               if name not in used and name not in UNUSED_IN_LIBRARY}
     assert not unused
+
+
+def test_every_public_method_is_used_by_the_library():
+    """A public method or property of a public class must be read as an
+    attribute somewhere in ``src/swapsim`` outside its own definition.
+    Attributes are matched by name, not by the class they belong to."""
+    trees = _library()
+    used = set().union(*(_used_names(tree, attributes_only=True) for tree in trees.values()))
+    public = _public(trees)
+    methods = {(module, f"{node.name}.{item.name}")
+               for module, tree in trees.items() for node in tree.body
+               if isinstance(node, ast.ClassDef) and (module, node.name) in public
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not item.name.startswith("_")}
+    assert ("states.py", "DensityMatrix.normalized") in methods
+    assert not {(module, name) for module, name in methods
+                if name.split(".")[1] not in used}

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from swapsim import (
     MAX_ENTANGLED_PAIR,
-    BsmSetting,
     DensityMatrix,
     InputPair,
     LossChannel,
@@ -31,9 +31,10 @@ from swapsim import (
     swap,
     validate,
 )
-from swapsim.protocol import SETTINGS
+from swapsim.protocol import SETTINGS, _entangling
 
 from oracles import (
+    X_BY_SIGN,
     apply_loss,
     asymptotic_state,
     input_pairs,
@@ -94,53 +95,67 @@ class TestRandomInputPair:
 
 
 class TestBsmSetting:
+    """A station setting is its name: ``SETTINGS`` maps it to its projector
+    ket, and ``bsm`` (so also ``swap``) checks it before anything else."""
+
+    NAMES = ["X+", "X-", "Y+", "Y-", "Z+", "Z-"]
+    UNKNOWN = "unknown measurement setting {!r} (choose from X+, X-, Y+, Y-, Z+, Z-)"
+
     def test_names(self):
-        assert BsmSetting.x(+1).name == "X+"
-        assert BsmSetting.x(-1).name == "X-"
+        assert list(SETTINGS) == self.NAMES
 
     def test_entangling_ket(self):
-        ket = BsmSetting("Y-").projector_ket()
-        np.testing.assert_allclose(ket.amps, [0, 1, -1j, 0] / np.sqrt(2), atol=1e-15)
+        np.testing.assert_allclose(SETTINGS["Y-"].amps, [0, 1, -1j, 0] / np.sqrt(2), atol=1e-15)
+
+    def _refuses(self, name):
+        psi = propagate(build_inputs(MAX_ENTANGLED_PAIR), 0.9, 0.9)
+        for call in (lambda: bsm(psi, name), lambda: swap(MAX_ENTANGLED_PAIR, 0.9, 0.9, name)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == self.UNKNOWN.format(name)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown measurement setting"):
-            BsmSetting("bogus")
+        self._refuses("bogus")
 
-    @pytest.mark.parametrize("name", ["x", "separable", ["X+"]])
+    @pytest.mark.parametrize("name", ["x", "separable", ["X+"], None])
     def test_old_kinds_and_non_strings_rejected(self, name):
-        with pytest.raises(ValueError, match="unknown measurement setting"):
-            BsmSetting(name)
+        self._refuses(name)
 
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError, match="sign"):
-            BsmSetting.x(2)
-
-    @pytest.mark.parametrize("name", ["X+", "X-", "Y+", "Y-", "Z+", "Z-"])
+    @pytest.mark.parametrize("name", NAMES)
     def test_names_round_trip(self, name):
-        assert BsmSetting(name).name == name
+        # vacuum inputs leave no photon to herald: every setting's name
+        # passes the check and comes back in the impossible-outcome error
+        with pytest.raises(ValueError, match=rf"impossible outcome: .* for setting {re.escape(name)}$"):
+            swap(InputPair(1.0, 0.0, 1.0, 0.0), 1.0, 1.0, name)
 
-    def test_name_and_constructor_are_one_setting(self):
-        assert BsmSetting("X+") == BsmSetting.x(+1)
-        assert hash(BsmSetting("X+")) == hash(BsmSetting.x(+1))
-        assert BsmSetting("X-") == BsmSetting.x(-1)
+    def test_name_is_checked_before_the_ket(self, rng):
+        with pytest.raises(ValueError, match="unknown measurement setting"):
+            bsm(random_pure(rng, ("A", "B")), "bogus")
 
-    @pytest.mark.parametrize("field", [{"kind": "x"}, {"sign": -1}, {"which": "10"}])
-    def test_old_fields_are_gone(self, field):
-        with pytest.raises(TypeError):
-            BsmSetting("Z+", **field)
+    def test_a_channel_fault_is_reported_before_the_name(self):
+        # swap propagates first, and bsm checks the name as it starts
+        with pytest.raises(ValueError, match=r"amplitude transmittivity t = 2\.0 outside"):
+            swap(MAX_ENTANGLED_PAIR, 2.0, 0.5, "bogus")
 
     def test_separable_kets(self):
-        np.testing.assert_allclose(BsmSetting("Z+").projector_ket().amps,
-                                   [0, 1, 0, 0])
-        np.testing.assert_allclose(BsmSetting("Z-").projector_ket().amps,
-                                   [0, 0, 1, 0])
+        np.testing.assert_allclose(SETTINGS["Z+"].amps, [0, 1, 0, 0])
+        np.testing.assert_allclose(SETTINGS["Z-"].amps, [0, 0, 1, 0])
 
-    @pytest.mark.parametrize("name", ["X+", "X-", "Y+", "Y-", "Z+", "Z-"])
+    def test_the_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            SETTINGS["X+"] = SETTINGS["X-"]
+        with pytest.raises(TypeError):
+            del SETTINGS["Z-"]
+
+    @pytest.mark.parametrize("name", NAMES)
     def test_projector_ket_is_built_once_from_the_table(self, name):
-        ket = BsmSetting(name).projector_ket()
-        assert BsmSetting(name).projector_ket() is ket
+        want = {"X+": _entangling(+1, 0.0), "X-": _entangling(-1, 0.0),
+                "Y+": _entangling(+1, math.pi / 2.0), "Y-": _entangling(-1, math.pi / 2.0),
+                "Z+": (0.0, 1.0, 0.0, 0.0), "Z-": (0.0, 0.0, 1.0, 0.0)}[name]
+        ket = SETTINGS[name]
+        assert isinstance(ket, PureState)
         assert ket.labels == ("C1", "C2")
-        assert ket.amps.tolist() == [complex(a) for a in SETTINGS[name]]
+        assert ket.amps.tolist() == [complex(a) for a in want]
         assert not ket.amps.flags.writeable
 
 
@@ -221,7 +236,7 @@ class TestPropagate:
 
 class TestBsm:
     def test_ideal_swap_yields_bell_state(self):
-        out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting.x(+1))
+        out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, "X+")
         bell = np.array([0, 1, 1, 0]) / np.sqrt(2)
         np.testing.assert_allclose(
             out.rho_ab.entries, np.outer(bell, bell), atol=1e-14
@@ -231,35 +246,33 @@ class TestBsm:
 
     def test_both_signs_sum_to_half(self):
         p = sum(
-            swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting.x(s)).p_success
+            swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, X_BY_SIGN[s]).p_success
             for s in (+1, -1)
         )
         assert p == pytest.approx(0.5, abs=1e-12)
 
     def test_vacuum_inputs_are_impossible(self):
         with pytest.raises(ValueError, match="impossible outcome"):
-            swap(InputPair(1.0, 0.0, 1.0, 0.0), 1.0, 1.0, BsmSetting.x(+1))
+            swap(InputPair(1.0, 0.0, 1.0, 0.0), 1.0, 1.0, "X+")
 
     def test_separable_outcome_has_no_coherence(self):
-        out = swap(MAX_ENTANGLED_PAIR, 0.7, 0.9, BsmSetting("Z+"))
+        out = swap(MAX_ENTANGLED_PAIR, 0.7, 0.9, "Z+")
         assert abs(out.rho_ab.entries[1, 2]) < 1e-14
-        out = swap(MAX_ENTANGLED_PAIR, 0.7, 0.9, BsmSetting("Z-"))
+        out = swap(MAX_ENTANGLED_PAIR, 0.7, 0.9, "Z-")
         assert abs(out.rho_ab.entries[1, 2]) < 1e-14
 
     def test_requires_flying_modes(self, rng):
         with pytest.raises(ValueError, match="flying modes"):
-            bsm(random_pure(rng, ("A", "B")), BsmSetting.x(+1))
+            bsm(random_pure(rng, ("A", "B")), "X+")
 
     def test_requires_normalized_ket(self):
         psi = propagate(build_inputs(MAX_ENTANGLED_PAIR), 0.9, 0.9)
         scaled = PureState(psi.labels, np.sqrt(0.5) * psi.amps)
         with pytest.raises(ValueError, match="normalized"):
-            bsm(scaled, BsmSetting.x(+1))
+            bsm(scaled, "X+")
 
     def test_matches_the_density_matrix_references(self, rng):
         """Ket route vs |psi><psi| traced and projected by the loop oracles."""
-        settings = [BsmSetting.x(+1), BsmSetting.x(-1), BsmSetting("Y+"),
-                    BsmSetting("Y-"), BsmSetting("Z+"), BsmSetting("Z-")]
         for _ in range(20):
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.05, 1.0, size=2)
@@ -269,8 +282,8 @@ class TestBsm:
                 psi.labels[:4],
                 naive_partial_trace(np.outer(psi.amps, psi.amps.conj()), 6, [0, 1, 2, 3]),
             )
-            for setting in settings:
-                expected = naive_project(traced, setting.projector_ket())
+            for setting, ket in SETTINGS.items():
+                expected = naive_project(traced, ket)
                 weight = np.trace(expected).real
                 out = bsm(psi, setting)
                 np.testing.assert_allclose(
@@ -289,7 +302,7 @@ def test_caller_kets_off_by_more_than_1e_9_are_rejected_at_every_entry(rng, off)
     psi = build_inputs(pair)
     ket = propagate(psi, 0.7, 0.4)
     for call, state in ((lambda s: propagate(s, 0.7, 0.4), psi),
-                        (lambda s: bsm(s, BsmSetting.x(+1)), ket)):
+                        (lambda s: bsm(s, "X+"), ket)):
         loose = PureState(state.labels, math.sqrt(1.0 + off) * state.amps)
         with pytest.raises(ValueError) as info:
             call(loose)
@@ -332,7 +345,7 @@ class TestClosedForm:
             t1, t2 = rng.uniform(0.05, 1.0, size=2)
             sign = +1 if rng.integers(2) else -1
             rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
-            out = swap(pair, t1, t2, BsmSetting.x(sign))
+            out = swap(pair, t1, t2, X_BY_SIGN[sign])
             np.testing.assert_allclose(out.rho_ab.entries, rho_cf, atol=1e-12)
             assert out.p_success == pytest.approx(norm / 2.0, abs=1e-12)
 
@@ -488,7 +501,6 @@ class TestSharedRules:
 
     @pytest.mark.parametrize("sign", [0, 2, "+"])
     @pytest.mark.parametrize("call", [
-        BsmSetting.x,
         lambda sign: closed_form_rho(MAX_ENTANGLED_PAIR, 0.5, 0.5, sign),
         lambda sign: asymptotic_state(MAX_ENTANGLED_PAIR, 0.5, 0.5, sign),
         # the sign is checked before the matrix, which here is not a state
@@ -525,7 +537,7 @@ class TestSuccessProbability:
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.05, 1.0, size=2)
             total = sum(
-                swap(pair, t1, t2, BsmSetting.x(s)).p_success for s in (+1, -1)
+                swap(pair, t1, t2, X_BY_SIGN[s]).p_success for s in (+1, -1)
             )
             assert success_probability(pair, t1, t2) == pytest.approx(
                 total, abs=1e-12
@@ -639,8 +651,8 @@ class TestSymmetries:
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.05, 1.0, size=2)
             mirrored = InputPair(pair.gamma, pair.delta, pair.alpha, pair.beta)
-            out = swap(pair, t1, t2, BsmSetting.x(+1))
-            out_mirrored = swap(mirrored, t2, t1, BsmSetting.x(+1))
+            out = swap(pair, t1, t2, "X+")
+            out_mirrored = swap(mirrored, t2, t1, "X+")
             # exchange the two qubits on both the row and the column side
             swapped = out_mirrored.rho_ab.entries.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2)
             np.testing.assert_allclose(
@@ -656,7 +668,7 @@ class TestSymmetries:
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.3, 1.0, size=2)
             phi = rng.uniform(0.0, 2 * np.pi)
-            base = swap(pair, t1, t2, BsmSetting.x(+1)).rho_ab.entries
+            base = swap(pair, t1, t2, "X+").rho_ab.entries
             ket = PureState(("C1", "C2"), np.array([0, 1, np.exp(1j * phi), 0]) / np.sqrt(2))
             heralded = project(propagate(build_inputs(pair), t1, t2), ket)
             rotated = partial_trace(heralded, ("E1", "E2")).normalized().entries
@@ -670,7 +682,7 @@ class TestSymmetries:
     def test_y_setting_heralds_conjugate_bell_state(self):
         # projecting onto (|01> + i|10>)/sqrt(2) heralds the state with the
         # OPPOSITE coherence phase, rho23 = +i/2
-        out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, BsmSetting("Y+"))
+        out = swap(MAX_ENTANGLED_PAIR, 1.0, 1.0, "Y+")
         assert bell_fidelity(out.rho_ab, +1, -np.pi / 2) == pytest.approx(1.0, abs=1e-12)
         assert bell_fidelity(out.rho_ab, +1, np.pi / 2) == pytest.approx(0.0, abs=1e-12)
         assert out.rho_ab.entries[1, 2] == pytest.approx(0.5j, abs=1e-12)
@@ -683,9 +695,9 @@ def test_closed_form_equals_brute_force_property(pair, t1, t2):
 
     assume(success_probability(pair, t1, t2) > 1e-6)
     rho_cf, norm = closed_form_rho(pair, t1, t2, +1)
-    out = swap(pair, t1, t2, BsmSetting.x(+1))
+    out = swap(pair, t1, t2, "X+")
     np.testing.assert_allclose(out.rho_ab.entries, rho_cf, atol=1e-12)
-    total = out.p_success + swap(pair, t1, t2, BsmSetting.x(-1)).p_success
+    total = out.p_success + swap(pair, t1, t2, "X-").p_success
     assert abs(total - norm) < 1e-12
 
 
@@ -723,8 +735,8 @@ def test_routes_agree_in_the_hard_regimes(make_pair):
         pair = make_pair(rng)
         t1, t2 = (10.0 ** rng.uniform(-6.0, 0.0, size=2)).tolist()
         sign = +1 if rng.integers(2) else -1
-        brute = _heralded(lambda: swap(pair, t1, t2, BsmSetting.x(sign)))
-        other = _heralded(lambda: swap(pair, t1, t2, BsmSetting.x(-sign)))
+        brute = _heralded(lambda: swap(pair, t1, t2, X_BY_SIGN[sign]))
+        other = _heralded(lambda: swap(pair, t1, t2, X_BY_SIGN[-sign]))
         closed = _heralded(lambda: closed_form_rho(pair, t1, t2, sign))
         assert (brute is None) == (other is None) == (closed is None), (pair, t1, t2)
         if closed is None:
@@ -752,10 +764,10 @@ def test_weak_pairs_approach_the_asymptotic_state():
         pair = _weak_pair(rng)
         t1, t2 = (10.0 ** rng.uniform(-6.0, 0.0, size=2)).tolist()
         sign = +1 if rng.integers(2) else -1
-        brute = _heralded(lambda: swap(pair, t1, t2, BsmSetting.x(sign)))
+        brute = _heralded(lambda: swap(pair, t1, t2, X_BY_SIGN[sign]))
         if brute is None:
             continue
-        other = swap(pair, t1, t2, BsmSetting.x(-sign))
+        other = swap(pair, t1, t2, X_BY_SIGN[-sign])
         ket = asymptotic_state(pair, t1, t2, sign)
         k2, n2 = ket.norm2, brute.p_success + other.p_success
         bound = abs(pair.beta * pair.delta) ** 2 * (t1 * t1 + t2 * t2)

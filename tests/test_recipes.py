@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from swapsim import DensityMatrix, protocol, recipes, validate, validate_config
+from swapsim import protocol, recipes, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input, synth_counts
 from swapsim.floatfmt import FLOATFMT_MIN
 from swapsim.metrics import (
@@ -21,7 +21,6 @@ from swapsim.metrics import (
 )
 from swapsim.protocol import (
     MAX_ENTANGLED_PAIR,
-    BsmSetting,
     closed_form_rho,
     optimal_inputs,
     random_input_pair,
@@ -41,7 +40,7 @@ from swapsim.recipes import (
     run_oracle_draws,
 )
 
-from oracles import naive_values, naive_write_csv
+from oracles import X_BY_SIGN, from_json_dict, naive_values, naive_write_csv
 
 DEFAULT_GRIDS = {name: recipe.grids for name, recipe in RECIPES.items()}
 
@@ -86,8 +85,8 @@ class TestOracleDraws:
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
             sign = +1 if rng.integers(0, 2) == 0 else -1
-            brute = swap(pair, t1, t2, BsmSetting.x(sign))
-            other = swap(pair, t1, t2, BsmSetting.x(-sign))
+            brute = swap(pair, t1, t2, X_BY_SIGN[sign])
+            other = swap(pair, t1, t2, X_BY_SIGN[-sign])
             rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
             rows.append((i, t1, t2, sign, float(np.max(np.abs(brute.rho_ab.entries - rho_cf))),
                          abs(brute.p_success + other.p_success - norm),
@@ -264,7 +263,7 @@ class TestRecipeOutputs:
         cfg = validate_config("experiment = oracle-check\ndraws = 5\n")
         run(cfg, out_dir=tmp_path, dump_state=tmp_path / "state.json")
         data = json.loads((tmp_path / "state.json").read_text())
-        rho = DensityMatrix.from_json_dict(data)
+        rho = from_json_dict(data)
         assert rho.labels == ("A", "B")
         assert validate(rho).passed
 
@@ -435,7 +434,7 @@ class TestByteIdentity:
             for t2 in cfg.t2:
                 rho, norm = closed_form_rho(MAX_ENTANGLED_PAIR, t1, t2, sign=+1)
                 want.append(_joined(t1, t2, concurrence_closed_form(MAX_ENTANGLED_PAIR, t1, t2),
-                                    visibility_analytic(rho).v, norm))
+                                    visibility_analytic(rho), norm))
         assert _lines(run(cfg, out_dir=tmp_path)) == want
 
     def test_imbalance(self, tmp_path):
@@ -449,7 +448,7 @@ class TestByteIdentity:
                         else optimal_inputs(t1, t2, epsilon))
                 rho, norm = closed_form_rho(pair, t1, t2, sign=+1)
                 want.append(_joined(t1, t2) + f",{strategy}," + _joined(
-                    visibility_analytic(rho).v, concurrence_wootters(rho),
+                    visibility_analytic(rho), concurrence_wootters(rho),
                     bell_fidelity(rho, sign=+1, phase=0.0), norm,
                     normalized_success(pair, t1, t2)))
         assert _lines(run(cfg, out_dir=tmp_path)) == want

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import (
-    BsmSetting,
     DensityMatrix,
     LabelError,
     LossChannel,
@@ -25,6 +24,7 @@ from swapsim import states
 
 from oracles import (
     bell_phi_plus,
+    from_json_dict,
     naive_partial_trace,
     naive_project,
     random_density,
@@ -251,7 +251,7 @@ class TestConstruction:
 class TestJson:
     def test_density_roundtrip(self, rng):
         rho = random_density(rng, ("A", "B"))
-        back = DensityMatrix.from_json_dict(rho.to_json_dict())
+        back = from_json_dict(rho.to_json_dict())
         assert back.labels == rho.labels
         np.testing.assert_allclose(back.entries, rho.entries)
         assert back.weight == rho.weight
@@ -373,7 +373,7 @@ def _build_inputs(rng):
 def _bsm(rng):
     ket = propagate(build_inputs(random_input_pair(rng)), *rng.uniform(0.05, 1.0, size=2))
     a = np.array(ket.amps)
-    return bsm(PureState(ket.labels, a), BsmSetting.x(+1)).rho_ab, [a]
+    return bsm(PureState(ket.labels, a), "X+").rho_ab, [a]
 
 
 @pytest.mark.parametrize("build", [_tensor, _dilate, _project, _partial_trace, _pure_normalized,
