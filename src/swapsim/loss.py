@@ -3,7 +3,10 @@
 A channel with amplitude transmittivity t (power transmission t^2) acts
 on a photon-number qubit as amplitude damping. ``dilate`` models it as a
 beamsplitter-style unitary that moves the lost photon into a fresh
-environment mode of the ket; the brute-force pipeline uses it. The
+environment mode of the ket; the brute-force pipeline uses it. It moves
+amplitudes by index arithmetic alone, through the memoised label plan
+``states._split`` that ``project`` and ``partial_trace`` read, at any
+mode position and with no strided view of its own. The
 independent Kraus route, which acts on a density matrix, is a test
 oracle in ``tests/oracles.py``: tracing the environment out of the
 dilated ket must give the Kraus result, and the test suite holds the two
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import Label, LabelError, PureState
+from .states import Label, LabelError, PureState, _split
 
 __all__ = ["LossChannel", "dilate"]
 
@@ -35,8 +38,8 @@ class LossChannel:
 
     t: float
     r: float = field(init=False, repr=False, compare=False)
-    # (r, t) as a read-only complex array of shape (2, 1, 1): ``dilate``
-    # multiplies a ket's photon amplitudes by both in one call
+    # (r, t) as a read-only complex column of shape (2, 1): ``dilate``
+    # multiplies a ket's photon row by both in one call
     _factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -46,7 +49,7 @@ class LossChannel:
         r = math.sqrt(max(0.0, 1.0 - t * t))
         factors = np.array((r, t), dtype=complex)
         factors.setflags(write=False)
-        self.__dict__.update(t=t, r=r, _factors=factors.reshape(2, 1, 1))
+        self.__dict__.update(t=t, r=r, _factors=factors.reshape(2, 1))
 
 
 def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureState:
@@ -58,24 +61,21 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
     output stays normalized because t^2 + r^2 = 1: the dilation is an
     isometry, so the output carries the squared norm its input was checked
     with instead of summing its amplitudes again.
+
+    The input's label plan gives its (mode, rest) rows and the output's
+    its ((mode, environment), rest) rows, with the environment bit least
+    significant; each output row is one index scatter of an input row.
     """
     if env in psi.labels:
         raise LabelError(f"environment label {env!r} collides with {psi.labels!r}")
     if mode not in psi.labels:
         raise LabelError(f"mode {mode!r} not in register {psi.labels!r}")
     psi._require_normalized()
-    pos = psi.labels.index(mode)
-    # (before, mode, after) -> (before, mode, after, environment): the
-    # environment bit is appended as the least-significant position
-    amps = psi.amps.reshape(2 ** pos, 2, -1)
-    photon = amps[:, 1, :]
-    out = np.zeros(amps.shape + (2,), dtype=complex)
-    out[:, 0, :, 0] = amps[:, 0, :]           # no photon: untouched
-    # out[:, 0, :, 1] (photon moved to the environment, times r) and
-    # out[:, 1, :, 0] (photon kept, times t) as the two halves of one view,
-    # filled by one multiply; the products are those of two separate ones
-    before, mode_step, after, env_step = out.strides
-    blocks = np.ndarray((2,) + photon.shape, complex, out, env_step,
-                        (mode_step - env_step, before, after))
-    np.multiply(ch._factors, photon, out=blocks)
-    return PureState._of(psi.labels + (env,), out.reshape(-1), psi.norm2)
+    _, src = _split(psi.labels, mode)
+    _, dst = _split(psi.labels + (env,), (mode, env))
+    out = np.zeros(2 * psi.amps.size, dtype=complex)
+    out[dst[0]] = psi.amps[src[0]]               # no photon: untouched
+    # rows (0, 1), photon lost (times r), and (1, 0), photon kept (times t),
+    # from one multiply; the products are those of two separate ones
+    out[dst[1:3]] = ch._factors * psi.amps[src[1]]
+    return PureState._of(psi.labels + (env,), out, psi.norm2)

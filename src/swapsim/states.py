@@ -17,19 +17,20 @@ Everything is immutable after construction and every operation is a
 pure function, so values can be shared freely between threads. The
 public constructors copy the array they are given and validate the
 labels and shape; states the library builds itself (``tensor``,
-``project``, ``partial_trace``, ``normalized``, loss dilation and the
-protocol's inputs) reuse the fresh array the library just made, over
-labels already known to be valid, and only mark it read-only. A ket
-handed to ``loss.dilate`` or ``protocol.bsm`` passes one normalisation
-gate, ``PureState._require_normalized``.
+``project``, ``partial_trace``, ``DensityMatrix.normalized``, loss
+dilation and the protocol's inputs) reuse the fresh array the library
+just made, over labels already known to be valid, and only mark it
+read-only. A ket handed to ``loss.dilate`` or ``protocol.bsm`` passes
+one normalisation gate, ``PureState._require_normalized``.
 
-``project`` and ``partial_trace`` share one label plan, ``_split``,
-memoised per pair of registers; a repeated or unknown mode has no plan,
-and the caller builds its ``LabelError`` text anew. A ket's
-``norm2``, and the conjugate amplitudes ``project`` contracts with, are
-computed on first use and kept with the (immutable) state, so a constant
-projector ket costs a lookup. A ket made by loss dilation carries its
-input's ``norm2``, the value that input's normalisation check read: the
+``project``, ``partial_trace`` and ``loss.dilate`` share one label plan,
+``_split``, memoised per pair of registers (``dilate`` reads two: its
+input's and its output's). A repeated or unknown mode has no plan, and
+the caller builds its ``LabelError`` text anew. A ket's ``norm2``, and the
+conjugate amplitudes ``project`` contracts with, are computed on first
+use and kept with the (immutable) state, so a constant projector ket
+costs a lookup. A ket made by loss dilation carries its input's
+``norm2``, the value that input's normalisation check read: the
 dilation is an isometry, so the squared norm is unchanged, and later
 checks of that ket sum no amplitudes.
 """
@@ -125,12 +126,6 @@ class PureState:
 
     def is_normalized(self, atol: float = ATOL) -> bool:
         return abs(self.norm2 - 1.0) <= atol
-
-    def normalized(self) -> "PureState":
-        n2 = self.norm2
-        if n2 <= 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return PureState._of(self.labels, self.amps / np.sqrt(n2))
 
     def _require_normalized(self) -> None:
         """The gate of ``loss.dilate`` and ``bsm``: ``norm2`` is 1 to within 1e-9."""
@@ -241,8 +236,9 @@ def partial_trace(
     # w is the (discarded, kept) matrix, so rho = w^T w*
     w = psi.amps[index]
     rho = np.dot(w.T, w.conj())
-    # the diagonal holds sums of squares, so the weight is never negative
-    return DensityMatrix._of(keep, rho, float(rho.trace().real))
+    # the diagonal holds sums of squares, so the weight is never negative;
+    # ndarray.trace runs this same reduction behind a slower wrapper
+    return DensityMatrix._of(keep, rho, float(np.add.reduce(rho.diagonal()).real))
 
 
 def project(psi: PureState, ket: PureState) -> PureState:

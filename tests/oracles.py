@@ -9,9 +9,10 @@ second route of something the library computes: the Kraus loss route
 (``kraus_ops``, ``apply_loss``) that ``loss.dilate`` is held to, the
 weak-pair limit of the heralded state (``asymptotic_state``), the
 analytic concurrence optimum (``optimal_t2``), the text form of a
-config (``to_text``), the inverse of ``validate_config``, and the reader
+config (``to_text``), the inverse of ``validate_config``, the reader
 of a ``--dump-state`` file (``from_json_dict``), the inverse of
-``DensityMatrix.to_json_dict``.
+``DensityMatrix.to_json_dict``, and the unit-norm rescaling of a ket
+(``normalized_ket``).
 """
 
 import math
@@ -36,6 +37,14 @@ def from_json_dict(data: dict) -> DensityMatrix:
         [[complex(re, im) for re, im in row] for row in data["entries"]]
     )
     return DensityMatrix(tuple(data["labels"]), entries, weight=data.get("weight"))
+
+
+def normalized_ket(psi: PureState) -> PureState:
+    """``psi`` scaled to unit norm; a zero ket has no direction to keep."""
+    n2 = psi.norm2
+    if n2 <= 0.0:
+        raise ValueError("cannot normalize a zero state")
+    return PureState(psi.labels, psi.amps / np.sqrt(n2))
 
 
 def random_pure(rng: np.random.Generator, labels) -> PureState:

@@ -181,9 +181,10 @@ class TestDilate:
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
     def test_fill_is_bit_identical_to_one_multiply_per_block(self, n_modes):
-        """Both photon blocks come out of one multiply; every bit, signed
-        zeros and subnormal products included, is what two separate
-        scalar multiplies would give."""
+        """Both photon rows of the label plan come out of one broadcast
+        multiply and one index scatter; every bit, signed zeros and
+        subnormal products included, is what two separate scalar
+        multiplies into a reshaped copy would give."""
         rng = np.random.default_rng(90 + n_modes)
         labels = tuple(f"m{i}" for i in range(n_modes))
         special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),

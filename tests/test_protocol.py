@@ -40,6 +40,7 @@ from oracles import (
     input_pairs,
     naive_partial_trace,
     naive_project,
+    normalized_ket,
     random_pure,
 )
 
@@ -638,7 +639,7 @@ class TestAsymptoticState:
         fids = []
         for eps in (1e-1, 1e-2, 1e-3):
             pair = optimal_inputs(0.9, 0.4, eps)
-            ket = asymptotic_state(pair, 0.9, 0.4).normalized()
+            ket = normalized_ket(asymptotic_state(pair, 0.9, 0.4))
             rho, _ = closed_form_rho(pair, 0.9, 0.4)
             fids.append(float(np.real(ket.amps.conj() @ rho @ ket.amps)))
         assert fids[0] < fids[1] < fids[2] <= 1.0 + 1e-12
@@ -771,7 +772,7 @@ def test_weak_pairs_approach_the_asymptotic_state():
         ket = asymptotic_state(pair, t1, t2, sign)
         k2, n2 = ket.norm2, brute.p_success + other.p_success
         bound = abs(pair.beta * pair.delta) ** 2 * (t1 * t1 + t2 * t2)
-        amps = ket.normalized().amps
+        amps = normalized_ket(ket).amps
         fidelity = float(np.real(amps.conj() @ brute.rho_ab.entries @ amps))
         assert -1e-12 <= n2 - k2 <= bound + 1e-12, (pair, t1, t2)
         assert 1.0 - fidelity <= bound / k2 + 1e-12, (pair, t1, t2)
