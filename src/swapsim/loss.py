@@ -65,12 +65,23 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
     The input's label plan gives its (mode, rest) rows and the output's
     its ((mode, environment), rest) rows, with the environment bit least
     significant; each output row is one index scatter of an input row.
+
+    The last dilation of a ket is kept with it (the ket is immutable), in
+    one slot ``(ch, mode, env, out)``. A call that repeats it with the same
+    channel object returns that same ``out``, after the same label and
+    normalisation checks as any call; any other call recomputes and takes
+    the slot. The channel is matched by identity, not equality:
+    ``LossChannel(-0.0)`` equals ``LossChannel(0.0)``, but their
+    dilations differ in the sign of zero.
     """
     if env in psi.labels:
         raise LabelError(f"environment label {env!r} collides with {psi.labels!r}")
     if mode not in psi.labels:
         raise LabelError(f"mode {mode!r} not in register {psi.labels!r}")
     psi._require_normalized()
+    kept = psi.__dict__.get("_dilation")
+    if kept is not None and kept[0] is ch and kept[1] == mode and kept[2] == env:
+        return kept[3]
     _, src = _split(psi.labels, mode)
     _, dst = _split(psi.labels + (env,), (mode, env))
     out = np.zeros(2 * psi.amps.size, dtype=complex)
@@ -78,4 +89,7 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
     # rows (0, 1), photon lost (times r), and (1, 0), photon kept (times t),
     # from one multiply; the products are those of two separate ones
     out[dst[1:3]] = ch._factors * psi.amps[src[1]]
-    return PureState._of(psi.labels + (env,), out, psi.norm2)
+    out = PureState._of(psi.labels + (env,), out, psi.norm2)
+    # straight into the instance dict: the frozen dataclass refuses setattr
+    psi.__dict__["_dilation"] = (ch, mode, env, out)
+    return out

@@ -118,7 +118,8 @@ def concurrence_closed_form(pair: Pairs, t1, t2):
     """
     norm = success_probability(pair, t1, t2)
     _heralded(norm)
-    return _point(_products(pair)[4] * t1 * t2 / norm)
+    (abgd2,) = _products(pair, 4)
+    return _point(abgd2 * t1 * t2 / norm)
 
 
 def bell_fidelity(rho, sign: int = +1, phase: float = 0.0) -> float:

@@ -153,10 +153,19 @@ class SwapOutcome:
 
 
 def build_inputs(pair: InputPair) -> PureState:
-    """Joint input ket on (A, C1, C2, B) before any transmission."""
-    alice = PureState._of((A, C1), np.array([pair.alpha, 0.0, 0.0, pair.beta], dtype=complex))
-    bob = PureState._of((C2, B), np.array([pair.gamma, 0.0, 0.0, pair.delta], dtype=complex))
-    return tensor(alice, bob)
+    """Joint input ket on (A, C1, C2, B) before any transmission.
+
+    Built on the first call and kept with the (immutable) pair, so every
+    later call returns that same ket object, and with it the dilations
+    ``loss.dilate`` keeps with the ket.
+    """
+    ket = pair.__dict__.get("_ket")
+    if ket is None:
+        alice = PureState._of((A, C1), np.array([pair.alpha, 0.0, 0.0, pair.beta], dtype=complex))
+        bob = PureState._of((C2, B), np.array([pair.gamma, 0.0, 0.0, pair.delta], dtype=complex))
+        # straight into the instance dict: the frozen dataclass refuses setattr
+        ket = pair.__dict__["_ket"] = tensor(alice, bob)
+    return ket
 
 
 def _as_channel(ch) -> LossChannel:
@@ -207,22 +216,23 @@ def swap(pair: InputPair, ch1, ch2, setting: str) -> SwapOutcome:
 Pairs = InputPair | Sequence[InputPair]  # one pair, or a stack of them as an axis
 
 
-def _products(pair: Pairs):
-    """The kept amplitude products of one pair, or of a sequence of pairs
-    one array of each, along the pair axis."""
+def _products(pair: Pairs, *columns: int) -> list:
+    """The kept amplitude products numbered ``columns`` of one pair, or of
+    a sequence of pairs one array of each, along the pair axis. A caller
+    names the columns it reads, and only those are built."""
     if isinstance(pair, InputPair):
-        return pair._products
-    return tuple(np.array([p._products[k] for p in pair]) for k in range(5))
+        return [pair._products[k] for k in columns]
+    return [np.array([p._products[k] for p in pair]) for k in columns]
 
 
-def _rho_entries(pair: Pairs, t1, t2):
-    ad2, bg2, bd2, cross, _ = _products(pair)
+def _diagonal(pair: Pairs, t1, t2):
+    """rho22, rho33 and rho44 before normalisation; their sum is ``norm``."""
+    ad2, bg2, bd2 = _products(pair, 0, 1, 2)
     # t * t, not t ** 2: on a Python float ** calls libm pow, one ulp off at times
     r22 = ad2 * (t2 * t2)
     r33 = bg2 * (t1 * t1)
     r44 = bd2 * (t1 * t1 * (1.0 - t2 * t2) + t2 * t2 * (1.0 - t1 * t1))
-    r23 = cross * t1 * t2
-    return r22, r33, r44, r23
+    return r22, r33, r44
 
 
 def _heralded(norm, what: str = "heralding probability") -> None:
@@ -262,7 +272,9 @@ def closed_form_rho(
     call.
     """
     _check_sign(sign)
-    r22, r33, r44, r23 = _rho_entries(pair, t1, t2)
+    r22, r33, r44 = _diagonal(pair, t1, t2)
+    (cross,) = _products(pair, 3)
+    r23 = cross * t1 * t2
     norm = r22 + r33 + r44
     _heralded(norm)
     rho = np.zeros(np.shape(norm) + (4, 4), dtype=complex)
@@ -283,7 +295,7 @@ def success_probability(pair: Pairs, t1, t2):
     axis), ``t1`` and ``t2`` broadcast as in ``closed_form_rho``; a lone
     point gives a float.
     """
-    r22, r33, r44, _ = _rho_entries(pair, t1, t2)
+    r22, r33, r44 = _diagonal(pair, t1, t2)
     return _point(r22 + r33 + r44)
 
 

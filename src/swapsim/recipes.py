@@ -320,7 +320,10 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
     Each draw runs the brute-force route for both X settings, "X+" and
-    "X-"; its two channels are built once and serve both. The columns are
+    "X-"; its pair and two channels are built once and serve both. So do
+    the input ket ``build_inputs`` keeps with the pair and the two
+    dilations ``dilate`` keeps with the kets: the second outcome pays only
+    for its ``bsm``, with the bits of a swap built afresh. The columns are
     numpy arrays allocated before the first draw and filled draw by draw:
     ``draw`` and ``sign`` int64, the rest float64. A draw's pair, heralded state and summed
     weights wait in ``CHUNK``-sized buffers. Each full (or last) buffer

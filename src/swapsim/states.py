@@ -26,13 +26,24 @@ one normalisation gate, ``PureState._require_normalized``.
 ``project``, ``partial_trace`` and ``loss.dilate`` share one label plan,
 ``_split``, memoised per pair of registers (``dilate`` reads two: its
 input's and its output's). A repeated or unknown mode has no plan, and
-the caller builds its ``LabelError`` text anew. A ket's ``norm2``, and the
-conjugate amplitudes ``project`` contracts with, are computed on first
-use and kept with the (immutable) state, so a constant projector ket
-costs a lookup. A ket made by loss dilation carries its input's
-``norm2``, the value that input's normalisation check read: the
-dilation is an isometry, so the squared norm is unchanged, and later
-checks of that ket sum no amplitudes.
+the caller builds its ``LabelError`` text anew. A ket keeps, in its
+instance dict, values derived from it on first use, since its amplitudes
+never change:
+
+- its ``norm2``, and the conjugate amplitudes ``project`` contracts
+  with, so a constant projector ket costs a lookup;
+- its last loss dilation, in one slot that ``loss.dilate`` reads and
+  writes (channel, mode, environment and the dilated ket), so a second
+  dilation through the same channel object is a lookup.
+
+A ket made by loss dilation carries its input's ``norm2``, the value
+that input's normalisation check read: the dilation is an isometry, so
+the squared norm is unchanged, and later checks of that ket sum no
+amplitudes. ``protocol.build_inputs`` keeps its ket with its
+``InputPair`` the same way, so a pair, its ket and the ket's dilations
+form one chain that lives as long as the pair. Each kept value is
+written whole, in one dict assignment, and is what a fresh computation
+would give; threads that race on one state at worst compute it twice.
 """
 
 from __future__ import annotations

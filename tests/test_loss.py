@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -203,6 +206,82 @@ class TestDilate:
                 np.multiply(ch.r, a[:, 1, :], out=want[:, 0, :, 1])
                 got = dilate(psi, mode, "env", ch).amps
                 assert got.tobytes() == want.tobytes(), (t, pos)
+
+    def test_a_repeat_call_returns_the_kept_dilation(self, rng):
+        psi = random_pure(rng, ("A", "B"))
+        ch = LossChannel(0.3)
+        out = dilate(psi, "B", "E", ch)
+        assert dilate(psi, "B", "E", ch) is out
+        # another mode, environment or channel object recomputes
+        for mode, env, other in (("A", "E", ch), ("B", "F", ch), ("B", "E", LossChannel(0.3))):
+            again = dilate(psi, mode, env, other)
+            assert again is not out
+            fresh = dilate(PureState(psi.labels, psi.amps), mode, env, LossChannel(0.3))
+            assert again.labels == fresh.labels
+            assert again.amps.tobytes() == fresh.amps.tobytes()
+
+    def test_an_equal_but_distinct_channel_recomputes(self):
+        """``LossChannel(-0.0) == LossChannel(0.0)``, yet their kept-photon
+        rows differ in the sign of zero; each call gives the bits of a
+        dilation of a fresh ket, whichever channel the slot held before."""
+        psi = PureState(("A", "C1"), np.array([0.8, 0, 0, 0.6]))
+        plus, minus = LossChannel(0.0), LossChannel(-0.0)
+        assert plus == minus and plus is not minus
+        fresh = {id(ch): dilate(PureState(psi.labels, psi.amps), "C1", "E1", ch).amps.tobytes()
+                 for ch in (plus, minus)}
+        assert fresh[id(plus)] != fresh[id(minus)]
+        for ch in (plus, minus, plus, minus):
+            assert dilate(psi, "C1", "E1", ch).amps.tobytes() == fresh[id(ch)]
+
+    def test_one_slot_a_second_dilation_frees_the_first(self, rng):
+        psi = random_pure(rng, ("A", "B"))
+        first = weakref.ref(dilate(psi, "B", "E", LossChannel(0.4)))
+        assert first() is not None  # kept with psi
+        dilate(psi, "B", "E", LossChannel(0.7))
+        assert first() is None
+
+    def test_checks_run_before_the_kept_dilation_is_read(self, rng):
+        psi = random_pure(rng, ("A", "B"))
+        ch = LossChannel(0.5)
+        out = dilate(psi, "B", "E", ch)
+        with pytest.raises(LabelError, match="collides"):
+            dilate(psi, "B", "A", ch)
+        with pytest.raises(LabelError, match="not in register"):
+            dilate(psi, "Q", "E", ch)
+        # a failed call leaves the slot as it was
+        assert dilate(psi, "B", "E", ch) is out
+        # a dilated ket keeps its own slot, checked the same way
+        with pytest.raises(LabelError, match="collides"):
+            dilate(out, "A", "E", ch)
+
+    def test_threads_racing_on_one_slot_each_get_their_own_channel(self, rng):
+        """Four threads dilate one ket through two shared channels in turn;
+        the slot changes hands under them, and every result still has the
+        bits of a fresh dilation through the channel its caller passed."""
+        psi = random_pure(rng, ("A", "B"))
+        channels = (LossChannel(0.3), LossChannel(0.6))
+        want = [dilate(PureState(psi.labels, psi.amps), "B", "E", ch).amps.tobytes()
+                for ch in channels]
+        wrong = []
+
+        def work(offset):
+            for i in range(400):
+                k = (i + offset) % 2
+                if dilate(psi, "B", "E", channels[k]).amps.tobytes() != want[k]:
+                    wrong.append((offset, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])

@@ -181,6 +181,31 @@ class TestBuildInputs:
         assert psi.amps[0b1100] == pytest.approx(beta * 0.98, abs=1e-15)
         assert psi.amps[0b1100] == pytest.approx(0.98 * 0.19899748, abs=1e-6)
 
+    def test_a_repeat_call_returns_the_kept_ket(self, rng):
+        pair = random_input_pair(rng)
+        psi = build_inputs(pair)
+        assert build_inputs(pair) is psi
+        # an equal but distinct pair builds its own ket, with the same bits
+        again = dataclasses.replace(pair)
+        assert again == pair and hash(again) == hash(pair)
+        assert build_inputs(again) is not psi
+        assert build_inputs(again).amps.tobytes() == psi.amps.tobytes()
+        assert repr(pair) == repr(again)
+
+    def test_a_second_swap_reuses_the_ket_and_its_dilations(self, rng):
+        """With the same pair and channel objects, the second outcome's
+        ``propagate`` returns the ket the first one made; each outcome has
+        the bits of a swap of a fresh pair through fresh channels."""
+        pair = random_input_pair(rng)
+        ch1, ch2 = LossChannel(0.35), LossChannel(0.8)
+        dilated = propagate(build_inputs(pair), ch1, ch2)
+        assert propagate(build_inputs(pair), ch1, ch2) is dilated
+        for setting in ("X+", "X-", "X+"):
+            kept = swap(pair, ch1, ch2, setting)
+            fresh = swap(dataclasses.replace(pair), LossChannel(0.35), LossChannel(0.8), setting)
+            assert kept.rho_ab.entries.tobytes() == fresh.rho_ab.entries.tobytes()
+            assert kept.p_success == fresh.p_success
+
 
 class TestPropagate:
     def test_lossless_is_pure_projector(self, rng):

@@ -13,6 +13,7 @@ import pytest
 from swapsim import protocol, recipes, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input, synth_counts
 from swapsim.floatfmt import FLOATFMT_MIN
+from swapsim.loss import LossChannel
 from swapsim.metrics import (
     bell_fidelity,
     concurrence_closed_form,
@@ -78,15 +79,19 @@ class TestOracleDraws:
 
     @staticmethod
     def per_draw_reference(draws, seed):
-        """The oracle's columns, one draw and one Wootters call at a time."""
+        """The oracle's columns, one draw and one Wootters call at a time.
+
+        Each swap gets a pair of its own, so no swap reads a ket or a
+        dilation another one made.
+        """
         rng = np.random.default_rng(seed)
         rows = []
         for i in range(draws):
             pair = random_input_pair(rng)
             t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
             sign = +1 if rng.integers(0, 2) == 0 else -1
-            brute = swap(pair, t1, t2, X_BY_SIGN[sign])
-            other = swap(pair, t1, t2, X_BY_SIGN[-sign])
+            brute = swap(dataclasses.replace(pair), t1, t2, X_BY_SIGN[sign])
+            other = swap(dataclasses.replace(pair), t1, t2, X_BY_SIGN[-sign])
             rho_cf, norm = closed_form_rho(pair, t1, t2, sign)
             rows.append((i, t1, t2, sign, float(np.max(np.abs(brute.rho_ab.entries - rho_cf))),
                          abs(brute.p_success + other.p_success - norm),
@@ -115,6 +120,27 @@ class TestOracleDraws:
         got = (tmp_path / "out" / "oracle-check.csv").read_text(encoding="utf-8")
         _assert_same_lines(got, naive.getvalue())
         assert got.count("\n") == draws + 1
+
+    def test_kept_kets_and_dilations_move_no_bit(self, monkeypatch):
+        """A draw's second swap reuses the ket and dilations of its first;
+        every outcome, and every column, has the bits of a run in which each
+        swap builds its pair, channels and kets afresh."""
+        outcomes = []
+
+        def spy(pair, ch1, ch2, setting):
+            outcome = swap(pair, ch1, ch2, setting)
+            outcomes.append(((pair, ch1.t, ch2.t, setting), outcome))
+            return outcome
+
+        monkeypatch.setattr(recipes, "swap", spy)
+        draws = 2 * CHUNK + 5
+        columns = run_oracle_draws(draws, seed=16).columns
+        assert len(outcomes) == 2 * draws
+        for (pair, t1, t2, setting), kept in outcomes:
+            fresh = swap(dataclasses.replace(pair), LossChannel(t1), LossChannel(t2), setting)
+            assert kept.rho_ab.entries.tobytes() == fresh.rho_ab.entries.tobytes()
+            assert kept.p_success == fresh.p_success
+        assert_same_columns(columns, self.per_draw_reference(draws, seed=16))
 
     def test_two_swaps_and_four_dilations_per_draw(self, monkeypatch):
         per_draw = []  # one Counter per draw, opened by its random_input_pair call
