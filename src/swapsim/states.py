@@ -30,8 +30,7 @@ the caller builds its ``LabelError`` text anew. A ket keeps, in its
 instance dict, values derived from it on first use, since its amplitudes
 never change:
 
-- its ``norm2``, and the conjugate amplitudes ``project`` contracts
-  with, so a constant projector ket costs a lookup;
+- its ``norm2``;
 - its last loss dilation, in one slot that ``loss.dilate`` reads and
   writes (channel, mode, environment and the dilated ket), so a second
   dilation through the same channel object is a lookup.
@@ -127,13 +126,6 @@ class PureState:
         Computed on first use and kept: the amplitudes never change.
         """
         return float(np.vdot(self.amps, self.amps).real)
-
-    @functools.cached_property
-    def _bra(self) -> np.ndarray:
-        """The conjugate amplitudes, made on first use and kept read-only."""
-        bra = self.amps.conj()
-        bra.setflags(write=False)
-        return bra
 
     def is_normalized(self, atol: float = ATOL) -> bool:
         return abs(self.norm2 - 1.0) <= atol
@@ -266,7 +258,7 @@ def project(psi: PureState, ket: PureState) -> PureState:
         missing = set(ket.labels) - set(psi.labels)
         raise LabelError(f"projector acts on unknown modes {sorted(missing)!r}")
     keep, index = plan
-    return PureState._of(keep, np.dot(ket._bra, psi.amps[index]))
+    return PureState._of(keep, np.dot(ket.amps.conj(), psi.amps[index]))
 
 
 @dataclass(frozen=True)
