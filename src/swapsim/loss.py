@@ -38,18 +38,12 @@ class LossChannel:
 
     t: float
     r: float = field(init=False, repr=False, compare=False)
-    # (r, t) as a read-only complex column of shape (2, 1): ``dilate``
-    # multiplies a ket's photon row by both in one call
-    _factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = float(self.t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"amplitude transmittivity t = {t} outside [0, 1]")
-        r = math.sqrt(max(0.0, 1.0 - t * t))
-        factors = np.array((r, t), dtype=complex)
-        factors.setflags(write=False)
-        self.__dict__.update(t=t, r=r, _factors=factors.reshape(2, 1))
+        self.__dict__.update(t=t, r=math.sqrt(max(0.0, 1.0 - t * t)))
 
 
 def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureState:
@@ -85,10 +79,10 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
     _, src = _split(psi.labels, mode)
     _, dst = _split(psi.labels + (env,), (mode, env))
     out = np.zeros(2 * psi.amps.size, dtype=complex)
+    photon = psi.amps[src[1]]
     out[dst[0]] = psi.amps[src[0]]               # no photon: untouched
-    # rows (0, 1), photon lost (times r), and (1, 0), photon kept (times t),
-    # from one multiply; the products are those of two separate ones
-    out[dst[1:3]] = ch._factors * psi.amps[src[1]]
+    out[dst[1]] = ch.r * photon                  # photon lost to the environment
+    out[dst[2]] = ch.t * photon                  # photon kept
     out = PureState._of(psi.labels + (env,), out, psi.norm2)
     # straight into the instance dict: the frozen dataclass refuses setattr
     psi.__dict__["_dilation"] = (ch, mode, env, out)
