@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .loss import LossChannel
 from .metrics import TWO_PI, FringeScan, VisibilityReport, fringe_scan
 from .protocol import InputPair, Pairs, _heralded, success_probability, swap
 from .states import ATOL
@@ -120,20 +121,23 @@ class SynthCounts:
 
 def synth_counts(
     pair: InputPair,
-    t1: float,
-    t2: float,
+    t1: float | LossChannel,
+    t2: float | LossChannel,
     setting: str,
     thetas,
     model: CountModel,
 ) -> SynthCounts:
     """Poisson coincidence counts for a phase scan of the heralded state.
 
-    ``setting`` names the middle-station setting, ``"X+"`` ... ``"Z-"``,
-    as ``swap`` takes it. Expected counts are ``mean_total_counts *
-    p_pm(theta)`` from the fringe scan of the swap output; realized
-    counts are Poisson draws from a generator seeded with ``model.seed``,
-    so identical inputs give bit-identical counts. The scan is returned
-    with the counts.
+    ``t1`` and ``t2`` are the two arms' losses, each an amplitude
+    transmittivity or a ``LossChannel``, as ``swap`` takes them; a channel
+    object passed to several calls lets them share the dilations that
+    ``loss.dilate`` keeps with the pair's input ket. ``setting`` names the
+    middle-station setting, ``"X+"`` ... ``"Z-"``, as ``swap`` takes it.
+    Expected counts are ``mean_total_counts * p_pm(theta)`` from the
+    fringe scan of the swap output; realized counts are Poisson draws from
+    a generator seeded with ``model.seed``, so identical inputs give
+    bit-identical counts. The scan is returned with the counts.
     """
     outcome = swap(pair, t1, t2, setting)
     scan = fringe_scan(outcome.rho_ab, thetas)

@@ -243,12 +243,15 @@ def _run_fringes(cfg: SweepConfig):
     mean = cfg.counts
     # xi is the total pump amplitude scale; the split divides it between sources
     pair = spdc_input(*pump_split(ratio, xi))
+    # one pair and one channel object per arm serve all six settings, so the
+    # input ket and its two dilations are built once and kept for the rest
+    ch1, ch2 = LossChannel(t1), LossChannel(t2)
     children = np.random.SeedSequence(cfg.seed).spawn(len(SETTINGS))
     tags = [name.replace("+", "p").replace("-", "m") for name in SETTINGS]  # X+ -> Xp
     probs, hits, fits = [], [], {}
     for name, tag, child in zip(SETTINGS, tags, children):
         model = CountModel(mean, int(child.generate_state(1, np.uint64)[0]))
-        counts = synth_counts(pair, t1, t2, name, thetas, model)
+        counts = synth_counts(pair, ch1, ch2, name, thetas, model)
         scan = counts.scan
         probs.append(np.stack((scan.p_plus, scan.p_minus), axis=1).ravel())
         hits.append(np.stack((counts.counts_plus, counts.counts_minus), 1).ravel())

@@ -13,7 +13,7 @@ import pytest
 from swapsim import protocol, recipes, validate, validate_config
 from swapsim.experiment import SpdcSource, normalized_success, spdc_input, synth_counts
 from swapsim.floatfmt import FLOATFMT_MIN
-from swapsim.loss import LossChannel
+from swapsim.loss import LossChannel, dilate
 from swapsim.metrics import (
     bell_fidelity,
     concurrence_closed_form,
@@ -777,3 +777,21 @@ def test_fringes_every_setting_scans_one_grid(monkeypatch):
         assert naive_values(extra["theta_rad"])[::2] == [str(x) for x in cfg.theta]
         for key in ("theta_rad", "outcome_sign", "counts"):
             assert naive_values(extra[key]) == [columns[key][i] for i in rows]
+
+
+def test_fringes_dilate_the_pair_once_for_all_six_settings(monkeypatch):
+    """One pair and one channel object per arm serve every setting: of the
+    run's twelve dilations only the first swap's two are computed, and the
+    other ten return those kept objects."""
+    outs = []
+
+    def recording(*args):
+        outs.append(dilate(*args))
+        return outs[-1]
+
+    monkeypatch.setattr(protocol, "dilate", recording)
+    cfg = validate_config("experiment = theta-fringes\nseed = 3\nt1 = 0.9\nt2 = 0.4\n")
+    RECIPES[cfg.experiment].runner(cfg)
+    assert len(outs) == 2 * len(protocol.SETTINGS)
+    assert len({id(out) for out in outs}) == 2
+    assert all(out is first for out, first in zip(outs, outs[:2] * len(protocol.SETTINGS)))
