@@ -26,14 +26,13 @@ one normalisation gate, ``PureState._require_normalized``.
 ``project``, ``partial_trace`` and ``loss.dilate`` share one label plan,
 ``_split``, memoised per pair of registers (``dilate`` reads two: its
 input's and its output's). A repeated or unknown mode has no plan, and
-the caller builds its ``LabelError`` text anew. A ket keeps, in its
-instance dict, values derived from it on first use, since its amplitudes
-never change:
-
-- its ``norm2``;
-- its last loss dilation, in one slot that ``loss.dilate`` reads and
-  writes (channel, mode, environment and the dilated ket), so a second
-  dilation through the same channel object is a lookup.
+the caller builds its ``LabelError`` text anew. A ket keeps two values
+in its instance dict, derived on first use since its amplitudes never
+change, and nothing else: its ``norm2``, and its last loss dilation, in
+one slot that ``loss.dilate`` reads and writes (channel, mode,
+environment and the dilated ket), so a second dilation through the same
+channel object is a lookup. ``project`` conjugates the projector ket's
+amplitudes afresh on each call.
 
 A ket made by loss dilation carries its input's ``norm2``, the value
 that input's normalisation check read: the dilation is an isometry, so
@@ -127,8 +126,9 @@ class PureState:
         """
         return float(np.vdot(self.amps, self.amps).real)
 
-    def is_normalized(self, atol: float = ATOL) -> bool:
-        return abs(self.norm2 - 1.0) <= atol
+    def is_normalized(self) -> bool:
+        """``norm2`` is 1 to within ``ATOL``."""
+        return abs(self.norm2 - 1.0) <= ATOL
 
     def _require_normalized(self) -> None:
         """The gate of ``loss.dilate`` and ``bsm``: ``norm2`` is 1 to within 1e-9."""

@@ -22,6 +22,7 @@ from swapsim import (
     validate,
 )
 from swapsim import states
+from swapsim.protocol import C1, C2, SETTINGS
 
 from oracles import (
     bell_phi_plus,
@@ -165,6 +166,39 @@ class TestProject:
         transposed = PureState(("B", "C"), ket.amps[[0, 2, 1, 3]])
         out = project(psi, ket)
         np.testing.assert_allclose(out.amps, project(psi, transposed).amps, atol=1e-14)
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 4, 5, 6])
+    def test_every_bit_matches_a_transposed_gather(self, n_modes):
+        """``project`` contracts the conjugate of the ket's amplitudes with
+        psi's (ket, rest) rows. Every bit, signed zeros and subnormal
+        amplitudes included, is what the same ``np.dot`` gives over rows
+        gathered by reshape and transpose, for each station setting's ket
+        and for random projector kets on any subset of the modes."""
+        rng = np.random.default_rng(50 + n_modes)
+        special = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                   complex(5e-324, -1e-310)]
+
+        def with_special(labels):
+            amps = random_pure(rng, labels).amps.copy()
+            k = min(len(special), amps.size - 1)
+            amps[rng.choice(amps.size, size=k, replace=False)] = special[:k]
+            return amps
+
+        labels = [C1, C2] + [f"m{i}" for i in range(n_modes - 2)]
+        kets = list(SETTINGS.values())
+        for _ in range(6):
+            part = tuple(rng.permutation(labels)[:rng.integers(1, n_modes + 1)].tolist())
+            amps = with_special(part)
+            kets.append(PureState(part, amps / np.sqrt(np.vdot(amps, amps).real)))
+        for ket in kets:
+            psi = PureState(tuple(rng.permutation(labels).tolist()), with_special(labels))
+            rest = tuple(lab for lab in psi.labels if lab not in ket.labels)
+            perm = [psi.labels.index(lab) for lab in ket.labels + rest]
+            rows = psi.amps.reshape((2,) * n_modes).transpose(perm).reshape(ket.amps.size, -1)
+            want = np.dot(np.conj(ket.amps), rows)
+            out = project(psi, ket)
+            assert out.labels == rest
+            assert out.amps.tobytes() == want.tobytes(), (psi.labels, ket.labels)
 
 
 class TestValidate:
