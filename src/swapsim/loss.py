@@ -32,8 +32,9 @@ __all__ = ["LossChannel", "dilate"]
 class LossChannel:
     """Loss with real amplitude transmittivity t in [0, 1]; r = sqrt(1 - t^2).
 
-    ``r`` is derived from ``t`` when the channel is built, so equality,
-    hashing and the repr see ``t`` alone.
+    ``r`` is derived from ``t`` when the channel is built, and the two
+    floats are all a channel holds; equality, hashing and the repr see
+    ``t`` alone.
     """
 
     t: float
@@ -58,7 +59,9 @@ def dilate(psi: PureState, mode: Label, env: Label, ch: LossChannel) -> PureStat
 
     The input's label plan gives its (mode, rest) rows and the output's
     its ((mode, environment), rest) rows, with the environment bit least
-    significant; each output row is one index scatter of an input row.
+    significant; each output row is one index scatter of an input row,
+    the photon row multiplied by ``ch.r`` for the lost photon and by
+    ``ch.t`` for the kept one.
 
     The last dilation of a ket is kept with it (the ket is immutable), in
     one slot ``(ch, mode, env, out)``. A call that repeats it with the same

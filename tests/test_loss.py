@@ -184,8 +184,8 @@ class TestDilate:
 
     @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
     def test_fill_is_bit_identical_to_one_multiply_per_block(self, n_modes):
-        """Both photon rows of the label plan come out of one broadcast
-        multiply and one index scatter; every bit, signed zeros and
+        """Each photon row of the label plan comes out of one multiply by
+        r or t and one index scatter; every bit, signed zeros and
         subnormal products included, is what two separate scalar
         multiplies into a reshaped copy would give."""
         rng = np.random.default_rng(90 + n_modes)
