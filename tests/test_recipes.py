@@ -792,6 +792,4 @@ def test_fringes_dilate_the_pair_once_for_all_six_settings(monkeypatch):
     monkeypatch.setattr(protocol, "dilate", recording)
     cfg = validate_config("experiment = theta-fringes\nseed = 3\nt1 = 0.9\nt2 = 0.4\n")
     RECIPES[cfg.experiment].runner(cfg)
-    assert len(outs) == 2 * len(protocol.SETTINGS)
-    assert len({id(out) for out in outs}) == 2
-    assert all(out is first for out, first in zip(outs, outs[:2] * len(protocol.SETTINGS)))
+    assert [id(out) for out in outs] == [id(outs[0]), id(outs[1])] * len(protocol.SETTINGS)
