@@ -7,7 +7,8 @@
 Exit codes: 0 success, 2 usage/configuration error (including inputs
 whose heralding probability vanishes and a grid too large to compute in
 the memory there is), 3 I/O error, 4 invariant violation detected during
-the oracle check.
+the oracle check (a deviation past its tolerance, or an error raised
+inside a draw, whose inputs are valid by construction).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 
 from . import __version__
 from .config import ConfigError, too_many_draws, validate_config
-from .recipes import describe_recipes, oracle_verdicts, run, run_oracle_draws
+from .recipes import DrawError, describe_recipes, oracle_verdicts, run, run_oracle_draws
 
 USAGE_ERROR = 2
 IO_ERROR = 3
@@ -111,6 +112,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_ERROR
+    except DrawError as exc:
+        # the draws' inputs are valid by construction: a library defect
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return INVARIANT_ERROR
     except ValueError as exc:
         # valid config, degenerate physics (e.g. an outcome of probability ~0)
         print(f"error: {exc}", file=sys.stderr)

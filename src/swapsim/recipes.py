@@ -10,11 +10,18 @@ closed forms, int64 for counts, draw numbers and signs. One writer,
 Python value (a computed value's comes from ``floatfmt``), so a given
 configuration always writes a byte-identical CSV; no field needs quoting.
 It builds the text ``CSV_BLOCK`` rows at a time, one ``floatfmt`` call per
-computed column, and writes it ``CSV_CHUNK`` rows at a time.
+computed column, and squeezes and writes it ``CSV_CHUNK`` rows at a time.
+The two stages overlap when a second CPU is free: the calling thread
+builds the next block while one writer thread squeezes and writes the
+one before, one block in flight at most, so the bytes and their order
+are the same. A CSV of one block, and every CSV written with no CPU to
+spare (one CPU, or numpy's BLAS threads still busy after import), is
+written on the calling thread alone.
 A JSON sidecar holds the full configuration, library version, the
 environment (python and numpy versions, operating system, cpu count),
 wall time, where that time went (``timings_s``: compute, write, and the
-part of write spent turning columns into text, format) and the
+part of write the calling thread spent turning columns into text, format:
+building every block, and squeezing the blocks it writes itself) and the
 compute rate (``points_per_s``: CSV rows over compute seconds).
 
 The closed-form recipes evaluate whole grids in array calls: the
@@ -56,12 +63,14 @@ lossless channels. All transmittivities are AMPLITUDE transmittivities
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import json
 import math
 import os
 import platform
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,7 +112,7 @@ if TYPE_CHECKING:
     from .config import SweepConfig
 
 __all__ = ["AxisColumn", "Recipe", "RecipeResult", "RunReport", "RECIPES", "ORACLE_CHECKS", "run",
-           "run_oracle_draws", "oracle_verdicts", "describe_recipes"]
+           "run_oracle_draws", "DrawError", "oracle_verdicts", "describe_recipes"]
 
 # oracle-check: summary key -> (CSV column whose maximum it holds, label,
 # key in the summary's "tolerances", tolerance); in summary and print order
@@ -319,6 +328,12 @@ def _run_imbalance(cfg: SweepConfig):
     return RecipeResult(columns, summary, (pairs[1], t1, g2[0]))
 
 
+class DrawError(ValueError):
+    """A ``ValueError`` raised inside an oracle draw: the draws' inputs are
+    valid by construction, so it is a defect of the library, not of the
+    caller's input. Its text names the draw's index and the seed."""
+
+
 def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     """Randomized closed-form vs brute-force cross-check.
 
@@ -336,7 +351,9 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     and closed-form states, and of ``dev_concurrence`` from one stacked
     ``concurrence_wootters`` call.
     ``ok`` is False as soon as any draw exceeds a tolerance of
-    ``ORACLE_CHECKS``; ``rep`` is the first draw's point.
+    ``ORACLE_CHECKS``; ``rep`` is the first draw's point. A ``ValueError``
+    raised by a draw, or by the closed forms of the buffer it completes,
+    comes out as a ``DrawError`` naming that draw.
     """
     # allocated, not filled, first: a count no memory holds fails before any draw
     draw, signs = np.empty(draws, dtype=np.int64), np.empty(draws, dtype=np.int64)
@@ -345,28 +362,31 @@ def run_oracle_draws(draws: int, seed: int) -> RecipeResult:
     states = np.empty((CHUNK, 4, 4), dtype=complex)
     weights = np.empty(CHUNK)
     pairs = []
-    for i in range(draws):
-        pair = random_input_pair(rng)
-        t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
-        sign = +1 if rng.integers(0, 2) == 0 else -1
-        ch1, ch2 = LossChannel(t1), LossChannel(t2)
-        brute = swap(pair, ch1, ch2, "X+" if sign > 0 else "X-")
-        other = swap(pair, ch1, ch2, "X-" if sign > 0 else "X+")
-        k = i % CHUNK
-        pairs.append(pair)
-        states[k] = brute.rho_ab.entries
-        weights[k] = brute.p_success + other.p_success
-        draw[i], t1s[i], t2s[i], signs[i] = i, t1, t2, sign
-        if k == CHUNK - 1 or i == draws - 1:
-            at, n = slice(i - k, i + 1), k + 1
-            rhos_cf, norms = closed_form_rho(pairs, t1s[at], t2s[at], signs[at])
-            dev_norms[at] = np.abs(weights[:n] - norms)
-            dev_rhos[at] = np.max(np.abs(states[:n] - rhos_cf), axis=(1, 2))
-            dev_concs[at] = np.abs(concurrence_wootters(states[:n])
-                                   - concurrence_closed_form(pairs, t1s[at], t2s[at]))
-            pairs = []
-        if i == 0:
-            rep = (pair, t1, t2)
+    try:
+        for i in range(draws):
+            pair = random_input_pair(rng)
+            t1, t2 = rng.uniform(0.05, 1.0, size=2).tolist()
+            sign = +1 if rng.integers(0, 2) == 0 else -1
+            ch1, ch2 = LossChannel(t1), LossChannel(t2)
+            brute = swap(pair, ch1, ch2, "X+" if sign > 0 else "X-")
+            other = swap(pair, ch1, ch2, "X-" if sign > 0 else "X+")
+            k = i % CHUNK
+            pairs.append(pair)
+            states[k] = brute.rho_ab.entries
+            weights[k] = brute.p_success + other.p_success
+            draw[i], t1s[i], t2s[i], signs[i] = i, t1, t2, sign
+            if k == CHUNK - 1 or i == draws - 1:
+                at, n = slice(i - k, i + 1), k + 1
+                rhos_cf, norms = closed_form_rho(pairs, t1s[at], t2s[at], signs[at])
+                dev_norms[at] = np.abs(weights[:n] - norms)
+                dev_rhos[at] = np.max(np.abs(states[:n] - rhos_cf), axis=(1, 2))
+                dev_concs[at] = np.abs(concurrence_wootters(states[:n])
+                                       - concurrence_closed_form(pairs, t1s[at], t2s[at]))
+                pairs = []
+            if i == 0:
+                rep = (pair, t1, t2)
+    except ValueError as exc:
+        raise DrawError(f"draw {i} of seed {seed}: {exc}") from exc
     columns = {"draw": draw, "t1": t1s, "t2": t2s, "sign": signs,
                "max_dev_rho": dev_rhos, "dev_norm": dev_norms, "dev_concurrence": dev_concs}
     summary = {"draws": draws}
@@ -490,9 +510,91 @@ def _csv_rows(fields, start, stop):
     return text
 
 
+def _write_block(fh, text):
+    """Squeeze the NULs out of ``text`` (from ``_csv_rows``) and write it,
+    ``CSV_CHUNK`` rows per ``write``; return the seconds spent squeezing and
+    decoding, the writes left out."""
+    squeezing = 0.0
+    for at in range(0, len(text), CSV_CHUNK):
+        began = time.monotonic()
+        chunk = text[at:at + CSV_CHUNK]
+        # decoded from the array's buffer, not a bytes copy
+        lines = str(chunk[chunk != 0], "ascii")
+        squeezing += time.monotonic() - began
+        fh.write(lines)
+    return squeezing
+
+
+class _BlockWriter(threading.Thread):
+    """One thread that squeezes and writes (``_write_block``) the blocks
+    handed to it, in the order they were handed.
+
+    ``hand`` passes a block on and returns at once. ``wait`` returns once the
+    oldest block not yet waited for is written, and raises again whatever
+    its write raised. ``close`` lets the thread write what it holds and end.
+    """
+
+    def __init__(self, fh):
+        super().__init__(name="swapsim-csv-writer")
+        self.fh, self.error = fh, None
+        self.blocks = collections.deque()
+        self.handed, self.written = threading.Semaphore(0), threading.Semaphore(0)
+        self.start()
+
+    def run(self):
+        while True:
+            self.handed.acquire()
+            text = self.blocks.popleft()
+            if text is None:
+                return
+            try:
+                _write_block(self.fh, text)
+            except BaseException as exc:  # raised in the caller by wait
+                self.error = exc
+            self.written.release()
+
+    def hand(self, text):
+        self.blocks.append(text)
+        self.handed.release()
+
+    def wait(self):
+        self.written.acquire()
+        if self.error is not None:
+            raise self.error
+
+    def close(self):
+        self.hand(None)
+        self.join()
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _cpu_elsewhere():
+    """CPU seconds used so far by the process's threads other than this one."""
+    return time.process_time() - time.thread_time()
+
+
+def _spare_cpu(elsewhere, seconds):
+    """Whether a writer thread would find a CPU to itself: the process may
+    run on two CPUs or more, and its other threads used under a quarter of
+    a CPU (``elsewhere`` CPU seconds) over the last ``seconds``. numpy's
+    BLAS threads spin on a CPU for tens of milliseconds after numpy is
+    imported, and a writer thread that competes with them and the calling
+    thread for two CPUs slows the calling thread more than it saves; the
+    CPU time of a thread on another CPU is counted at the scheduler's
+    ticks, so over a longer ``seconds`` the reading is surer."""
+    return elsewhere < seconds / 4 and _cpus() > 1
+
+
 def _write_csv(fh, columns):
     """Write the header, then one line per row, each field as ``str(value)``;
-    return the seconds spent turning the columns into text.
+    return the seconds the calling thread spent turning the columns into text.
 
     A column is one of two kinds. An ``AxisColumn`` (from ``_product``)
     holds each distinct text once, and a block of its rows is gathered by
@@ -501,23 +603,44 @@ def _write_csv(fh, columns):
     ``floatfmt.write_values`` gives for a whole block at once; any other
     dtype is a ``TypeError``. The rows are built ``CSV_BLOCK`` at a time
     (``_csv_rows``), and each ``CSV_CHUNK`` rows of a block are squeezed to
-    one string and written with one ``write``, so the whole file is never
-    held as one string.
+    one string and written with one ``write`` (``_write_block``), so the
+    whole file is never held as one string.
+
+    The two stages overlap once a second CPU is free (``_spare_cpu``, over
+    the time since this call began, asked after each block is built until
+    the writer starts): while the calling thread builds block k+1, one
+    writer thread (``_BlockWriter``) squeezes and writes block k. The
+    calling thread waits for that write before it hands over block k+1,
+    so at most one block is in flight and the file gets its bytes in
+    order. The last block, and every block before a CPU is found free, is
+    squeezed and written on the calling thread, so a CSV of at most
+    ``CSV_BLOCK`` rows starts no thread. A write is never left pending
+    when this returns or raises, and an error raised on the writer thread
+    is raised again here. The seconds returned count building the blocks,
+    and squeezing the ones the calling thread writes itself.
     """
     fh.write(",".join(columns) + "\n")
     fields = _fields(list(columns.values()))
     rows = min((len(column) for column, _ in fields), default=0)
-    formatting = 0.0
-    for start in range(0, rows, CSV_BLOCK):
-        began = time.monotonic()
-        text = _csv_rows(fields, start, min(start + CSV_BLOCK, rows))
-        for at in range(0, len(text), CSV_CHUNK):
-            chunk = text[at:at + CSV_CHUNK]
-            # decoded from the array's buffer, not a bytes copy
-            lines = str(chunk[chunk != 0], "ascii")
-            formatting += time.monotonic() - began
-            fh.write(lines)
+    formatting, writer = 0.0, None
+    since, elsewhere = time.monotonic(), _cpu_elsewhere()
+    try:
+        for start in range(0, rows, CSV_BLOCK):
             began = time.monotonic()
+            stop = min(start + CSV_BLOCK, rows)
+            text = _csv_rows(fields, start, stop)
+            formatting += time.monotonic() - began
+            if writer is not None:
+                writer.wait()  # the previous block is written
+            elif stop < rows and _spare_cpu(_cpu_elsewhere() - elsewhere, time.monotonic() - since):
+                writer = _BlockWriter(fh)
+            if writer is not None and stop < rows:
+                writer.hand(text)
+            else:
+                formatting += _write_block(fh, text)
+    finally:
+        if writer is not None:  # also on an error: the block in hand is written first
+            writer.close()
     return formatting
 
 

@@ -14,7 +14,9 @@ to the trace. States here are never renormalized behind the caller's
 back.
 
 Everything is immutable after construction and every operation is a
-pure function, so values can be shared freely between threads. The
+pure function, so values can be shared freely between threads (the
+library starts one thread of its own, the CSV writer's in ``recipes``,
+and hands it text, never a state). The
 public constructors copy the array they are given and validate the
 labels and shape; states the library builds itself (``tensor``,
 ``project``, ``partial_trace``, ``DensityMatrix.normalized``, loss

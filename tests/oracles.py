@@ -8,7 +8,9 @@ The reference routes that no library code calls live here too, each the
 second route of something the library computes: the Kraus loss route
 (``kraus_ops``, ``apply_loss``) that ``loss.dilate`` is held to, the
 weak-pair limit of the heralded state (``asymptotic_state``), the
-analytic concurrence optimum (``optimal_t2``), the text form of a
+analytic concurrence optimum (``optimal_t2``), the best split of a fixed
+photon-pair scale between the two sources (``best_split_concurrence``),
+which ``optimal_inputs`` approaches as epsilon -> 0, the text form of a
 config (``to_text``), the inverse of ``validate_config``, the reader
 of a ``--dump-state`` file (``from_json_dict``), the inverse of
 ``DensityMatrix.to_json_dict``, and the unit-norm rescaling of a ket
@@ -21,7 +23,8 @@ import warnings
 import numpy as np
 from hypothesis import strategies as st
 
-from swapsim import DensityMatrix, InputPair, LossChannel, PureState, SweepConfig
+from swapsim import (DensityMatrix, InputPair, LossChannel, PureState, SweepConfig,
+                     concurrence_closed_form)
 from swapsim.config import GRID_KEYS
 from swapsim.protocol import A, B, _check_sign
 from swapsim.recipes import AxisColumn
@@ -194,6 +197,25 @@ def optimal_t2(t1: float) -> float:
         )
         return 1.0
     return t1 / math.sqrt(1.0 - t1 * t1)
+
+
+def best_split_concurrence(t1: float, t2: float, s: float) -> float:
+    """The largest closed-form concurrence over real input pairs with
+    ``beta * delta = s``: a scan of log(beta) over (log s, 0), with
+    ``delta = s / beta``, narrowed around its best point until the step is
+    below 1e-12 of the range."""
+    lo, hi = math.log(s), 0.0
+    best = -1.0
+    while hi - lo > 1e-12 * -math.log(s):
+        logs = np.linspace(lo, hi, 101)[1:-1]
+        pairs = [InputPair(math.sqrt(1.0 - b * b), b, math.sqrt(1.0 - s * s / (b * b)), s / b)
+                 for b in np.exp(logs).tolist()]
+        c = concurrence_closed_form(pairs, t1, t2)
+        k = int(np.argmax(c))
+        best = max(best, float(c[k]))
+        step = logs[1] - logs[0]
+        lo, hi = logs[k] - step, logs[k] + step
+    return best
 
 
 def to_text(cfg: SweepConfig) -> str:

@@ -183,6 +183,34 @@ class TestCheck:
     def test_bad_draws_exit_2(self):
         assert main(["check", "--draws", "0"]) == 2
 
+    @pytest.fixture
+    def failing_draw_2(self, monkeypatch):
+        """``swap`` raises a ``ValueError`` on draw 2 (its fifth call: two per draw)."""
+        exact, calls = recipes.swap, []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise ValueError("ket is not normalized")
+            return exact(*args, **kwargs)
+
+        monkeypatch.setattr(recipes, "swap", failing)
+
+    def test_error_inside_a_draw_exits_4_naming_draw_and_seed(self, failing_draw_2, capsys):
+        """``check`` validates its inputs before any draw, so an error raised
+        inside one is an invariant violation, not a usage error."""
+        assert main(["check", "--draws", "20", "--seed", "5"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "invariant violation: draw 2 of seed 5: ket is not normalized\n"
+
+    def test_run_of_an_error_inside_a_draw_exits_4_and_writes_nothing(self, failing_draw_2,
+                                                                     oracle_cfg, tmp_path,
+                                                                     capsys):
+        assert main(["run", str(oracle_cfg), "--out", str(tmp_path / "out")]) == 4
+        assert "draw 2 of seed 3" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["oracle.cfg"]
+
 
 class TestRecipesListing:
     def test_lists_every_experiment(self, capsys):
@@ -381,6 +409,9 @@ def test_domain_rule_breaks_exit_2(doc, tmp_path, capsys):
         "experiment = scaling-balanced\nxi = 1e-200\nnormalize = false\n",
         "experiment = imbalance-restore\nxi = 1e-200\n",
         "experiment = concurrence-slices\nt1 = 1e-300\nt2 = 1e-300\n",
+        # t1^2 + t2^2 underflows to 0 in optimal_inputs' pair scale
+        "experiment = imbalance-restore\nt1 = 5e-324\nt2 = 5e-324\n",
+        "experiment = imbalance-restore\nt1 = 1e-200\nt2 = 1e-200\n",
     ],
 )
 def test_vanishing_signal_exits_2_with_one_line(doc, tmp_path, capsys):

@@ -78,6 +78,103 @@ class TestWoottersConcurrence:
         assert worst < 1e-10
 
 
+def _bell_basis():
+    """The four Bell kets as the columns of a 4x4 matrix: Phi+, Phi-, Psi+, Psi-."""
+    r = np.sqrt(0.5)
+    return np.array([[r, r, 0, 0], [0, 0, r, r], [0, 0, r, -r], [r, -r, 0, 0]], dtype=complex)
+
+
+def _haar_unitary(rng):
+    """A Haar-random 2x2 unitary (QR of a complex Gaussian, phases fixed)."""
+    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _locally_rotated(rho, rng):
+    """``(U x V) rho (U x V)^dag`` for Haar-random U and V: a dense state of
+    the same concurrence."""
+    uv = np.kron(_haar_unitary(rng), _haar_unitary(rng))
+    out = uv @ rho @ uv.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+def _werner(p):
+    psi = _bell_basis()[:, 3]
+    return p * np.outer(psi, psi.conj()) + (1.0 - p) * np.eye(4) / 4.0
+
+
+def _bell_diagonal(weights):
+    b = _bell_basis()
+    return (b * np.asarray(weights)) @ b.conj().T
+
+
+def _x_state(rng):
+    """A random full-rank X state, ``rho11 rho44 != 0``, with complex
+    coherences rho14 and rho23, and its concurrence by the X-state formula
+    ``2 max(0, |rho23| - sqrt(rho11 rho44), |rho14| - sqrt(rho22 rho33))``."""
+    d = rng.dirichlet(np.ones(4))
+    # |rho14|^2 < rho11 rho44 and |rho23|^2 < rho22 rho33: positive definite
+    c14 = rng.uniform(0, 0.999) * np.sqrt(d[0] * d[3])
+    c23 = rng.uniform(0, 0.999) * np.sqrt(d[1] * d[2])
+    rho = np.diag(d).astype(complex)
+    rho[0, 3] = c14 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    rho[1, 2] = c23 * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    rho[3, 0], rho[2, 1] = np.conj(rho[0, 3]), np.conj(rho[1, 2])
+    want = 2.0 * max(0.0, c23 - np.sqrt(d[0] * d[3]), c14 - np.sqrt(d[1] * d[2]))
+    return rho, want
+
+
+class TestWoottersFullRank:
+    """References for states of rank 3 and 4, where the spin-flip product
+    has four nonzero eigenvalues: each formula is independent of it, and a
+    Wootters concurrence that dropped the third and fourth would miss them."""
+
+    @pytest.mark.parametrize("p", [k / 10 for k in range(11)])
+    def test_werner_states(self, p):
+        want = max(0.0, (3.0 * p - 1.0) / 2.0)
+        assert concurrence_wootters(_werner(p)) == pytest.approx(want, abs=1e-12)
+
+    def test_werner_state_at_one_half_is_one_quarter(self):
+        assert concurrence_wootters(_werner(0.5)) == pytest.approx(0.25, abs=1e-12)
+
+    def test_bell_diagonal_states(self):
+        rng = np.random.default_rng(17)
+        weights = [rng.dirichlet(np.ones(4)) for _ in range(30)]
+        weights += [(0.7, 0.1, 0.1, 0.1), (0.1, 0.2, 0.3, 0.4), (0.5, 0.5, 0.0, 0.0),
+                    (0.25, 0.25, 0.25, 0.25), (0.55, 0.15, 0.15, 0.15)]
+        for w in weights:
+            want = max(0.0, 2.0 * max(w) - 1.0)
+            assert concurrence_wootters(_bell_diagonal(w)) == pytest.approx(want, abs=1e-12), w
+        assert sum(max(w) > 0.5 for w in weights) >= 5  # entangled ones too
+
+    def test_x_states(self):
+        rng = np.random.default_rng(29)
+        entangled = 0
+        for _ in range(50):
+            rho, want = _x_state(rng)
+            assert np.linalg.eigvalsh(rho).min() > 0.0  # full rank
+            assert concurrence_wootters(rho) == pytest.approx(want, abs=1e-12)
+            entangled += want > 0.0
+        assert entangled >= 10
+
+    def test_local_unitaries_keep_the_concurrence(self):
+        """Werner, Bell-diagonal and X states under random ``U x V``: dense,
+        full-rank states whose concurrence is the formula's."""
+        rng = np.random.default_rng(31)
+        cases = [(_werner(p), max(0.0, (3.0 * p - 1.0) / 2.0)) for p in (0.2, 0.5, 0.8, 0.95)]
+        for _ in range(10):
+            w = rng.dirichlet(np.ones(4))
+            cases.append((_bell_diagonal(w), max(0.0, 2.0 * max(w) - 1.0)))
+            cases.append(_x_state(rng))
+        for rho, want in cases:
+            for _ in range(3):
+                dense = _locally_rotated(rho, rng)
+                assert np.count_nonzero(np.abs(dense) < 1e-9) == 0
+                assert concurrence_wootters(dense) == pytest.approx(want, abs=1e-12)
+        assert sum(want > 0.0 for _, want in cases) >= 10
+
+
 class TestStackedWootters:
     """A stack (N, 4, 4) gives exactly the per-state values and errors."""
 

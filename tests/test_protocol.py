@@ -37,6 +37,7 @@ from oracles import (
     X_BY_SIGN,
     apply_loss,
     asymptotic_state,
+    best_split_concurrence,
     input_pairs,
     naive_partial_trace,
     naive_project,
@@ -637,6 +638,22 @@ class TestOptimalInputs:
     def test_dead_channel_rejected(self, t1, t2):
         with pytest.raises(ValueError, match="0 < t1, t2"):
             optimal_inputs(t1, t2, 0.01)
+
+    def test_optimal_only_as_epsilon_vanishes(self):
+        """At its own pair scale the rule leaves concurrence to the best split
+        of beta * delta: 1.56e-3 at epsilon = 0.5, then a gap that shrinks as
+        epsilon^8 (256 times per halving) down to roundoff at 0.01."""
+        t1, t2 = 0.05, 0.8
+        gaps = {}
+        for eps in (0.5, 0.2, 0.1, 0.05, 0.01):
+            pair = optimal_inputs(t1, t2, eps)
+            scale = (pair.beta * pair.delta).real
+            gaps[eps] = best_split_concurrence(t1, t2, scale) - concurrence_closed_form(pair, t1, t2)
+        assert gaps[0.5] == pytest.approx(1.558e-3, rel=1e-3)
+        assert gaps[0.2] / gaps[0.1] == pytest.approx(256, rel=0.02)
+        assert gaps[0.1] / gaps[0.05] == pytest.approx(256, rel=0.05)
+        assert 1e-9 < gaps[0.1] < 1e-8
+        assert abs(gaps[0.01]) < 1e-14
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 0.51])
     def test_bad_epsilon_rejected(self, eps):

@@ -1,11 +1,15 @@
 import csv
 import dataclasses
+import errno
 import io
 import itertools
 import json
 import math
 import sys
+import threading
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -673,6 +677,260 @@ def test_surface_run_matches_the_row_at_a_time_writer(tmp_path):
     report = run(cfg, out_dir=tmp_path)
     assert report.csv_path.read_bytes() == naive.getvalue().encode()
     assert json.loads(report.meta_path.read_text())["rows"] == 90_000
+
+
+# the writer thread runs only where a second CPU is free; these force the
+# choice either way, so both paths run on any machine, one CPU too
+_OVERLAP = {"overlap": True, "serial": False}
+
+
+def _force_overlap(monkeypatch, overlap=True):
+    monkeypatch.setattr(recipes, "_spare_cpu", lambda elsewhere, seconds: overlap)
+
+
+def _multi_block_columns(rows):
+    return {"tag": _axis(_TAGS, 5, rows), "x": np.array(_cycle(_FLOATS + [_LONGEST], rows)),
+            "n": np.array(_cycle(_INTS, rows), dtype=np.int64),
+            "a": _axis((0.5, _LONGEST), 3000, rows)}
+
+
+def _writer_threads():
+    return [t for t in threading.enumerate() if t.name == "swapsim-csv-writer"]
+
+
+@pytest.fixture
+def writers(monkeypatch):
+    """For each block squeezed and written, in order: whether the calling
+    thread wrote it."""
+    write_block, on_caller = recipes._write_block, []
+
+    def recording(fh, text):
+        on_caller.append(threading.current_thread() is threading.main_thread())
+        return write_block(fh, text)
+
+    monkeypatch.setattr(recipes, "_write_block", recording)
+    return on_caller
+
+
+@pytest.mark.parametrize("overlap", _OVERLAP.values(), ids=_OVERLAP)
+def test_write_csv_multi_block_matches_the_row_at_a_time_writer(overlap, monkeypatch, writers):
+    """3.5 blocks: with a CPU to spare the first three are squeezed and
+    written on the writer thread and the last on the calling thread, and the
+    bytes are the row-at-a-time writer's either way."""
+    _force_overlap(monkeypatch, overlap)
+    rows = 7 * CSV_BLOCK // 2
+    columns = _multi_block_columns(rows)
+    fast, naive = io.StringIO(), io.StringIO()
+    _write_csv(fast, columns)
+    naive_write_csv(naive, columns)
+    _assert_same_lines(fast.getvalue(), naive.getvalue())
+    assert writers == ([False] * 3 if overlap else [True] * 3) + [True]
+    assert not _writer_threads()
+
+
+def test_write_csv_callers_on_many_threads_under_fast_switching(monkeypatch):
+    """Four threads each write 2.5 blocks three times, each call with its own
+    writer thread (eight threads on two CPUs or fewer), while the interpreter
+    switches threads every microsecond: every file has the reference bytes."""
+    _force_overlap(monkeypatch)
+    columns = _multi_block_columns(5 * CSV_BLOCK // 2)
+    want = io.StringIO()
+    naive_write_csv(want, columns)
+    got = []
+
+    def caller():
+        for _ in range(3):
+            fh = io.StringIO()
+            _write_csv(fh, columns)
+            got.append(fh.getvalue())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(4)]
+        for thread in callers:
+            thread.start()
+        for thread in callers:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in callers)
+    assert len(got) == 12
+    for text in got:
+        _assert_same_lines(text, want.getvalue())
+    assert not _writer_threads()
+
+
+class _FailingWrites(io.StringIO):
+    """A text file whose first write past ``lines`` lines raises ``error``;
+    it records every write it is asked for after that."""
+
+    def __init__(self, lines):
+        super().__init__()
+        self.lines, self.error, self.after = lines, OSError(errno.ENOSPC, "disk full"), []
+
+    def write(self, text):
+        if self.after or self.getvalue().count("\n") >= self.lines:
+            self.after.append(text)
+            raise self.error
+        return super().write(text)
+
+
+@pytest.mark.parametrize("overlap", _OVERLAP.values(), ids=_OVERLAP)
+def test_write_csv_raises_the_error_of_a_failed_write_and_writes_no_more(overlap, monkeypatch):
+    _force_overlap(monkeypatch, overlap)
+    fh = _FailingWrites(1 + CSV_BLOCK)  # the header and block 1, then block 2 fails
+    with pytest.raises(OSError) as raised:
+        _write_csv(fh, _multi_block_columns(7 * CSV_BLOCK // 2))
+    assert raised.value is fh.error
+    assert len(fh.after) == 1  # the failed write, then none
+    assert fh.getvalue().count("\n") == 1 + CSV_BLOCK
+    assert not _writer_threads()
+
+
+def test_write_csv_finishes_the_write_in_flight_before_a_build_error(monkeypatch):
+    """Block 3 fails to build while the writer thread is writing block 2: the
+    error propagates only once block 2 is written in full."""
+    _force_overlap(monkeypatch)
+    writing = threading.Event()
+
+    class SlowWrites(io.StringIO):
+        def write(self, text):
+            if self.getvalue().count("\n") >= 1 + CSV_BLOCK and not writing.is_set():
+                writing.set()  # block 2's first chunk
+                time.sleep(0.05)
+            return super().write(text)
+
+    csv_rows = recipes._csv_rows
+
+    def failing(fields, start, stop):
+        if start == 2 * CSV_BLOCK:
+            assert writing.wait(30)
+            raise RuntimeError("block 3 failed")
+        return csv_rows(fields, start, stop)
+
+    monkeypatch.setattr(recipes, "_csv_rows", failing)
+    fh = SlowWrites()
+    with pytest.raises(RuntimeError, match="block 3 failed"):
+        _write_csv(fh, _multi_block_columns(7 * CSV_BLOCK // 2))
+    assert fh.getvalue().count("\n") == 1 + 2 * CSV_BLOCK
+    assert not _writer_threads()
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The names of the threads started while the test runs."""
+    started, start = [], threading.Thread.start
+
+    def recording(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording)
+    return started
+
+
+def test_write_csv_of_one_block_starts_no_thread(thread_starts, monkeypatch):
+    _force_overlap(monkeypatch)
+    for rows in (0, 1, CSV_BLOCK):
+        _write_csv(io.StringIO(), _multi_block_columns(rows))
+    assert thread_starts == []
+    _write_csv(io.StringIO(), _multi_block_columns(CSV_BLOCK + 1))
+    assert thread_starts == ["swapsim-csv-writer"]
+
+
+def test_write_csv_spare_cpu_needs_two_cpus_and_no_busy_thread(monkeypatch):
+    monkeypatch.setattr(recipes, "_cpus", lambda: 2)
+    assert recipes._spare_cpu(0.0, 0.004)
+    assert not recipes._spare_cpu(0.002, 0.004)  # another thread used half a CPU
+    monkeypatch.setattr(recipes, "_cpus", lambda: 1)
+    assert not recipes._spare_cpu(0.0, 0.004)
+
+
+def test_write_csv_starts_the_writer_once_a_cpu_is_free(monkeypatch, writers):
+    """No CPU is free while blocks 1 and 2 are built, one is by block 3:
+    blocks 1 and 2 are written on the calling thread, 3 and 4 on the writer
+    thread, 5 (the last) on the calling thread, and the bytes hold."""
+    answers = iter([False, False, True])
+    monkeypatch.setattr(recipes, "_spare_cpu", lambda elsewhere, seconds: next(answers))
+    columns = _multi_block_columns(4 * CSV_BLOCK + 5)
+    fast, naive = io.StringIO(), io.StringIO()
+    _write_csv(fast, columns)
+    naive_write_csv(naive, columns)
+    _assert_same_lines(fast.getvalue(), naive.getvalue())
+    assert writers == [True, True, False, False, True]
+    assert not _writer_threads()
+
+
+def test_write_csv_starts_no_thread_while_another_thread_is_busy(thread_starts, monkeypatch):
+    """Another thread of the process keeps a CPU busy (as numpy's BLAS
+    threads do for a while after import): two blocks whose first takes
+    ~20 ms to build are written on the calling thread alone."""
+    monkeypatch.setattr(recipes, "_cpus", lambda: 2)
+    done = threading.Event()
+
+    def busy():
+        x = np.random.default_rng(5).random(1 << 18)
+        while not done.is_set():
+            np.sort(x)  # outside the interpreter lock
+
+    spinner = threading.Thread(target=busy)
+    spinner.start()
+    try:
+        time.sleep(0.05)
+        rows = CSV_BLOCK + 1
+        x = np.random.default_rng(6).random(rows)
+        _write_csv(io.StringIO(), {f"x{k}": x for k in range(8)})
+    finally:
+        done.set()
+        spinner.join(30)
+    assert not spinner.is_alive()
+    assert "swapsim-csv-writer" not in thread_starts
+
+
+def test_write_csv_bundled_configs_start_no_thread(thread_starts, monkeypatch, tmp_path):
+    """Every CSV of every bundled config, counts files and the oracle's
+    included, is one block."""
+    _force_overlap(monkeypatch)
+    configs = sorted((Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.cfg"))
+    assert len(configs) == 6
+    for path in configs:
+        run(validate_config(path.read_text()), out_dir=tmp_path / path.stem)
+    assert thread_starts == []
+
+
+def test_write_csv_failure_in_a_multi_block_run_exits_3_and_leaves_nothing(monkeypatch, tmp_path,
+                                                                          capsys):
+    """A 200 x 200 surface is three blocks; block 2, on the writer thread,
+    fails to write. The run exits 3 and removes its staged files and the
+    directories it made."""
+    _force_overlap(monkeypatch)
+    lines, refused = [0], []
+
+    def failing_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if Path(path).name.startswith(".concurrence-surface.csv."):
+            write = fh.write
+
+            def failing_write(text):
+                if lines[0] >= 1 + CSV_BLOCK:  # the header and block 1, then block 2 fails
+                    refused.append(text)
+                    raise OSError(errno.ENOSPC, "disk full")
+                lines[0] += text.count("\n")
+                return write(text)
+
+            fh.write = failing_write
+        return fh
+
+    monkeypatch.setattr(recipes, "open", failing_open, raising=False)
+    cfg = tmp_path / "surface.cfg"
+    cfg.write_text("experiment = concurrence-surface\n"
+                   "t1 = linspace(0.01, 1, 200)\nt2 = linspace(0.01, 1, 200)\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "new" / "out")]) == 3
+    assert "disk full" in capsys.readouterr().err
+    assert len(refused) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["surface.cfg"]
+    assert not _writer_threads()
 
 
 def test_meta_config_is_the_config_as_json(tmp_path):
