@@ -135,9 +135,6 @@ def _parse_grid(key: str, text: str, errors: list[str]) -> tuple[float, ...] | N
         except ValueError:
             errors.append(f"key {key!r}: malformed number {tok!r}")
             return None
-    if not values:
-        errors.append(f"key {key!r}: grid must be nonempty")
-        return None
     return tuple(values)
 
 

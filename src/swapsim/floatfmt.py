@@ -24,7 +24,10 @@ infinite or NaN, ``|x| >= 2**54`` (Ryū's ``e2 >= 0`` branch, which would
 need the inverse table) and Ryū's general case, where a scaled interval
 end may be exact and trailing zeros decide the rounding (``q <= 1``, or
 ``4 * m2`` a multiple of ``2**q``). In what is left no interval end is
-exact, so the last digit dropped alone decides the rounding.
+exact, so the last digit dropped alone decides the rounding. The kernel
+places the interval ends from the top 64 bits of the bits it drops
+(``_ends``), and the rare rows where those bits cannot tell, and the
+powers of two, whose interval is lopsided, go to ``repr`` as well.
 """
 
 from __future__ import annotations
@@ -95,10 +98,6 @@ def _exponent_table():
     q, i, j = _plan(np.clip(biased, 1, 1076))
     fast = (biased >= 1) & (biased <= 1076) & (q >= 2)
     low = np.where(fast, (_U64(1) << np.minimum(q, 63).astype(np.uint64)) - _U64(1), _U64(0))
-    # Ryū's mmShift is 1 where the fraction is not 0 or the biased exponent
-    # is at most 1; the kernel reads it from the fraction alone, so the one
-    # value it would get wrong, 2**-1022, is left to repr
-    low[biased == 1] = (1 << 54) - 1
     biased = np.where(fast, biased, 1000)
     q, i, j = _plan(biased)
     b = _POW5[:, i]
@@ -182,36 +181,18 @@ def _product(mv, b):
     return [limb.view(np.int64) for limb in limbs], col.view(np.int64)
 
 
-def _scaled(mv, mm_shift, b, j):
-    """Ryū's ``(vr, vp, vm)``: ``floor((mv + k) * b / 2**j)`` for ``k = 0, 2,
-    -1 - mm_shift``, where ``mv < 2**55``, ``b`` is four 32-bit limbs and
-    ``96 <= j <= 128``.
-
-    ``mv * b`` is formed once (``_product``); ``k * b`` is then added limb by
-    limb in ``int64``, where an arithmetic shift carries or borrows.
-    """
-    limbs, high = _product(mv, b)
-    b = [bk.view(np.int64) for bk in b]
-    left, right = 128 - j, j - 96
-    out = [(high << left) | (limbs[3] >> right)]
-    for k in (2, -1 - mm_shift):
-        r = limbs[0] + k * b[0]
-        for limb, bk in zip(limbs[1:], b[1:]):
-            r = (r >> 32) + limb + k * bk
-        out.append(((high + (r >> 32)) << left) | ((r & 0xFFFFFFFF) >> right))
-    return [v.view(np.uint64) for v in out]
-
-
 def _ends(mv, b, j, step, frac):
-    """``_scaled(mv, mv != 2**54, b, j)`` from the product alone, for
-    ``118 <= j <= 121``.
+    """Ryū's ``(vr, vp, vm)``, ``floor((mv + k) * b / 2**j)`` for ``k = 0, 2,
+    -2``, from the product alone, for ``118 <= j <= 121``; and a mask of the
+    rows whose ends it cannot place.
 
     With ``2 * b = step * 2**j + f``, ``vp`` and ``vm`` are ``vr`` plus and
     minus ``step``, and one more where the product's bits below bit ``j``
     and ``f`` carry past it (``vp``) or borrow (``vm``). Their top 64 bits,
     ``low`` and ``frac``, decide that but where ``low`` is ``frac`` or
-    ``~frac``; those rows, and the ones with a zero fraction (``mv ==
-    2**54``, where ``mm_shift`` is 0), go to ``_scaled``.
+    ``~frac``. Those rows are masked, and so are the powers of two (``mv ==
+    2**54``), whose lower end Ryū takes at ``k = -1`` at most exponents;
+    the caller hands them all to ``repr``.
     """
     limbs, high = _product(mv, b)
     left, right = 128 - j, j - 96
@@ -219,11 +200,7 @@ def _ends(mv, b, j, step, frac):
     low = ((limbs[1] >> right) | (limbs[2] << left) | (limbs[3] << (left + 32))).view(np.uint64)
     vp = vr + step + (low > ~frac)
     vm = vr - step - (low < frac)
-    rows = np.flatnonzero((low == frac) | (low == ~frac) | (mv == _U64(1 << 54)))
-    if rows.size:
-        exact = _scaled(mv[rows], mv[rows] != _U64(1 << 54), [bk[rows] for bk in b], j[rows])
-        vr[rows], vp[rows], vm[rows] = exact
-    return vr, vp, vm
+    return vr, vp, vm, (low == frac) | (low == ~frac) | (mv == _U64(1 << 54))
 
 
 def _shortest(vr, vp, vm, e10):
@@ -289,10 +266,10 @@ def _fast_digits(bits):
     top = (bits >> _U64(52)).astype(np.intp)
     mv = ((bits & _FRACTION) | _HIDDEN) << _U64(2)
     fast = (mv & np.take(_EXP_LOW, top)) != 0
-    ends = _ends(mv, list(np.take(_EXP_LIMBS, top, axis=1)), np.take(_EXP_SHIFT, top),
-                 np.take(_EXP_STEP, top), np.take(_EXP_FRAC, top))
+    *ends, unplaced = _ends(mv, list(np.take(_EXP_LIMBS, top, axis=1)), np.take(_EXP_SHIFT, top),
+                            np.take(_EXP_STEP, top), np.take(_EXP_FRAC, top))
     d, nd, e = _shortest(*ends, np.take(_EXP_E10, top))
-    return fast, d, nd, e, top >= 2048
+    return fast & ~unplaced, d, nd, e, top >= 2048
 
 
 def _repr_rows(values) -> np.ndarray:

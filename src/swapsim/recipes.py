@@ -63,13 +63,13 @@ lossless channels. All transmittivities are AMPLITUDE transmittivities
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import json
 import math
 import os
 import platform
+import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -525,46 +525,18 @@ def _write_block(fh, text):
     return squeezing
 
 
-class _BlockWriter(threading.Thread):
-    """One thread that squeezes and writes (``_write_block``) the blocks
-    handed to it, in the order they were handed.
-
-    ``hand`` passes a block on and returns at once. ``wait`` returns once the
-    oldest block not yet waited for is written, and raises again whatever
-    its write raised. ``close`` lets the thread write what it holds and end.
-    """
-
-    def __init__(self, fh):
-        super().__init__(name="swapsim-csv-writer")
-        self.fh, self.error = fh, None
-        self.blocks = collections.deque()
-        self.handed, self.written = threading.Semaphore(0), threading.Semaphore(0)
-        self.start()
-
-    def run(self):
-        while True:
-            self.handed.acquire()
-            text = self.blocks.popleft()
-            if text is None:
-                return
-            try:
-                _write_block(self.fh, text)
-            except BaseException as exc:  # raised in the caller by wait
-                self.error = exc
-            self.written.release()
-
-    def hand(self, text):
-        self.blocks.append(text)
-        self.handed.release()
-
-    def wait(self):
-        self.written.acquire()
-        if self.error is not None:
-            raise self.error
-
-    def close(self):
-        self.hand(None)
-        self.join()
+def _writer(fh, blocks, written):
+    """Squeeze and write (``_write_block``) each block taken from ``blocks``
+    until a ``None``, and after each put in ``written`` ``None``, or the
+    exception its write raised."""
+    # not iter(blocks.get, None), which compares a block with None element-wise
+    while (text := blocks.get()) is not None:
+        error = None
+        try:
+            _write_block(fh, text)
+        except BaseException as exc:  # raised again in the caller
+            error = exc
+        written.put(error)
 
 
 def _cpus():
@@ -609,15 +581,16 @@ def _write_csv(fh, columns):
     The two stages overlap once a second CPU is free (``_spare_cpu``, over
     the time since this call began, asked after each block is built until
     the writer starts): while the calling thread builds block k+1, one
-    writer thread (``_BlockWriter``) squeezes and writes block k. The
-    calling thread waits for that write before it hands over block k+1,
-    so at most one block is in flight and the file gets its bytes in
-    order. The last block, and every block before a CPU is found free, is
-    squeezed and written on the calling thread, so a CSV of at most
-    ``CSV_BLOCK`` rows starts no thread. A write is never left pending
-    when this returns or raises, and an error raised on the writer thread
-    is raised again here. The seconds returned count building the blocks,
-    and squeezing the ones the calling thread writes itself.
+    writer thread (``_writer``, fed through a queue) squeezes and writes
+    block k. The calling thread waits for that write before it hands over
+    block k+1, so at most one block is in flight and the file gets its
+    bytes in order. The last block, and every block before a CPU is found
+    free, is squeezed and written on the calling thread, so a CSV of at
+    most ``CSV_BLOCK`` rows starts no thread. A write is never left
+    pending when this returns or raises, and an error raised on the writer
+    thread (``_writer`` passes it back) is raised again here. The seconds
+    returned count building the blocks, and squeezing the ones the calling
+    thread writes itself.
     """
     fh.write(",".join(columns) + "\n")
     fields = _fields(list(columns.values()))
@@ -631,16 +604,21 @@ def _write_csv(fh, columns):
             text = _csv_rows(fields, start, stop)
             formatting += time.monotonic() - began
             if writer is not None:
-                writer.wait()  # the previous block is written
+                if (error := written.get()) is not None:  # the previous block is written
+                    raise error
             elif stop < rows and _spare_cpu(_cpu_elsewhere() - elsewhere, time.monotonic() - since):
-                writer = _BlockWriter(fh)
+                blocks, written = queue.SimpleQueue(), queue.SimpleQueue()
+                writer = threading.Thread(target=_writer, args=(fh, blocks, written),
+                                          name="swapsim-csv-writer")
+                writer.start()
             if writer is not None and stop < rows:
-                writer.hand(text)
+                blocks.put(text)
             else:
                 formatting += _write_block(fh, text)
     finally:
         if writer is not None:  # also on an error: the block in hand is written first
-            writer.close()
+            blocks.put(None)
+            writer.join()
     return formatting
 
 

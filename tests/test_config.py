@@ -69,6 +69,18 @@ class TestViolations:
         with pytest.raises(ConfigError, match="malformed number"):
             validate_config("experiment = concurrence-slices\nt1 = zero\n")
 
+    @pytest.mark.parametrize("grid, message", [
+        ("linspace(a, 1, 3)", "malformed number in 'linspace(a, 1, 3)'"),
+        ("linspace(0, 1, 0)", "grid needs at least one point"),
+        ("0.1,,0.2", "empty entry in '0.1,,0.2'"),
+        ("nan", "value nan is not finite"),
+        ("inf", "value inf is not finite"),
+    ])
+    def test_grid_errors_name_the_key(self, grid, message):
+        with pytest.raises(ConfigError) as info:
+            validate_config(f"t1 = {grid}\n")
+        assert str(info.value) == f"key 't1': {message}"
+
     def test_every_violation_is_listed(self):
         try:
             validate_config("t1 = 1.2\nbogus = 3\nseed = -1\n")

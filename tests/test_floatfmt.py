@@ -91,42 +91,64 @@ def test_any_floats_match_repr(values):
     assert _texts(_kernel(array)) == _reprs(array)
 
 
+def _pow5_top(i):
+    """The leading 125 bits of ``5**i``."""
+    p = 5 ** i
+    n = p.bit_length()
+    return p >> max(n - 125, 0) << max(125 - n, 0)
+
+
+def _floor_ends(mv, i, j):
+    """Ryū's ``(vr, vp, vm)`` in Python integers: ``floor((mv + k) * b /
+    2**j)`` for ``k = 0, 2, -2``, where ``b`` is ``_pow5_top(i)``."""
+    b = _pow5_top(i)
+    return [(mv + k) * b >> j for k in (0, 2, -2)]
+
+
 def test_fast_path_exponents_keep_their_bounds():
     """Over every biased exponent the fast path takes, the product shift
     stays in 118..121 (so the 32-bit limb split holds), the scaled interval
     is 30..399 wide (so one or two digits can go before any test) and vr
     has 18 or 19 digits (so the digit count needs no search). vr grows with
-    the mantissa, so its two ends bound it."""
+    the mantissa, so its two ends bound it; the ends are exact floors."""
     biased = np.arange(1, 1077)
     q, i, j = floatfmt._plan(biased)
     fast = q >= 2
     assert fast.sum() == 1072 and biased[fast].max() == 1072
     assert j[fast].min() == 118 and j[fast].max() == 121
     assert i[fast].min() >= 0 and i[fast].max() <= 325
-    biased, q, i, j = biased[fast], q[fast], i[fast], j[fast]
-    b = [limbs[i] for limbs in floatfmt._POW5]
-    for fraction in (0, 1, 2 ** 52 - 1):
-        mv = np.full(biased.size, 4 * (2 ** 52 + fraction), dtype=np.uint64)
-        mm_shift = (np.full(biased.size, fraction != 0) | (biased <= 1)).astype(np.int64)
-        vr, vp, vm = floatfmt._scaled(mv, mm_shift, b, j)
-        assert (vp - vm).min() >= 30 and (vp - vm).max() <= 399
-        assert vr.min() >= 10 ** 17 and vr.max() < 10 ** 19
+    for i_row, j_row in zip(i[fast].tolist(), j[fast].tolist()):
+        for fraction in (0, 1, 2 ** 52 - 1):
+            vr, vp, vm = _floor_ends(4 * (2 ** 52 + fraction), i_row, j_row)
+            assert 30 <= vp - vm <= 399
+            assert 10 ** 17 <= vr < 10 ** 19
 
 
 def test_scaled_ends_are_exact_floors():
+    """On every row that ``_ends`` does not mask, its ends are the exact
+    floors; it masks every power of two."""
     rng = np.random.default_rng(9)
-    biased = rng.integers(1, 1073, 5_000)
-    fraction = rng.integers(0, 2 ** 52, 5_000, dtype=np.uint64)
+    edges = np.arange(1, 1073)
+    biased = np.concatenate([rng.integers(1, 1073, 20_000), edges, edges, edges])
+    fraction = np.concatenate([rng.integers(0, 2 ** 52, 20_000, dtype=np.uint64),
+                               np.uint64([0, 1, 2 ** 52 - 1]).repeat(edges.size)])
     q, i, j = floatfmt._plan(biased)
+    assert (floatfmt._EXP_SHIFT[biased] == j).all()
     mv = (fraction | np.uint64(2 ** 52)) << np.uint64(2)
-    mm_shift = ((fraction != 0) | (biased <= 1)).astype(np.int64)
-    got = floatfmt._scaled(mv, mm_shift, [limbs[i] for limbs in floatfmt._POW5], j)
-    for row in range(0, 5_000, 7):
-        p = 5 ** int(i[row])
-        top = p >> max(p.bit_length() - 125, 0) << max(125 - p.bit_length(), 0)
-        m = int(mv[row])
-        for k, v in zip((0, 2, -1 - int(mm_shift[row])), got):
-            assert int(v[row]) == (m + k) * top >> int(j[row])
+    *got, masked = floatfmt._ends(mv, list(floatfmt._EXP_LIMBS[:, biased]), j,
+                                  floatfmt._EXP_STEP[biased], floatfmt._EXP_FRAC[biased])
+    assert masked[fraction == 0].all()
+    for row in np.flatnonzero(~masked).tolist():
+        assert [int(v[row]) for v in got] == _floor_ends(int(mv[row]), int(i[row]), int(j[row]))
+    # no row here has the top 64 of the product's bits below j at frac or
+    # ~frac, so hand _ends a frac that puts every row there
+    rows = np.arange(500)
+    low = np.uint64([int(mv[r]) * _pow5_top(int(i[r])) % 2 ** int(j[r]) >> int(j[r]) - 64
+                     for r in rows.tolist()])
+    for frac in (low, ~low):
+        *_, masked = floatfmt._ends(mv[rows], list(floatfmt._EXP_LIMBS[:, biased[rows]]), j[rows],
+                                    floatfmt._EXP_STEP[biased[rows]], frac)
+        assert masked.all()
 
 
 @pytest.mark.parametrize("values", [[], [1.0], [0.1], [-0.0, 1e300]])

@@ -496,6 +496,19 @@ class TestFringeScan:
         with pytest.raises(ValueError, match="2\\*pi"):
             FringeScan([0.0, 7.0], [0.5, 0.5], [0.5, 0.5])
 
+    @pytest.mark.parametrize("thetas, p_plus, p_minus, message", [
+        ([], [], [], "phase grid must be a nonempty 1-d array"),
+        ([[0.0, 1.0]], [[0.5, 0.5]], [[0.5, 0.5]], "phase grid must be a nonempty 1-d array"),
+        ([0.0, 1.0], [0.5], [0.5, 0.5], "probability arrays must match the phase grid"),
+        ([0.0, 1.0], [0.5, 0.5], [0.5, 0.5, 0.5], "probability arrays must match the phase grid"),
+        ([0.0, 1.0], [1.5, 0.5], [-0.5, 0.5], "probabilities must lie in \\[0, 1\\]"),
+        ([0.0, 1.0], [0.5, 0.5], [0.5, 1.0 + 1e-9], "probabilities must lie in \\[0, 1\\]"),
+        ([0.0, 1.0], [0.5, 0.6], [0.5, 0.5], "outcome probabilities must sum to a constant"),
+    ])
+    def test_constructor_checks(self, thetas, p_plus, p_minus, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FringeScan(thetas, p_plus, p_minus)
+
 
 class TestVisibility:
     def test_bell_state_is_one(self):

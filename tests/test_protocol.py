@@ -655,6 +655,21 @@ class TestOptimalInputs:
         assert 1e-9 < gaps[0.1] < 1e-8
         assert abs(gaps[0.01]) < 1e-14
 
+    @pytest.mark.xfail(strict=True, reason="k^2 and s^2 underflow at extreme loss ratios; "
+                       "the stable form moves the imbalance-restore digests (ROADMAP item 12)")
+    def test_balance_holds_at_extreme_loss_ratios(self):
+        """The balance and the pair scale hold to 1e-12 at loss ratios t2 / t1
+        and t1 / t2 from 1e-80 to 1e-300."""
+        for eps in (0.01, 0.5):
+            for exponent in range(80, 301, 20):
+                for t1, t2 in ((1.0, 10.0 ** -exponent), (10.0 ** -exponent, 1.0)):
+                    pair = optimal_inputs(t1, t2, eps)
+                    balance = abs(pair.beta * pair.gamma) * t1
+                    assert abs(pair.alpha * pair.delta) * t2 == pytest.approx(balance, rel=1e-12, abs=0)
+                    h = math.hypot(t1, t2)
+                    scale = eps ** 2 * 2 * (t1 / h) * (t2 / h)
+                    assert abs(pair.beta * pair.delta) == pytest.approx(scale, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("eps", [0.0, -0.1, 0.51])
     def test_bad_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="epsilon"):
