@@ -1,33 +1,32 @@
 """Text of computed values, the same bytes as ``repr``.
 
 ``write_values`` is the one place where a computed column becomes text. Its
-array kernel runs most float64 values through Ryū's common path (U. Adams,
-"Ryū: fast float-to-string conversion", PLDI 2018) in numpy ``uint64``
-arithmetic and lays them out by ``repr``'s rules: fixed notation when
-``-4 < decpt <= 16``, otherwise ``d.ddde±XX``, where ``x = 0.<digits> *
-10**decpt``. Each value gets a row of ``WIDTH`` bytes (24 characters fit
-every float64, ``-2.2250738585072014e-308``, and every 64-bit integer) that
-holds its characters in order and NULs elsewhere.
+array kernel runs most positive float64 values through Ryū's common path
+(U. Adams, "Ryū: fast float-to-string conversion", PLDI 2018) in numpy
+``uint64`` arithmetic and lays out those that ``repr`` writes in fixed
+notation, ``-4 < decpt <= 16`` where ``x = 0.<digits> * 10**decpt``. Each
+value gets a row of ``WIDTH`` bytes (24 characters fit every float64,
+``-2.2250738585072014e-308``, and every 64-bit integer) that holds its
+characters in order and NULs elsewhere.
 
 The kernel builds a row as three little-endian ``uint64`` words (``<u8``,
-whatever the machine's byte order), so that shifts move text. The digits
-go in right-aligned, ``0``-padded, with a ``0`` where the point goes; one
-word-wise addition per row, looked up by the row's shape (where its text
-starts, where its point is, its sign), then turns the padding left of the
-text into NULs, that ``0`` into the point and the byte before the text into
-any ``-``. Exponent form moves the text five bytes left to make room for
-``e±XX``.
+whatever the machine's byte order), so that one addition edits eight
+bytes. The digits go in right-aligned, ``0``-padded, with a ``0`` where the
+point goes; one word-wise addition per row, looked up by the row's layout
+(where its text starts and where its point is), then turns the padding
+left of the text into NULs and that ``0`` into the point.
 
 The others are handed to ``repr`` itself, and its text is written into
-their rows. An integer test on the bits picks them out: zero, subnormal,
-infinite or NaN, ``|x| >= 2**54`` (Ryū's ``e2 >= 0`` branch, which would
-need the inverse table) and Ryū's general case, where a scaled interval
-end may be exact and trailing zeros decide the rounding (``q <= 1``, or
-``4 * m2`` a multiple of ``2**q``). In what is left no interval end is
-exact, so the last digit dropped alone decides the rounding. The kernel
-places the interval ends from the top 64 bits of the bits it drops
-(``_ends``), and the rare rows where those bits cannot tell, and the
-powers of two, whose interval is lopsided, go to ``repr`` as well.
+their rows. An integer test on the bits picks them out: negative (``-0.0``
+too), zero, subnormal, infinite or NaN, ``x >= 2**54`` (Ryū's ``e2 >= 0``
+branch, which would need the inverse table) and Ryū's general case, where
+a scaled interval end may be exact and trailing zeros decide the rounding
+(``q <= 1``, or ``4 * m2`` a multiple of ``2**q``). In what is left no
+interval end is exact, so the last digit dropped alone decides the
+rounding. The kernel places the interval ends from the top 64 bits of the
+bits it drops (``_ends``), and the rare rows where those bits cannot tell,
+the powers of two, whose interval is lopsided, and the values that
+``repr`` writes in exponent form go to ``repr`` as well.
 """
 
 from __future__ import annotations
@@ -91,10 +90,12 @@ def _exponent_table():
     scaled ends, a mask whose overlap with ``mv`` marks the fast path, and
     ``_ends``' ``step`` and ``frac``.
 
-    Exponents off the fast path borrow the plan of a fast one (biased 1000),
-    so the rows the kernel computes only to discard stay in its bounds.
+    The sign bit is taken as part of the exponent, so every negative value
+    is off the fast path. Exponents off it borrow the plan of a fast one
+    (biased 1000), so the rows the kernel computes only to discard stay in
+    its bounds.
     """
-    biased = np.arange(4096) & 0x7FF
+    biased = np.arange(4096)
     q, i, j = _plan(np.clip(biased, 1, 1076))
     fast = (biased >= 1) & (biased <= 1076) & (q >= 2)
     low = np.where(fast, (_U64(1) << np.minimum(q, 63).astype(np.uint64)) - _U64(1), _U64(0))
@@ -112,22 +113,18 @@ _EXP_LIMBS, _EXP_SHIFT, _EXP_E10, _EXP_LOW, _EXP_STEP, _EXP_FRAC = _exponent_tab
 
 
 def _shapes():
-    """The word-wise addition for each row shape ``(first * WIDTH + point) *
-    2 + negative``, as one ``V24`` item each.
+    """The word-wise addition for each row shape ``first * WIDTH + point``,
+    as one ``V24`` item each.
 
     ``first`` is the column of the text's first digit and ``point`` that of
     the point; the digits are ``0``-padded and hold a ``0`` at the point.
-    The addition turns the padding into NULs, the point's ``0`` into ``.``
-    (or into a NUL at the last column, where exponent form with one digit
-    has no point) and, for a negative row, the byte before ``first`` into
-    ``-``. No byte borrows from its neighbour, so the words add on their own.
+    The addition turns the padding into NULs and the point's ``0`` into
+    ``.``. No byte borrows from its neighbour, so the words add on their own.
     """
-    first, point, negative = (v[:, None] for v in np.unravel_index(
-        np.arange(WIDTH * WIDTH * 2), (WIDTH, WIDTH, 2)))
+    first, point = (v[:, None] for v in np.divmod(np.arange(WIDTH * WIDTH), WIDTH))
     col = np.arange(WIDTH)
     delta = np.where(col < first, -ord("0"), 0)
-    delta += np.where((col == first - 1) & (negative == 1), ord("-"), 0)
-    delta += np.where(col == point, np.where(point == WIDTH - 1, 0, ord(".")) - ord("0"), 0)
+    delta += np.where(col == point, ord(".") - ord("0"), 0)
     # sum delta[b] * 256**b word by word, modulo 2**64
     weights = _U64(1) << (np.arange(8, dtype=np.uint64) * _U64(8))
     words = (delta.reshape(-1, 3, 8).view(np.uint64) * weights).sum(axis=2, dtype=np.uint64)
@@ -138,25 +135,18 @@ _SHAPES = _shapes()
 
 
 def _notations():
-    """Each row's layout by ``(clip(decpt, -4, 17) + 4) * 19 + nd``, where
-    -4 and 17 stand for exponent form: the power of 10 that gives
-    ``ddd000.0`` its zeros, the one at the point, and the row's shape
-    without its sign (see ``_shapes``)."""
-    dp, nd = np.divmod(np.arange(22 * 19), 19)
-    dp, nd = dp - 4, np.maximum(nd, 1)
-    sci = (dp == -4) | (dp == 17)
-    after = np.where(sci, nd - 1, np.maximum(nd - dp, 1))  # digits after the point
-    before = np.where(sci, 1, np.maximum(dp, 1))  # and before it
-    zeros = _POW10[np.where(sci, 0, np.maximum(dp - nd + 1, 0))]
+    """Each row's layout in fixed notation by ``(decpt + 3) * 19 + nd``, for
+    ``decpt`` -3..16: the power of 10 that gives ``ddd000.0`` its zeros, the
+    one at the point, and the row's shape (see ``_shapes``)."""
+    dp, nd = np.divmod(np.arange(20 * 19), 19)
+    dp, nd = dp - 3, np.maximum(nd, 1)
+    after = np.maximum(nd - dp, 1)  # digits after the point
     point = WIDTH - 1 - after
-    return zeros, _POW10[np.minimum(after, 19)], ((point - before) * WIDTH + point) * 2
+    zeros = _POW10[np.maximum(dp - nd + 1, 0)]
+    return zeros, _POW10[np.minimum(after, 19)], (point - np.maximum(dp, 1)) * WIDTH + point
 
 
 _ZEROS, _POINT, _SHAPE = _notations()
-# "e-324" .. "e+308" in the last five bytes of a word, the exponent's place
-# (the last five columns) in a row's last word
-_EXPONENTS = np.frombuffer(b"".join(bytes(3) + f"e{x:+03d}".encode().ljust(5, b"\0")
-                                    for x in range(-324, 309)), dtype="<u8")
 
 
 def _product(mv, b):
@@ -231,11 +221,11 @@ def _shortest(vr, vp, vm, e10):
     return d, np.maximum((vr >= _POW10[18]) + (18 - r), 1), e10 + r
 
 
-def _layout(d, nd, e, negative):
-    """Rows of text, three ``<u8`` words each, of ``d * 10**e`` (``nd``
-    digits) by ``repr``'s rules, their signs given by ``negative``."""
-    dp = nd + e  # decpt
-    key = (np.clip(dp, -4, 17) + 4) * 19 + nd
+def _layout(d, nd, dp):
+    """Rows of text, three ``<u8`` words each, of ``0.<digits> * 10**dp``
+    (the ``nd`` digits of ``d``) in fixed notation; a row with ``dp`` outside
+    -3..16 gets text of no use."""
+    key = (np.clip(dp, -3, 16) + 3) * 19 + nd
     # ddd000.0 gets its zeros, then a 0 goes in at the point: the digits
     # before it move one place up (in 0.000ddd no digit is before it)
     x = d * np.take(_ZEROS, key)
@@ -248,28 +238,22 @@ def _layout(d, nd, e, negative):
         x = high
     groups[:, 1] = x
     words = np.take(_QUADS, groups).view("<u8")
-    words += np.take(_SHAPES, np.take(_SHAPE, key) + negative).view("<u8").reshape(-1, 3)
-    rows = np.flatnonzero((dp <= -4) | (dp > 16))
-    if rows.size:
-        # exponent form: move the text five bytes left and put e±XX after it
-        w = words[rows]
-        s24, s40 = _U64(24), _U64(40)
-        words[rows] = np.stack([(w[:, 0] >> s40) | (w[:, 1] << s24),
-                                (w[:, 1] >> s40) | (w[:, 2] << s24),
-                                (w[:, 2] >> s40) | _EXPONENTS[dp[rows] + 323]], axis=1)
+    words += np.take(_SHAPES, np.take(_SHAPE, key)).view("<u8").reshape(-1, 3)
     return words
 
 
 def _fast_digits(bits):
-    """Each value's digits, digit count, exponent and sign, and whether they
-    are right (the fast path); the other rows hold digits of no use."""
+    """Each value's digits, digit count and ``decpt``, and whether they are
+    right and ``repr`` writes them in fixed notation (the fast path, which
+    takes positive values only); the other rows hold digits of no use."""
     top = (bits >> _U64(52)).astype(np.intp)
     mv = ((bits & _FRACTION) | _HIDDEN) << _U64(2)
     fast = (mv & np.take(_EXP_LOW, top)) != 0
     *ends, unplaced = _ends(mv, list(np.take(_EXP_LIMBS, top, axis=1)), np.take(_EXP_SHIFT, top),
                             np.take(_EXP_STEP, top), np.take(_EXP_FRAC, top))
     d, nd, e = _shortest(*ends, np.take(_EXP_E10, top))
-    return fast & ~unplaced, d, nd, e, top >= 2048
+    dp = nd + e
+    return fast & ~unplaced & (dp > -4) & (dp <= 16), d, nd, dp
 
 
 def _repr_rows(values) -> np.ndarray:

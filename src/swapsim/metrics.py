@@ -181,8 +181,6 @@ def fringe_scan(rho, thetas) -> FringeScan:
     """
     m = _two_qubit_matrix(rho)
     thetas = np.asarray(thetas, dtype=float)
-    if thetas.size == 0:
-        raise ValueError("phase grid must be nonempty")
     base = 0.5 * (m[1, 1].real + m[2, 2].real)
     osc = np.real(np.exp(1j * thetas) * m[1, 2])
     return FringeScan(thetas, base + osc, base - osc)

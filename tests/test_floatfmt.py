@@ -1,7 +1,9 @@
 """floatfmt.write_values, and its kernel on short arrays, against repr,
 value by value."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swapsim import floatfmt
+from swapsim.config import validate_config
 from swapsim.floatfmt import FLOATFMT_MIN, write_values
+from swapsim.recipes import RECIPES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _reprs(values):
@@ -149,6 +155,52 @@ def test_scaled_ends_are_exact_floors():
         *_, masked = floatfmt._ends(mv[rows], list(floatfmt._EXP_LIMBS[:, biased[rows]]), j[rows],
                                     floatfmt._EXP_STEP[biased[rows]], frac)
         assert masked.all()
+
+
+def test_fast_rows_are_positive_and_in_fixed_notation():
+    """The kernel lays out positive values that ``repr`` writes in fixed
+    notation, ``-4 < decpt <= 16``; every other row goes to ``repr``."""
+    rng = np.random.default_rng(33)
+    # fixed-notation values, values near 1e-5 and 1e17 whose exponents the
+    # fast path takes, and each of them negated
+    positive = np.concatenate([rng.random(200), 10.0 ** rng.uniform(-3.9, 16, 200),
+                               10.0 ** rng.uniform(-6, -4, 100), 10.0 ** rng.uniform(16, 18, 100),
+                               [1e-5, 1e17, 1e-4, 9999999999999998.0, 0.001, 123.456]])
+    values = np.concatenate([positive, -positive, [-0.0, 0.0]])
+    assert values.size >= FLOATFMT_MIN
+    fast, _, _, decpt = floatfmt._fast_digits(values.view(np.uint64))
+    texts = _reprs(values)
+    assert fast.sum() > 300
+    for x, text, dp in zip(values[fast].tolist(), np.array(texts)[fast], decpt[fast].tolist()):
+        assert x > 0.0 and "e" not in text and -4 < dp <= 16, text
+    assert any("e" in text for text in texts) and np.signbit(values).sum() > 500
+    assert _texts(_written(values)) == texts
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("source", ["perfbench surface-grid", "bundled concurrence_surface.cfg"])
+def test_benchmark_surfaces_take_the_fast_path_only(source, tmp_path):
+    """Every row of the surface columns that the benchmark writes through
+    the kernel (perfbench's 300 x 300 grid and the bundled 50 x 50 one)
+    takes the fast path, so a change that sends them to ``repr`` fails here
+    and not only in the timings."""
+    if source.startswith("perfbench"):
+        cfg_path = _load_workloads().SurfaceGrid(ROOT, tmp_path, 7).cfg
+    else:
+        cfg_path = ROOT / "scripts" / "configs" / "concurrence_surface.cfg"
+    cfg = validate_config(cfg_path.read_text(encoding="utf-8"))
+    columns = RECIPES[cfg.experiment].runner(cfg).columns
+    (column,) = [c for c in columns.values() if getattr(c, "dtype", None) == np.float64]
+    assert column.size == len(cfg.t1) * len(cfg.t2) >= 2500
+    fast, *_ = floatfmt._fast_digits(column.view(np.uint64))
+    assert fast.all(), np.flatnonzero(~fast)[:5]
 
 
 @pytest.mark.parametrize("values", [[], [1.0], [0.1], [-0.0, 1e300]])

@@ -485,7 +485,7 @@ class TestFringeScan:
             assert np.max(total) - np.min(total) < 1e-12
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError, match="nonempty"):
+        with pytest.raises(ValueError, match="^phase grid must be a nonempty 1-d array$"):
             fringe_scan(partial_trace(bell_psi(), ()), [])
 
     def test_unsorted_grid_rejected(self):
