@@ -19,14 +19,15 @@ left of the text into NULs and that ``0`` into the point.
 The others are handed to ``repr`` itself, and its text is written into
 their rows. An integer test on the bits picks them out: negative (``-0.0``
 too), zero, subnormal, infinite or NaN, ``x >= 2**54`` (Ryū's ``e2 >= 0``
-branch, which would need the inverse table) and Ryū's general case, where
-a scaled interval end may be exact and trailing zeros decide the rounding
-(``q <= 1``, or ``4 * m2`` a multiple of ``2**q``). In what is left no
-interval end is exact, so the last digit dropped alone decides the
-rounding. The kernel places the interval ends from the top 64 bits of the
-bits it drops (``_ends``), and the rare rows where those bits cannot tell,
-the powers of two, whose interval is lopsided, and the values that
-``repr`` writes in exponent form go to ``repr`` as well.
+branch, which would need the inverse table), ``x < 2**-32`` (exponent form
+all of it, whose ``5**i`` would not fit a word) and Ryū's general case,
+where a scaled interval end may be exact and trailing zeros decide the
+rounding (``q <= 1``, or ``4 * m2`` a multiple of ``2**q``; so every
+``x >= 2**49``, where ``q <= 2``). In what is left no interval end is
+exact, so the last digit dropped alone decides the rounding. The kernel
+places the interval ends exactly, from one two-word product by ``5**i``
+(``_ends``); the powers of two, whose interval is lopsided, and the values
+that ``repr`` writes in exponent form go to ``repr`` as well.
 """
 
 from __future__ import annotations
@@ -39,77 +40,61 @@ _U64 = np.uint64
 _MASK32 = _U64(0xFFFFFFFF)
 _FRACTION = _U64((1 << 52) - 1)
 _HIDDEN = _U64(1 << 52)
-_POW5_BITS = 125
 WIDTH = 24
-
-
-def _pow5_table():
-    """The leading 125 bits of 5**i as four 32-bit limbs (low limb first),
-    and the bit length of 5**i, for every i the fast path reaches (<= 325)."""
-    limbs = np.empty((4, 326), dtype=np.uint64)
-    lengths = np.empty(326, dtype=np.int64)
-    for i in range(326):
-        p = 5 ** i
-        n = lengths[i] = p.bit_length()
-        top = p >> (n - _POW5_BITS) if n > _POW5_BITS else p << (_POW5_BITS - n)
-        for k in range(4):
-            limbs[k, i] = (top >> (32 * k)) & 0xFFFFFFFF
-    return limbs, lengths
-
-
-_POW5, _POW5_LENGTH = _pow5_table()
+# 5**i for every i the fast path reaches; 2 * 5**27 is the largest that fits a word
+_POW5 = np.array([5 ** i for i in range(28)], dtype=np.uint64)
 _POW10 = np.array([10 ** k for k in range(20)], dtype=np.uint64)
 # the ASCII text of "0000" .. "9999", one little-endian uint32 each
 _QUADS = (np.arange(10_000, dtype=np.uint16)[:, None] // np.uint16([1000, 100, 10, 1]) % 10
           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
 
-# the fewest floats in a block for which the kernel (about 0.15 ms fixed
-# cost, then 0.1 to 0.3 us a value) beats repr into WIDTH slots (about 1 us
-# a value), timed block by block in 31 interleaved rounds: 384 and 416 went
-# either way, 448 was slower in at most one round
+# the fewest floats in a block that go through the kernel (about 0.13 ms
+# fixed cost, then 0.1 to 0.3 us a value) and not repr into WIDTH slots
+# (0.6 to 1 us a value). Set where an earlier kernel began to win; timed
+# block by block in 31 interleaved rounds, this one wins from 256 values,
+# but the only column of the bundled configs in between has 404 rows, so a
+# lower value waits for an end-to-end measurement (see ROADMAP)
 FLOATFMT_MIN = 448
 
 
 def _plan(biased):
-    """Ryū's ``(q, i, j)`` for biased exponents 1..1076 (``e2 = biased - 1077 < 0``).
+    """Ryū's ``(q, i)`` for biased exponents 1..1076 (``e2 = biased - 1077 < 0``).
 
     The scaled interval ends are ``floor(m * 5**i / 2**q)`` for
     ``m = 4 * m2 + (-1 - mmShift, 0, 2)``: ``q`` decimal digits are dropped
-    at once, ``i = -e2 - q`` indexes the power-of-5 table, and ``j`` is the
-    right shift of ``m`` times the table entry.
+    at once, and ``i = -e2 - q`` indexes ``_POW5``.
     """
     ne2 = 1077 - biased
     q = ((ne2 * 732923) >> 20) - (ne2 > 1)  # floor(-e2 * log10(5)), less 1 past -e2 = 1
-    i = ne2 - q
-    return q, i, q + _POW5_BITS - _POW5_LENGTH[i]
+    return q, ne2 - q
 
 
 def _exponent_table():
     """Ryū's plan for each top 12 bits of a float64 (sign, biased exponent):
-    the four limbs of ``5**i``, ``j``, the decimal exponent ``q + e2`` of the
-    scaled ends, a mask whose overlap with ``mv`` marks the fast path, and
+    ``5**i``, ``q``, the decimal exponent ``q + e2`` of the scaled ends, the
+    mask ``2**q - 1`` of the product's bits below ``q`` (zero off the fast
+    path, so that its overlap with ``mv`` marks the fast path), and
     ``_ends``' ``step`` and ``frac``.
 
     The sign bit is taken as part of the exponent, so every negative value
-    is off the fast path. Exponents off it borrow the plan of a fast one
-    (biased 1000), so the rows the kernel computes only to discard stay in
-    its bounds.
+    is off the fast path, as is every ``e2 >= 0`` (clipped to ``q = 0``) and
+    every ``i`` past ``_POW5`` (``x < 2**-32``, zero and subnormals too).
+    Exponents off it borrow the plan of a fast one (biased 1000), so the
+    rows the kernel computes only to discard stay in its bounds.
     """
     biased = np.arange(4096)
-    q, i, j = _plan(np.clip(biased, 1, 1076))
-    fast = (biased >= 1) & (biased <= 1076) & (q >= 2)
-    low = np.where(fast, (_U64(1) << np.minimum(q, 63).astype(np.uint64)) - _U64(1), _U64(0))
+    q, i = _plan(np.clip(biased, 1, 1076))
+    fast = (q >= 2) & (i < _POW5.size)
     biased = np.where(fast, biased, 1000)
-    q, i, j = _plan(biased)
-    b = _POW5[:, i]
-    # 2 * b = step * 2**j + f, and frac is the top 64 of f's j bits (see _ends)
-    shift = (j - 97).astype(np.uint64)
-    step = b[3] >> shift
-    frac = (b[1] >> shift) | (b[2] << (_U64(32) - shift)) | (b[3] << (_U64(64) - shift))
-    return b, j, (q + biased - 1077).astype(np.int16), low, step, frac
+    q, i = _plan(biased)
+    e10 = (q + biased - 1077).astype(np.int16)
+    p, q = _POW5[i], q.astype(np.uint64)
+    two_p, mask = p << _U64(1), (_U64(1) << q) - _U64(1)
+    # 2 * p = step * 2**q + frac (see _ends)
+    return p, q, e10, np.where(fast, mask, _U64(0)), two_p >> q, two_p & mask
 
 
-_EXP_LIMBS, _EXP_SHIFT, _EXP_E10, _EXP_LOW, _EXP_STEP, _EXP_FRAC = _exponent_table()
+_EXP_POW5, _EXP_Q, _EXP_E10, _EXP_MASK, _EXP_STEP, _EXP_FRAC = _exponent_table()
 
 
 def _shapes():
@@ -149,48 +134,25 @@ def _notations():
 _ZEROS, _POINT, _SHAPE = _notations()
 
 
-def _product(mv, b):
-    """``mv * b`` for ``mv < 2**55`` and ``b`` four 32-bit limbs: its four low
-    32-bit limbs and the rest (the product ``>> 128``), as ``int64``.
+def _ends(mv, p, q, mask, step, frac):
+    """Ryū's ``(vr, vp, vm)``, exactly ``floor((mv + k) * p / 2**q)`` for
+    ``k = 0, 2, -2``, for ``mv < 2**55``, ``p < 2**63`` and ``2 <= q < 64``.
 
-    The product is formed in 32-bit columns so that no ``uint64`` product
-    overflows: ``mv``'s low 32 bits times a limb is split at bit 32, its
-    high 23 bits times a limb (below ``2**55``) go whole into the next
-    column, and each column carries into the next.
+    ``mv * p`` is formed from 32-bit halves as a high and a low word, which
+    give ``vr``. With ``2 * p = step * 2**q + frac``, ``vp`` and ``vm`` are
+    ``vr`` plus and minus ``step``, and one more where the product's bits
+    below bit ``q`` (``rest``, under ``mask = 2**q - 1``) and ``frac`` carry
+    past it (``vp``) or borrow (``vm``).
     """
     s32 = _U64(32)
-    a0, a1 = mv & _MASK32, mv >> s32
-    p = a0 * b[0]
-    limbs = [p & _MASK32]
-    col = (p >> s32) + a1 * b[0]
-    for bk in b[1:]:
-        p = a0 * bk
-        col += p & _MASK32
-        limbs.append(col & _MASK32)
-        col = (col >> s32) + (p >> s32) + a1 * bk
-    return [limb.view(np.int64) for limb in limbs], col.view(np.int64)
-
-
-def _ends(mv, b, j, step, frac):
-    """Ryū's ``(vr, vp, vm)``, ``floor((mv + k) * b / 2**j)`` for ``k = 0, 2,
-    -2``, from the product alone, for ``118 <= j <= 121``; and a mask of the
-    rows whose ends it cannot place.
-
-    With ``2 * b = step * 2**j + f``, ``vp`` and ``vm`` are ``vr`` plus and
-    minus ``step``, and one more where the product's bits below bit ``j``
-    and ``f`` carry past it (``vp``) or borrow (``vm``). Their top 64 bits,
-    ``low`` and ``frac``, decide that but where ``low`` is ``frac`` or
-    ``~frac``. Those rows are masked, and so are the powers of two (``mv ==
-    2**54``), whose lower end Ryū takes at ``k = -1`` at most exponents;
-    the caller hands them all to ``repr``.
-    """
-    limbs, high = _product(mv, b)
-    left, right = 128 - j, j - 96
-    vr = ((high << left) | (limbs[3] >> right)).view(np.uint64)
-    low = ((limbs[1] >> right) | (limbs[2] << left) | (limbs[3] << (left + 32))).view(np.uint64)
-    vp = vr + step + (low > ~frac)
-    vm = vr - step - (low < frac)
-    return vr, vp, vm, (low == frac) | (low == ~frac) | (mv == _U64(1 << 54))
+    a0, a1, b0, b1 = mv & _MASK32, mv >> s32, p & _MASK32, p >> s32
+    low = a0 * b0
+    mid = a0 * b1 + a1 * b0  # below 2**63 + 2**55
+    col = (low >> s32) + (mid & _MASK32)
+    low = (col << s32) | (low & _MASK32)
+    vr = ((a1 * b1 + (mid >> s32) + (col >> s32)) << (_U64(64) - q)) | (low >> q)
+    rest = low & mask
+    return vr, vr + step + (rest > mask - frac), vr - step - (rest < frac)
 
 
 def _shortest(vr, vp, vm, e10):
@@ -248,12 +210,14 @@ def _fast_digits(bits):
     takes positive values only); the other rows hold digits of no use."""
     top = (bits >> _U64(52)).astype(np.intp)
     mv = ((bits & _FRACTION) | _HIDDEN) << _U64(2)
-    fast = (mv & np.take(_EXP_LOW, top)) != 0
-    *ends, unplaced = _ends(mv, list(np.take(_EXP_LIMBS, top, axis=1)), np.take(_EXP_SHIFT, top),
-                            np.take(_EXP_STEP, top), np.take(_EXP_FRAC, top))
+    mask = np.take(_EXP_MASK, top)
+    ends = _ends(mv, np.take(_EXP_POW5, top), np.take(_EXP_Q, top), mask,
+                 np.take(_EXP_STEP, top), np.take(_EXP_FRAC, top))
     d, nd, e = _shortest(*ends, np.take(_EXP_E10, top))
     dp = nd + e
-    return fast & ~unplaced & (dp > -4) & (dp <= 16), d, nd, dp
+    # the powers of two (mv == 2**54) have their lower end at mv - 1
+    fast = ((mv & mask) != 0) & (mv != _U64(1 << 54))
+    return fast & (dp > -4) & (dp <= 16), d, nd, dp
 
 
 def _repr_rows(values) -> np.ndarray:

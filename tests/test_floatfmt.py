@@ -97,72 +97,58 @@ def test_any_floats_match_repr(values):
     assert _texts(_kernel(array)) == _reprs(array)
 
 
-def _pow5_top(i):
-    """The leading 125 bits of ``5**i``."""
-    p = 5 ** i
-    n = p.bit_length()
-    return p >> max(n - 125, 0) << max(125 - n, 0)
+def _floor_ends(mv, i, q):
+    """Ryū's ``(vr, vp, vm)`` in Python integers: ``floor((mv + k) * 5**i /
+    2**q)`` for ``k = 0, 2, -2``."""
+    return [(mv + k) * 5 ** i >> q for k in (0, 2, -2)]
 
 
-def _floor_ends(mv, i, j):
-    """Ryū's ``(vr, vp, vm)`` in Python integers: ``floor((mv + k) * b /
-    2**j)`` for ``k = 0, 2, -2``, where ``b`` is ``_pow5_top(i)``."""
-    b = _pow5_top(i)
-    return [(mv + k) * b >> j for k in (0, 2, -2)]
+_FAST = np.arange(991, 1073)  # the biased exponents the fast path takes
+_EDGE_FRACTIONS = (0, 1, 2 ** 52 - 1)
 
 
 def test_fast_path_exponents_keep_their_bounds():
-    """Over every biased exponent the fast path takes, the product shift
-    stays in 118..121 (so the 32-bit limb split holds), the scaled interval
-    is 30..399 wide (so one or two digits can go before any test) and vr
-    has 18 or 19 digits (so the digit count needs no search). vr grows with
-    the mantissa, so its two ends bound it; the ends are exact floors."""
-    biased = np.arange(1, 1077)
-    q, i, j = floatfmt._plan(biased)
-    fast = q >= 2
-    assert fast.sum() == 1072 and biased[fast].max() == 1072
-    assert j[fast].min() == 118 and j[fast].max() == 121
-    assert i[fast].min() >= 0 and i[fast].max() <= 325
-    for i_row, j_row in zip(i[fast].tolist(), j[fast].tolist()):
-        for fraction in (0, 1, 2 ** 52 - 1):
-            vr, vp, vm = _floor_ends(4 * (2 ** 52 + fraction), i_row, j_row)
+    """The fast path takes biased exponents 991..1072, where ``5**i`` fits a
+    word and ``q`` is 2..59 (so ``_ends``' two-word product and shift hold).
+    There the scaled interval is 30..399 wide (so one or two digits can go
+    before any test) and vr has 18 or 19 digits (so the digit count needs
+    no search). vr grows with the mantissa, so its two ends bound it."""
+    assert np.flatnonzero(floatfmt._EXP_MASK).tolist() == _FAST.tolist()
+    q, i = floatfmt._plan(_FAST)
+    assert floatfmt._EXP_POW5[_FAST].tolist() == [5 ** k for k in i.tolist()]
+    assert (floatfmt._EXP_Q[_FAST] == q).all()
+    assert q.min() == 2 and q.max() == 59 and i.min() >= 0 and i.max() <= 27
+    for i_row, q_row in zip(i.tolist(), q.tolist()):
+        for fraction in _EDGE_FRACTIONS:
+            vr, vp, vm = _floor_ends(4 * (2 ** 52 + fraction), i_row, q_row)
             assert 30 <= vp - vm <= 399
             assert 10 ** 17 <= vr < 10 ** 19
 
 
 def test_scaled_ends_are_exact_floors():
-    """On every row that ``_ends`` does not mask, its ends are the exact
-    floors; it masks every power of two."""
+    """At every fast exponent ``_ends`` gives the exact floors, and neither
+    end is a multiple of ``2**q``, so no end ties."""
     rng = np.random.default_rng(9)
-    edges = np.arange(1, 1073)
-    biased = np.concatenate([rng.integers(1, 1073, 20_000), edges, edges, edges])
+    biased = np.concatenate([rng.choice(_FAST, 20_000), np.repeat(_FAST, len(_EDGE_FRACTIONS))])
     fraction = np.concatenate([rng.integers(0, 2 ** 52, 20_000, dtype=np.uint64),
-                               np.uint64([0, 1, 2 ** 52 - 1]).repeat(edges.size)])
-    q, i, j = floatfmt._plan(biased)
-    assert (floatfmt._EXP_SHIFT[biased] == j).all()
+                               np.tile(np.uint64(_EDGE_FRACTIONS), _FAST.size)])
     mv = (fraction | np.uint64(2 ** 52)) << np.uint64(2)
-    *got, masked = floatfmt._ends(mv, list(floatfmt._EXP_LIMBS[:, biased]), j,
-                                  floatfmt._EXP_STEP[biased], floatfmt._EXP_FRAC[biased])
-    assert masked[fraction == 0].all()
-    for row in np.flatnonzero(~masked).tolist():
-        assert [int(v[row]) for v in got] == _floor_ends(int(mv[row]), int(i[row]), int(j[row]))
-    # no row here has the top 64 of the product's bits below j at frac or
-    # ~frac, so hand _ends a frac that puts every row there
-    rows = np.arange(500)
-    low = np.uint64([int(mv[r]) * _pow5_top(int(i[r])) % 2 ** int(j[r]) >> int(j[r]) - 64
-                     for r in rows.tolist()])
-    for frac in (low, ~low):
-        *_, masked = floatfmt._ends(mv[rows], list(floatfmt._EXP_LIMBS[:, biased[rows]]), j[rows],
-                                    floatfmt._EXP_STEP[biased[rows]], frac)
-        assert masked.all()
+    got = floatfmt._ends(mv, floatfmt._EXP_POW5[biased], floatfmt._EXP_Q[biased],
+                         floatfmt._EXP_MASK[biased], floatfmt._EXP_STEP[biased],
+                         floatfmt._EXP_FRAC[biased])
+    q, i = floatfmt._plan(biased)
+    for row, (m, i_row, q_row) in enumerate(zip(mv.tolist(), i.tolist(), q.tolist())):
+        assert [int(v[row]) for v in got] == _floor_ends(m, i_row, q_row)
+        assert (m + 2) * 5 ** i_row % 2 ** q_row and (m - 2) * 5 ** i_row % 2 ** q_row
 
 
 def test_fast_rows_are_positive_and_in_fixed_notation():
     """The kernel lays out positive values that ``repr`` writes in fixed
     notation, ``-4 < decpt <= 16``; every other row goes to ``repr``."""
     rng = np.random.default_rng(33)
-    # fixed-notation values, values near 1e-5 and 1e17 whose exponents the
-    # fast path takes, and each of them negated
+    # fixed-notation values, values near 1e-5 (whose exponents the fast
+    # path takes) and near 1e17 (past 2**54, where it takes none), and each
+    # of them negated
     positive = np.concatenate([rng.random(200), 10.0 ** rng.uniform(-3.9, 16, 200),
                                10.0 ** rng.uniform(-6, -4, 100), 10.0 ** rng.uniform(16, 18, 100),
                                [1e-5, 1e17, 1e-4, 9999999999999998.0, 0.001, 123.456]])
@@ -175,6 +161,30 @@ def test_fast_rows_are_positive_and_in_fixed_notation():
         assert x > 0.0 and "e" not in text and -4 < dp <= 16, text
     assert any("e" in text for text in texts) and np.signbit(values).sum() > 500
     assert _texts(_written(values)) == texts
+
+
+def test_positive_fixed_notation_goes_to_repr_only_by_ryus_rules():
+    """The converse of the test above: a positive value that ``repr`` writes
+    in fixed notation leaves the fast path exactly where Ryū's general case
+    holds (``q <= 1``, or ``4 * m2`` a multiple of ``2**q``) or it is a power
+    of two, with ``q`` computed here from Python integers."""
+    rng = np.random.default_rng(34)
+    values = np.concatenate([
+        10.0 ** rng.uniform(-4, 16, 30_000),
+        rng.integers(1, 10 ** 7, 15_000) / 10.0 ** rng.integers(0, 8, 15_000),  # short decimals
+        rng.integers(1, 2 ** 50, 20_000).astype(np.float64),
+        2.0 ** np.arange(-13, 54),
+    ])
+    values = values[(values >= 1e-4) & (values < 1e16)]
+    assert values.size > 64_000 and "e" not in "".join(_reprs(values))
+    fast, *_ = floatfmt._fast_digits(values.view(np.uint64))
+    general = []
+    for bits in values.view(np.uint64).tolist():
+        fraction, ne2 = bits & (2 ** 52 - 1), 1077 - (bits >> 52)
+        q = len(str(5 ** ne2)) - 1 - (ne2 > 1)  # floor(-e2 * log10(5)), less 1 past -e2 = 1
+        general.append(q <= 1 or 4 * (2 ** 52 + fraction) % 2 ** q == 0 or fraction == 0)
+    assert 0 < sum(general) < values.size
+    assert (~fast).tolist() == general
 
 
 def _load_workloads():
