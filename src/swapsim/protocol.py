@@ -306,50 +306,34 @@ def optimal_inputs(t1: float, t2: float, epsilon: float) -> InputPair:
     """Loss-matched input amplitudes: a balance rule for unequal channels.
 
     Balances the two surviving amplitudes, |alpha delta t2| = |beta gamma
-    t1|, by fixing the ratio |beta gamma| / |alpha delta| = t2 / t1, with
-    the free overall photon-pair scale chosen as
+    t1|, at the photon-pair scale
 
         beta * delta = epsilon^2 * 2 t1 t2 / (t1^2 + t2^2).
 
-    All returned amplitudes are real and nonnegative. Shrinking epsilon
-    suppresses the double-emission term and drives the heralded state
-    toward a pure Bell state at the cost of heralding probability. The
-    rule is optimal only as epsilon -> 0: at a finite epsilon another
-    split of the same beta * delta between beta and delta gives a little
-    more concurrence (at t1, t2 = 0.05, 0.8 about 1.6e-3 more at
-    epsilon = 0.5 and 5e-9 at 0.1, a gap that shrinks as epsilon^8).
+    With h = hypot(t1, t2), c = t1 / h, d = t2 / h, e2 = epsilon^2 and
+    w = e2 (c^2 - d^2), both hold to 1e-15 at delta = c r and
+    beta = 2 e2 d / r, r = sqrt(2 e2 (sqrt(w^2 + 1) - w)), for every ratio
+    t2 / t1 down to 1e-300 (below it, subnormal amplitudes lose bits).
+
+    All amplitudes are real and nonnegative. A smaller epsilon suppresses
+    double emission and drives the heralded state toward a pure Bell state,
+    at the cost of heralding probability. The rule is optimal only as
+    epsilon -> 0: at a finite epsilon another split of the same beta * delta
+    gives a little more concurrence (at t1, t2 = 0.05, 0.8 about 1.6e-3 more
+    at epsilon = 0.5 and 5e-9 at 0.1, a gap that shrinks as epsilon^8).
     """
     if not (0.0 < t1 <= 1.0 and 0.0 < t2 <= 1.0):
         raise ValueError(f"need 0 < t1, t2 <= 1, got t1 = {t1}, t2 = {t2}")
     if not 0.0 < epsilon <= MAX_EPSILON:
         raise ValueError(f"epsilon must lie in (0, {MAX_EPSILON}], got {epsilon}")
-    squares = t1 ** 2 + t2 ** 2
-    if squares == 0.0:
-        raise ValueError("degenerate inputs: t1^2 + t2^2 underflows to zero")
-    s = epsilon ** 2 * 2.0 * t1 * t2 / squares  # = beta * delta
-    # checked before forming t2 / t1: every ratio that would overflow lands here
-    if s * s == 0.0:
+    h = math.hypot(t1, t2)
+    c, d, e2 = t1 / h, t2 / h, epsilon * epsilon
+    if 2.0 * e2 * c * d == 0.0:  # = beta * delta
         raise ValueError("degenerate inputs: photon-pair scale underflows to zero")
-    k = t2 / t1
-    # delta^2 solves  k^2 x^2 + s^2 (1 - k^2) x - s^2 = 0  (stable branch)
-    aa = k * k
-    bb = s * s * (1.0 - k * k)
-    cc = -s * s
-    disc = math.sqrt(bb * bb - 4.0 * aa * cc)
-    if bb >= 0.0:
-        delta2 = 2.0 * (-cc) / (bb + disc)
-    else:
-        delta2 = (-bb + disc) / (2.0 * aa)
-    delta = math.sqrt(delta2)
-    beta = s / delta
-    if beta > math.sqrt(0.5) + 1e-12 or delta > math.sqrt(0.5) + 1e-12:
-        raise ValueError(
-            f"epsilon = {epsilon} too large for t1 = {t1}, t2 = {t2}: "
-            f"pair amplitudes ({beta:.4f}, {delta:.4f}) exceed 1/sqrt(2)"
-        )
-    alpha = math.sqrt(1.0 - beta * beta)
-    gamma = math.sqrt(1.0 - delta2)
-    return InputPair(alpha, beta, gamma, delta)
+    w = e2 * (c * c - d * d)
+    r = math.sqrt(2.0 * e2 * (math.sqrt(w * w + 1.0) - w))
+    delta, beta = c * r, 2.0 * e2 * d / r
+    return InputPair(math.sqrt(1.0 - beta * beta), beta, math.sqrt(1.0 - delta * delta), delta)
 
 
 def random_input_pair(rng: np.random.Generator) -> InputPair:

@@ -409,7 +409,7 @@ def test_domain_rule_breaks_exit_2(doc, tmp_path, capsys):
         "experiment = scaling-balanced\nxi = 1e-200\nnormalize = false\n",
         "experiment = imbalance-restore\nxi = 1e-200\n",
         "experiment = concurrence-slices\nt1 = 1e-300\nt2 = 1e-300\n",
-        # t1^2 + t2^2 underflows to 0 in optimal_inputs' pair scale
+        # the loss-matched pair is valid; its heralding probability is zero
         "experiment = imbalance-restore\nt1 = 5e-324\nt2 = 5e-324\n",
         "experiment = imbalance-restore\nt1 = 1e-200\nt2 = 1e-200\n",
     ],
@@ -465,7 +465,8 @@ def test_single_t_scaling_has_no_slope(tmp_path, capsys):
 
 
 def test_overflowing_ratio_exits_2_without_a_warning(tmp_path):
-    # t2 / t1 overflows for t1 = 5e-324; the pair scale underflows first.
+    # At t1 = 5e-324 the pair scale 2 e2 c d underflows to zero, and no
+    # ratio of t1 and t2 is formed that could overflow and warn first.
     # A subprocess, because pytest would record a warning, not print it.
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("experiment = imbalance-restore\nt1 = 5e-324\n")

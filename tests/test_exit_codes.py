@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapsim.cli import main
@@ -104,6 +104,9 @@ def documents(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(documents())
+# whether a draw meets an epsilon whose square underflows is up to chance;
+# this one runs in every checkout
+@example("experiment = imbalance-restore\nepsilon = 1e-200\ndraws = 20\n")
 def test_run_exits_with_a_documented_code(doc):
     with tempfile.TemporaryDirectory() as work:
         cfg = Path(work) / "sweep.cfg"
@@ -142,15 +145,32 @@ def test_draws_past_numpy_exits_2_naming_the_key_or_flag(draws):
 
 def test_imbalance_inputs_are_checked_before_any_closed_form():
     """``imbalance-restore`` builds every input pair before its closed forms
-    run, so of two faults the underflowing loss-matched pair at t2 = 1e-200
-    is reported, not the vanishing heralding probability of the weak
-    equal inputs at the first t2."""
+    run, so of two faults the loss-matched pair whose scale underflows at
+    epsilon = 1e-200 is reported, not the vanishing heralding probability
+    of the weak equal inputs at the first t2."""
     with tempfile.TemporaryDirectory() as work:
         cfg = Path(work) / "imbalance.cfg"
-        cfg.write_text("experiment = imbalance-restore\nt1 = 1.0\nt2 = 0.5, 1e-200\n"
-                       "xi = 1e-10\nepsilon = 0.5\n")
+        cfg.write_text("experiment = imbalance-restore\nt1 = 1.0\nt2 = 0.5, 1.0\n"
+                       "xi = 1e-10\nepsilon = 1e-200\n")
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["run", str(cfg), "--out", str(Path(work) / "out")])
     assert code == 2
     assert err.getvalue() == "error: degenerate inputs: photon-pair scale underflows to zero\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_draws_that_do_not_fit_in_memory_exit_2(command):
+    """The largest ``draws`` the validator accepts asks for an 8 EiB column,
+    which fails to allocate at once: exit 2, and nothing is made."""
+    with tempfile.TemporaryDirectory() as work:
+        cfg = Path(work) / "big.cfg"
+        cfg.write_text(f"experiment = oracle-check\ndraws = {MAX_DRAWS}\n")
+        argv = (["check", "--draws", str(MAX_DRAWS)] if command == "check"
+                else ["run", str(cfg), "--out", str(Path(work) / "out")])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        assert code == 2
+        assert err.getvalue().startswith("error: out of memory: ")
+        assert sorted(p.name for p in Path(work).iterdir()) == ["big.cfg"]

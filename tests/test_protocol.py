@@ -655,8 +655,6 @@ class TestOptimalInputs:
         assert 1e-9 < gaps[0.1] < 1e-8
         assert abs(gaps[0.01]) < 1e-14
 
-    @pytest.mark.xfail(strict=True, reason="k^2 and s^2 underflow at extreme loss ratios; "
-                       "the stable form moves the imbalance-restore digests (ROADMAP item 12)")
     def test_balance_holds_at_extreme_loss_ratios(self):
         """The balance and the pair scale hold to 1e-12 at loss ratios t2 / t1
         and t1 / t2 from 1e-80 to 1e-300."""
@@ -669,6 +667,15 @@ class TestOptimalInputs:
                     h = math.hypot(t1, t2)
                     scale = eps ** 2 * 2 * (t1 / h) * (t2 / h)
                     assert abs(pair.beta * pair.delta) == pytest.approx(scale, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t1,t2,eps", [(5e-324, 0.1, 0.01), (1.0, 5e-324, 0.5),
+                                           (1.0, 0.5, 1e-200), (1.0, 1.0, 5e-324)])
+    def test_underflowing_pair_scale_rejected(self, t1, t2, eps):
+        """Unguarded, the closed form would return a zero delta or beta at the
+        first two points and divide by zero at the last two."""
+        with pytest.raises(ValueError, match="^degenerate inputs: photon-pair scale "
+                           "underflows to zero$"):
+            optimal_inputs(t1, t2, eps)
 
     @pytest.mark.parametrize("eps", [0.0, -0.1, 0.51])
     def test_bad_epsilon_rejected(self, eps):
