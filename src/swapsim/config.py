@@ -148,23 +148,17 @@ def _check_domain(key: str, grid: tuple[float, ...], errors: list[str]):
 
 
 def _check_recipe(cfg: SweepConfig, errors: list[str]):
-    """Apply the experiment's record: used keys, single values, domain rules."""
+    """Apply the experiment's record (the grid keys it reads, then its rules),
+    reporting key by key in document order, ``counts`` last, then rule order."""
     recipe = RECIPES[cfg.experiment]
-    for key in GRID_KEYS + ("counts",):
+    found = [(key, f"key {key!r} is not used by experiment {cfg.experiment!r}")
+             for key in GRID_KEYS if getattr(cfg, key) is not None and key not in recipe.grids]
+    for key, holds, text in recipe.rules:
         value = getattr(cfg, key)
-        if value is None:
-            continue
-        if key in GRID_KEYS and key not in recipe.grids:
-            errors.append(f"key {key!r} is not used by experiment {cfg.experiment!r}")
-            continue
-        values = value if isinstance(value, tuple) else (value,)
-        if key in recipe.single and len(values) != 1:
-            errors.append(f"key {key!r}: this experiment takes a single value")
-        errors.extend(
-            f"key {key!r}: this experiment needs {text}"
-            for rule_key, holds, text in recipe.rules
-            if rule_key == key and not all(holds(x) for x in values)
-        )
+        if value is not None and not holds(value if isinstance(value, tuple) else (value,)):
+            found.append((key, f"key {key!r}: this experiment {text}"))
+    order = GRID_KEYS + ("counts",)
+    errors.extend(text for _, text in sorted(found, key=lambda error: order.index(error[0])))
 
 
 def validate_config(raw: str) -> SweepConfig:

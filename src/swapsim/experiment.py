@@ -147,13 +147,21 @@ def synth_counts(
     return SynthCounts(counts_plus, counts_minus, scan)
 
 
+def _full_period(thetas) -> bool:
+    """Whether the shortest arc holding every phase (the circle cut at its
+    widest gap) spans at least 0.9 * 2*pi * (n - 1) / n for n phases."""
+    ordered = np.sort(thetas)
+    arc = min(ordered[-1] - ordered[0], TWO_PI - np.diff(ordered).max(initial=0.0))
+    return bool(arc >= 0.9 * TWO_PI * (ordered.size - 1) / ordered.size)
+
+
 def estimate_visibility(thetas, counts) -> VisibilityReport:
     """Cosine-fit visibility with Poisson error propagation.
 
     Weighted least squares of ``a + b cos(theta + c)`` (linearized as
     a + u cos theta + v sin theta) with per-point variance max(counts, 1);
     V = |b| / a and its 1-sigma uncertainty from the parameter covariance.
-    Needs at least 8 phases spanning a full period.
+    Needs at least 8 phases spanning a full period, in any order.
     """
     thetas = np.asarray(thetas, dtype=float)
     counts = np.asarray(counts, dtype=float)
@@ -161,30 +169,23 @@ def estimate_visibility(thetas, counts) -> VisibilityReport:
         raise ValueError("counts must be a 1-d array matching the phase grid")
     if thetas.size < 8:
         raise ValueError(f"need at least 8 phase points, got {thetas.size}")
-    order = np.argsort(thetas)
-    thetas, counts = thetas[order], counts[order]
-    n = thetas.size
-    if thetas[-1] - thetas[0] < 0.9 * TWO_PI * (n - 1) / n:
+    if not _full_period(thetas):
         raise ValueError("phase grid must cover a full period")
-    design = np.column_stack([np.ones(n), np.cos(thetas), np.sin(thetas)])
-    sigma2 = np.maximum(counts, 1.0)  # Poisson variance, floored for empty bins
-    sqrt_w = 1.0 / np.sqrt(sigma2)
-    weighted = design * sqrt_w[:, None]
-    coef, *_ = np.linalg.lstsq(weighted, counts * sqrt_w, rcond=None)
-    a, u, v = (float(x) for x in coef)
+    design = np.column_stack([np.ones(thetas.size), np.cos(thetas), np.sin(thetas)])
+    sqrt_w = 1.0 / np.sqrt(np.maximum(counts, 1.0))  # Poisson variance, floored at 1
+    # W = QR gives the coefficients, R x = Q^T y, and the covariance (W^T W)^-1
+    # = R^-1 R^-T, so the variance grad^T cov grad is |R^-T grad|^2: never
+    # negative, and no normal matrix (condition squared) when counts reach ~1e17
+    q, r = np.linalg.qr(design * sqrt_w[:, None])
+    a, u, v = (float(x) for x in np.linalg.solve(r, q.T @ (counts * sqrt_w)))
     if a <= 0.0:
         raise ValueError(f"fit failure: nonpositive baseline a = {a}")
     b = math.hypot(u, v)
-    vis = b / a
     if b > 0.0:
         grad = np.array([-b / a ** 2, u / (a * b), v / (a * b)])
     else:
         grad = np.array([0.0, 1.0 / a, 0.0])
-    # the parameter covariance is (W^T W)^-1 = R^-1 R^-T for W = QR, so the
-    # variance grad^T cov grad is |R^-T grad|^2: never negative, and no
-    # normal matrix (condition squared) to invert when counts reach ~1e17
-    r = np.linalg.qr(weighted, mode="r")
-    return VisibilityReport(vis, sigma=float(np.linalg.norm(np.linalg.solve(r.T, grad))))
+    return VisibilityReport(b / a, sigma=float(np.linalg.norm(np.linalg.solve(r.T, grad))))
 
 
 def normalized_success(pair: Pairs, t1, t2):

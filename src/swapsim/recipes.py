@@ -81,6 +81,7 @@ import numpy as np
 from . import __version__
 from .experiment import (
     CountModel,
+    _full_period,
     estimate_visibility,
     normalized_success,
     pump_split,
@@ -162,15 +163,14 @@ class Recipe:
     """One named experiment: its runner, defaults and config rules.
 
     ``grids`` holds the default of every grid key the recipe reads; a
-    config that sets any other grid key is rejected. The keys in ``single``
-    take one value, and each ``(key, holds, text)`` rule must hold for
-    every value of ``key`` ("this experiment needs <text>").
+    config that sets any other grid key is rejected. A ``(key, holds, text)``
+    rule gets the whole grid of a key the config sets, as a tuple (``counts``
+    as one value); ``holds`` false reads "key '<key>': this experiment <text>".
     """
 
     description: str
     runner: Callable[[SweepConfig], RecipeResult]
     grids: dict
-    single: frozenset = frozenset()
     rules: tuple = ()
 
 
@@ -186,9 +186,7 @@ class RunReport:
 
 def _grid(cfg: SweepConfig, key: str) -> tuple[float, ...]:
     value = getattr(cfg, key)
-    if value is None:
-        value = RECIPES[cfg.experiment].grids[key]
-    return value
+    return RECIPES[cfg.experiment].grids[key] if value is None else value
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,8 +245,7 @@ def _run_slices(cfg: SweepConfig):
 def _run_fringes(cfg: SweepConfig):
     t1, t2 = _grid(cfg, "t1")[0], _grid(cfg, "t2")[0]
     thetas = _grid(cfg, "theta")
-    xi = _grid(cfg, "xi")[0]
-    ratio = _grid(cfg, "ratio")[0]
+    xi, ratio = _grid(cfg, "xi")[0], _grid(cfg, "ratio")[0]
     mean = cfg.counts
     # xi is the total pump amplitude scale; the split divides it between sources
     pair = spdc_input(*pump_split(ratio, xi))
@@ -404,10 +401,18 @@ def oracle_verdicts(summary: dict) -> list[tuple[bool, str, float, float]]:
 
 
 def _positive(key: str):
-    return (key, lambda x: x > 0.0, f"{key} > 0")
+    return (key, lambda grid: min(grid) > 0.0, f"needs {key} > 0")
 
 
-_NONZERO_XI = ("xi", lambda x: x != 0.0, "xi != 0")
+def _single(key: str):
+    return (key, lambda grid: len(grid) == 1, "takes a single value")
+
+
+_NONZERO_XI = ("xi", lambda grid: 0.0 not in grid, "needs xi != 0")
+# the phase grid that estimate_visibility fits
+_PHASE_GRID = (("theta", lambda grid: len(grid) >= 8, "needs at least 8 phases"),
+               ("theta", lambda g: g == tuple(sorted(set(g))), "needs strictly increasing phases"),
+               ("theta", _full_period, "needs phases spanning a full period"))
 
 RECIPES = {
     "concurrence-surface": Recipe(
@@ -430,17 +435,17 @@ RECIPES = {
         {"t1": (1.0,), "t2": (1.0,),
          "theta": tuple(np.linspace(0.0, TWO_PI, 16, endpoint=False).tolist()),
          "xi": (0.1,), "ratio": (0.5,)},
-        single=frozenset({"t1", "t2", "xi", "ratio"}),
-        rules=(_positive("t1"), _positive("t2"), _NONZERO_XI,
-               ("ratio", lambda x: 0.0 < x < 1.0, "0 < ratio < 1"), _positive("counts")),
+        rules=(_single("t1"), _positive("t1"), _single("t2"), _positive("t2"), *_PHASE_GRID,
+               _single("xi"), _NONZERO_XI, _single("ratio"),
+               ("ratio", lambda grid: 0.0 < min(grid) <= max(grid) < 1.0, "needs 0 < ratio < 1"),
+               _positive("counts")),
     ),
     "scaling-balanced": Recipe(
         "heralding probability vs total transmission t for balanced "
         "channels t1 = t2 = sqrt(t); summary reports the log-log slope",
         _run_scaling,
         {"t": tuple(np.geomspace(1e-3, 1.0, 25).tolist()), "xi": (0.05,)},
-        single=frozenset({"xi"}),
-        rules=(_positive("t"), _NONZERO_XI),
+        rules=(_positive("t"), _single("xi"), _NONZERO_XI),
     ),
     "imbalance-restore": Recipe(
         "visibility/fidelity degradation from unbalanced losses and its "
@@ -448,8 +453,8 @@ RECIPES = {
         _run_imbalance,
         {"t1": (1.0,), "t2": tuple(np.linspace(0.1, 1.0, 10).tolist()),
          "xi": (0.05,), "epsilon": (0.01,)},
-        single=frozenset({"t1", "xi", "epsilon"}),
-        rules=(_positive("t1"), _positive("t2"), _NONZERO_XI),
+        rules=(_single("t1"), _positive("t1"), _positive("t2"), _single("epsilon"),
+               _single("xi"), _NONZERO_XI),
     ),
     "oracle-check": Recipe(
         "randomized cross-validation of the closed-form heralded state "

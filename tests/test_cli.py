@@ -82,7 +82,8 @@ class TestRun:
     @pytest.mark.parametrize(
         "doc, dump, code",
         [
-            ("experiment = theta-fringes\ntheta = 0.1\n", None, 2),  # too few phase points
+            # valid, but its one grid point heralds nothing: the runner stops
+            ("experiment = concurrence-surface\nt1 = 0\nt2 = 0\n", None, 2),
             ("experiment = theta-fringes\n", "missing/state.json", 3),
         ],
         ids=["runner-fails", "dump-unwritable"],

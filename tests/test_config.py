@@ -200,6 +200,37 @@ class TestViolations:
         with pytest.raises(ConfigError, match="t > 0"):
             validate_config("experiment = scaling-balanced\nt = 0, 0.5\n")
 
+    @pytest.mark.parametrize("theta, needs", [
+        ("0.5, 0.1, 1, 2, 3, 4, 5, 6", ["strictly increasing phases"]),
+        ("0.1, 1, 2", ["at least 8 phases", "phases spanning a full period"]),
+        ("linspace(0, 0.7, 8)", ["phases spanning a full period"]),
+        # max - min is 5, but every phase lies on an arc of 1.28 rad
+        ("0, 1e-10, 2e-10, 3e-10, 4e-10, 5e-10, 6e-10, 5", ["phases spanning a full period"]),
+    ])
+    def test_fringes_check_the_phase_grid(self, theta, needs):
+        with pytest.raises(ConfigError) as info:
+            validate_config(f"experiment = theta-fringes\ntheta = {theta}\n")
+        assert str(info.value) == "\n".join(f"key 'theta': this experiment needs {need}"
+                                            for need in needs)
+
+    @pytest.mark.parametrize("theta", ["linspace(0, 5.5, 8)", "0.5, 1, 2, 3, 4, 5, 6, 6.28"])
+    def test_fringes_accept_a_phase_grid_the_fit_takes(self, theta):
+        assert len(validate_config(f"experiment = theta-fringes\ntheta = {theta}\n").theta) == 8
+
+    def test_errors_come_key_by_key_in_document_order(self):
+        # an unused key sits between the rule errors of the keys around it,
+        # and a key's single-value error comes before its other rule errors
+        with pytest.raises(ConfigError) as info:
+            validate_config("experiment = theta-fringes\nxi = 0, 0\nt = 0.5\nt1 = 0\n"
+                            "epsilon = 0.1\n")
+        assert str(info.value).splitlines() == [
+            "key 't1': this experiment needs t1 > 0",
+            "key 't' is not used by experiment 'theta-fringes'",
+            "key 'epsilon' is not used by experiment 'theta-fringes'",
+            "key 'xi': this experiment takes a single value",
+            "key 'xi': this experiment needs xi != 0",
+        ]
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize(

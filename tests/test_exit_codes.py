@@ -8,6 +8,8 @@ print no traceback. A ``linspace``/``logspace`` may also ask for
 ``10**20`` points, a count numpy refuses before allocating anything; the
 run must then exit 2 and name the key. So must a ``draws`` past the
 longest column numpy can hold, given as the key or as ``check --draws``.
+A ``theta-fringes`` phase grid that the validator accepts must run to
+exit 0, and one it rejects is a configuration error naming ``theta``.
 """
 
 import contextlib
@@ -16,15 +18,17 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from swapsim.cli import main
-from swapsim.config import EXPERIMENTS, MAX_DRAWS
+from swapsim.config import EXPERIMENTS, MAX_DRAWS, ConfigError, validate_config
 from swapsim.recipes import RECIPES
 
 TINY = 5e-324  # smallest positive double
+TWO_PI = 2.0 * math.pi
 HUGE = 10 ** 20  # grid count past numpy's largest array
 
 
@@ -122,6 +126,65 @@ def test_run_exits_with_a_documented_code(doc):
         if value.endswith(f", {HUGE})"):
             assert code == 2, doc
             assert f"key {key!r}: cannot allocate a grid of {HUGE} points" in err.getvalue(), doc
+
+
+def _run_fringes(thetas, work):
+    """``swapsim run`` of a ``theta-fringes`` document with this phase grid:
+    (document, exit code, stderr)."""
+    doc = "experiment = theta-fringes\ntheta = " + ", ".join(map(repr, thetas)) + "\n"
+    cfg = Path(work) / "sweep.cfg"
+    cfg.write_text(doc)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["run", str(cfg), "--out", str(Path(work) / "out")])
+    return doc, code, err.getvalue()
+
+
+@pytest.mark.parametrize("thetas", [
+    [0.5, 0.1, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    [0.1, 1.0, 2.0],
+    [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+])
+def test_a_phase_grid_the_fit_refuses_is_a_configuration_error(thetas):
+    """Each grid once passed the validator and then stopped the run."""
+    with tempfile.TemporaryDirectory() as work:
+        _, code, err = _run_fringes(thetas, work)
+        assert code == 2
+        assert err.startswith("configuration error:\n")
+        assert all(line.startswith("key 'theta': ") for line in err.splitlines()[1:]), err
+        assert sorted(p.name for p in Path(work).iterdir()) == ["sweep.cfg"]
+
+
+@st.composite
+def phase_grids(draw):
+    """1 to 20 phases in [0, 2*pi), sorted or as drawn: anywhere, or each
+    within its own step of an even grid (the last may round up to 2*pi)."""
+    n = draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        thetas = draw(st.lists(st.floats(0.0, TWO_PI, exclude_max=True), min_size=n, max_size=n))
+    else:
+        offsets = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=n, max_size=n))
+        thetas = [(k + x) * TWO_PI / n for k, x in enumerate(offsets)]
+    return sorted(thetas) if draw(st.booleans()) else thetas
+
+
+@settings(max_examples=100, deadline=None)
+@given(phase_grids())
+# max - min is 5 and 5.5, yet every phase lies on a short arc; the fit's
+# baseline came out negative on both
+@example([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 5e-10, 6e-10, 5.0])
+@example([0.0, 0.001, 0.002, 0.003, 5.5, 5.501, 5.502, 5.503])
+@example(np.linspace(0.0, TWO_PI, 16, endpoint=False).tolist())
+def test_fringes_run_whenever_the_phase_grid_is_accepted(thetas):
+    with tempfile.TemporaryDirectory() as work:
+        doc, code, err = _run_fringes(thetas, work)
+    try:
+        validate_config(doc)
+    except ConfigError:
+        assert code == 2, (doc, err)
+        assert err.startswith("configuration error:\nkey 'theta': "), (doc, err)
+    else:
+        assert code == 0, (doc, err)
 
 
 @pytest.mark.parametrize("draws", [HUGE, MAX_DRAWS + 1])

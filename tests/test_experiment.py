@@ -164,10 +164,12 @@ class TestEstimateVisibility:
                               CountModel(1e5, seed=11)).counts_plus
         rep = estimate_visibility(GRID16, counts)
         design = np.column_stack([np.ones(16), np.cos(GRID16), np.sin(GRID16)])
-        cov = np.linalg.inv(design.T @ (design / np.maximum(counts, 1.0)[:, None]))
-        a, u, v = np.linalg.lstsq(design / np.sqrt(np.maximum(counts, 1.0))[:, None],
-                                  counts / np.sqrt(np.maximum(counts, 1.0)), rcond=None)[0]
+        weights = 1.0 / np.maximum(counts, 1.0)
+        cov = np.linalg.inv(design.T @ (design * weights[:, None]))
+        # the normal equations (D^T W D) x = D^T W y give the coefficients
+        a, u, v = cov @ (design.T @ (weights * counts))
         b = np.hypot(u, v)
+        assert rep.v == pytest.approx(b / a, rel=1e-9)
         grad = np.array([-b / a ** 2, u / (a * b), v / (a * b)])
         assert rep.sigma == pytest.approx(np.sqrt(grad @ cov @ grad), rel=1e-9)
 
@@ -185,6 +187,13 @@ class TestEstimateVisibility:
         half = np.linspace(0, np.pi, 10)
         with pytest.raises(ValueError, match="full period"):
             estimate_visibility(half, np.ones(10))
+
+    def test_phases_bunched_on_a_short_arc_rejected(self):
+        # max - min is 5, yet the phases lie on an arc of 2*pi - 5 rad, and
+        # the fit's baseline came out negative or wild on such a grid
+        bunched = np.array([0.0, 1e-10, 2e-10, 3e-10, 4e-10, 5e-10, 6e-10, 5.0])
+        with pytest.raises(ValueError, match="full period"):
+            estimate_visibility(bunched, np.full(8, 1e5))
 
     def test_all_zero_counts_fail_the_fit(self):
         with pytest.raises(ValueError, match="fit failure"):
