@@ -26,6 +26,19 @@ USAGE_ERROR = 2
 IO_ERROR = 3
 INVARIANT_ERROR = 4
 
+# (exception, exit code, stderr prefix): ``main`` takes the first row that
+# matches, so order is the rule (ConfigError and DrawError are ValueErrors)
+EXITS = (
+    (ConfigError, USAGE_ERROR, "configuration error:\n"),
+    (OSError, IO_ERROR, "i/o error: "),
+    # the draws' inputs are valid by construction: a library defect
+    (DrawError, INVARIANT_ERROR, "invariant violation: "),
+    # valid config, degenerate physics (e.g. an outcome of probability ~0)
+    (ValueError, USAGE_ERROR, "error: "),
+    # valid config whose grid does not fit; the run has removed what it made
+    (MemoryError, USAGE_ERROR, "error: out of memory: "),
+)
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,12 +68,14 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the first grid point's heralded state as JSON",
     )
+    run_p.set_defaults(handler=_cmd_run)
 
     check_p = sub.add_parser("check", help="run the closed-form vs brute-force oracle")
     check_p.add_argument("--draws", type=int, default=1000)
     check_p.add_argument("--seed", type=int, default=0)
+    check_p.set_defaults(handler=_cmd_check)
 
-    sub.add_parser("recipes", help="list the named experiments")
+    sub.add_parser("recipes", help="list the named experiments").set_defaults(handler=_cmd_recipes)
     return parser
 
 
@@ -96,35 +111,19 @@ def _cmd_check(args) -> int:
     return 0 if result.ok else INVARIANT_ERROR
 
 
+def _cmd_recipes(args) -> int:
+    print(describe_recipes())
+    return 0
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "recipes":
-            print(describe_recipes())
-            return 0
-    except ConfigError as exc:
-        print(f"configuration error:\n{exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return IO_ERROR
-    except DrawError as exc:
-        # the draws' inputs are valid by construction: a library defect
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return INVARIANT_ERROR
-    except ValueError as exc:
-        # valid config, degenerate physics (e.g. an outcome of probability ~0)
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except MemoryError as exc:
-        # valid config whose grid does not fit; the run has removed what it made
-        print(f"error: out of memory: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    raise AssertionError("unreachable")
+        return args.handler(args)
+    except tuple(kind for kind, _, _ in EXITS) as exc:
+        code, prefix = next((code, prefix) for kind, code, prefix in EXITS if isinstance(exc, kind))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -261,8 +261,9 @@ def _run_fringes(cfg: SweepConfig):
         scan = counts.scan
         probs.append(np.stack((scan.p_plus, scan.p_minus), axis=1).ravel())
         hits.append(np.stack((counts.counts_plus, counts.counts_minus), 1).ravel())
-        fit = estimate_visibility(thetas, counts.counts_plus)
-        fits[tag] = {"v": fit.v, "sigma": fit.sigma}
+        # an empty "+" scan has no baseline to fit, so its visibility is null
+        fits[tag] = (dataclasses.asdict(estimate_visibility(thetas, counts.counts_plus))
+                     if counts.counts_plus.any() else {"v": None, "sigma": None})
     # rows run setting by setting, then theta by theta, the "+" outcome before
     # the "-" one; every setting scans the same grid
     axes = {"theta_rad": scan.thetas.tolist(), "outcome_sign": ("+", "-")}

@@ -405,7 +405,6 @@ def test_domain_rule_breaks_exit_2(doc, tmp_path, capsys):
 @pytest.mark.parametrize(
     "doc",
     [
-        "experiment = theta-fringes\ncounts = 0.001\n",
         "experiment = theta-fringes\nxi = 1e-200\n",
         "experiment = scaling-balanced\nxi = 1e-200\nnormalize = false\n",
         "experiment = imbalance-restore\nxi = 1e-200\n",

@@ -9,7 +9,8 @@ print no traceback. A ``linspace``/``logspace`` may also ask for
 run must then exit 2 and name the key. So must a ``draws`` past the
 longest column numpy can hold, given as the key or as ``check --draws``.
 A ``theta-fringes`` phase grid that the validator accepts must run to
-exit 0, and one it rejects is a configuration error naming ``theta``.
+exit 0, and one it rejects is a configuration error naming ``theta``;
+an accepted document runs to exit 0 however few counts it asks for.
 """
 
 import contextlib
@@ -128,10 +129,10 @@ def test_run_exits_with_a_documented_code(doc):
             assert f"key {key!r}: cannot allocate a grid of {HUGE} points" in err.getvalue(), doc
 
 
-def _run_fringes(thetas, work):
-    """``swapsim run`` of a ``theta-fringes`` document with this phase grid:
-    (document, exit code, stderr)."""
-    doc = "experiment = theta-fringes\ntheta = " + ", ".join(map(repr, thetas)) + "\n"
+def _run_fringes(thetas, work, more=""):
+    """``swapsim run`` of a ``theta-fringes`` document with this phase grid
+    and the lines ``more``: (document, exit code, stderr)."""
+    doc = "experiment = theta-fringes\ntheta = " + ", ".join(map(repr, thetas)) + "\n" + more
     cfg = Path(work) / "sweep.cfg"
     cfg.write_text(doc)
     err = io.StringIO()
@@ -183,6 +184,27 @@ def test_fringes_run_whenever_the_phase_grid_is_accepted(thetas):
     except ConfigError:
         assert code == 2, (doc, err)
         assert err.startswith("configuration error:\nkey 'theta': "), (doc, err)
+    else:
+        assert code == 0, (doc, err)
+
+
+def _even_grid(n):
+    return np.linspace(0.0, TWO_PI, n, endpoint=False).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(8, 20).map(_even_grid), phase_grids()),
+       st.floats(0.0, 10.0, exclude_min=True), st.integers(0, 2 ** 32))
+# so few counts that every setting's scan is empty, or some settings' are
+@example(_even_grid(16), TINY, 0)
+@example(_even_grid(16), 1e-3, 0)
+def test_fringes_run_whatever_the_mean_count(thetas, counts, seed):
+    with tempfile.TemporaryDirectory() as work:
+        doc, code, err = _run_fringes(thetas, work, f"counts = {counts!r}\nseed = {seed}\n")
+    try:
+        validate_config(doc)
+    except ConfigError:
+        assert code == 2, (doc, err)
     else:
         assert code == 0, (doc, err)
 

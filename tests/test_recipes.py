@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -400,6 +401,27 @@ class TestRecipePhysics:
         fits = report.summary["fitted_visibility"]
         assert fits["Xp"]["v"] == pytest.approx(1.0, abs=0.05)
         assert abs(fits["Zp"]["v"]) <= 3.0 * fits["Zp"]["sigma"]
+
+    @pytest.mark.parametrize("counts, seed", [
+        *((c, seed) for c in (0.001, 0.1) for seed in range(4)), (1, 1)])
+    def test_an_empty_fringe_scan_reports_a_null_fit(self, counts, seed, tmp_path, capsys):
+        """Too few counts for any in one setting's ``+`` scan: the run still
+        exits 0, and that setting's visibility and sigma are null."""
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"experiment = theta-fringes\ncounts = {counts}\n")
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().err == ""
+        meta = json.loads((out / "theta-fringes.meta.json").read_text())
+        fits = meta["summary"]["fitted_visibility"]
+        empty = set()
+        for tag in fits:
+            rows = read_rows(out / f"counts_{tag}_seed{seed}.csv")[1:]
+            if all(row[2] == "0" for row in rows if row[1] == "+"):
+                empty.add(tag)
+        assert empty
+        assert {tag for tag, fit in fits.items() if fit["v"] is None} == empty
+        assert {tag for tag, fit in fits.items() if fit["sigma"] is None} == empty
 
     def test_slices_visibility_column_tracks_formula(self, tmp_path):
         cfg = validate_config(
@@ -845,6 +867,15 @@ def test_write_csv_spare_cpu_needs_two_cpus_and_no_busy_thread(monkeypatch):
     assert not recipes._spare_cpu(0.002, 0.004)  # another thread used half a CPU
     monkeypatch.setattr(recipes, "_cpus", lambda: 1)
     assert not recipes._spare_cpu(0.0, 0.004)
+
+
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpus_fall_back_to_cpu_count_without_affinity(monkeypatch, count, cpus):
+    """Where ``os.sched_getaffinity`` is missing (macOS), the CPU count is
+    ``os.cpu_count()``, and 1 when that is unknown."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+    assert recipes._cpus() == cpus
 
 
 def test_write_csv_starts_the_writer_once_a_cpu_is_free(monkeypatch, writers):
